@@ -89,17 +89,29 @@ def cmd_gradcheck(args) -> int:
     def t(*shape):
         return Tensor(rng.normal(0.5, 1.0, size=shape))
 
+    eval_stats = (rng.normal(size=3), rng.uniform(0.5, 2.0, 3))
+    max_mask = rng.uniform(size=(3, 5)) < 0.6
+    max_mask[2] = False  # one all-masked group
     checks = [
         ("linear_map", 1e-7, lambda: grad_check(
             lambda v: _total(T.linear_map(v[0], v[1], v[2])), [t(4, 5), t(5, 3), t(3)])),
         ("conv2d", 1e-5, lambda: grad_check(
             lambda v: _total(T.conv2d(v[0], T.Conv2dParams(v[1], v[2], 1, 1))),
             [t(1, 2, 5, 5), t(3, 2, 3, 3), t(3)])),
+        ("conv2d_1x1_bias", 1e-5, lambda: grad_check(
+            lambda v: _total(T.conv2d(v[0], T.Conv2dParams(v[1], v[2]))),
+            [t(1, 3, 4, 4), t(2, 3, 1, 1), t(2)])),
+        ("conv2d_batch2", 1e-5, lambda: grad_check(
+            lambda v: _total(T.conv2d(v[0], T.Conv2dParams(v[1], None, 1, 1))),
+            [t(2, 2, 4, 4), t(3, 2, 3, 3)])),
         ("conv_transpose2d", 1e-5, lambda: grad_check(
             lambda v: _total(T.conv_transpose2d(v[0], v[1], 2)),
             [t(1, 2, 4, 4), t(2, 3, 2, 2)])),
         ("batch_norm", 1e-5, lambda: grad_check(
             lambda v: _total(T.batch_norm(v[0], _bn_of(v[1], v[2]))),
+            [t(2, 3, 4, 4), t(3), t(3)])),
+        ("batch_norm_eval", 1e-5, lambda: grad_check(
+            lambda v: _total(T.batch_norm(v[0], _bn_of(v[1], v[2], eval_stats))),
             [t(2, 3, 4, 4), t(3), t(3)])),
         ("relu", 1e-6, lambda: grad_check(
             lambda v: _total(T.relu(v[0])), [t(3, 4)])),
@@ -107,6 +119,8 @@ def cmd_gradcheck(args) -> int:
             lambda v: _total(T.avg_pool2x2(v[0])), [t(1, 2, 4, 4)])),
         ("max_over_axis", 1e-6, lambda: grad_check(
             lambda v: _total(T.max_over_axis(v[0], 1)), [t(3, 5)])),
+        ("max_over_axis_masked", 1e-5, lambda: grad_check(
+            lambda v: _total(T.max_over_axis(v[0], 1, mask=max_mask)), [t(3, 5)])),
         ("conv_bn_relu", 1e-4, lambda: grad_check(
             lambda v: _total(T.relu(T.batch_norm(
                 T.conv2d(v[0], T.Conv2dParams(v[1], None, 1, 1)), _bn_of(v[2], v[3])))),
@@ -132,10 +146,14 @@ def _sum_all(x):
     return T.reshape(T.linear_map(flat, ones), (1,))
 
 
-def _bn_of(gamma, beta):
+def _bn_of(gamma, beta, eval_stats=None):
+    """Train-mode BN params, or eval mode with (running_mean, running_var)."""
     p = T.BatchNormParams.create(gamma.shape[0], dtype=gamma.dtype)
     p.gamma = gamma
     p.beta = beta
+    if eval_stats is not None:
+        p.running_mean, p.running_var = eval_stats
+        p.mode = "eval"
     return p
 
 

@@ -394,6 +394,6 @@ def postprocess(cls_map, box_map, dir_map, anchors, anchor_cls, cfg: AnchorConfi
             yaw = wrap_angle(yaw + math.pi)
         elif d == 0 and yaw >= 0:
             yaw = wrap_angle(yaw - math.pi)
-        box = Box3D(row[0], row[1], row[2], row[3], row[4], row[5], yaw)
+        box = Box3D(*(float(v) for v in row[:6]), float(yaw))
         dets.append(Detection(box, float(sc), CLASSES[ci]))
     return nms_bev(dets, nms_thr)

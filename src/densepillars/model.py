@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import encoder as enc
+from . import tensor as T
 from .backbones import GrowthSchedule, build_backbone
 from .detector import (
     AnchorConfig,
@@ -89,7 +90,12 @@ class DetectionPipeline:
         return self.loss_encoded(self.encode(cloud, seed=seed, cap=True), assignment)
 
     def predict(self, cloud: PointCloud, score_thr: float = 0.1, nms_thr: float = 0.01):
-        cls_map, box_map, dir_map = self.forward(cloud, cap=False)
+        """Detections for one frame; a frame with no point in range has none."""
+        batch = self.encode(cloud, cap=False)
+        if batch.features.shape[0] == 0:
+            return []
+        with T.no_grad():
+            cls_map, box_map, dir_map = self.forward_encoded(batch)
         return postprocess(cls_map, box_map, dir_map, self.anchors, self.anchor_cls,
                            self.anchor_cfg, score_thr=score_thr, nms_thr=nms_thr)
 

@@ -9,10 +9,11 @@ precision, float64 is used by the finite-difference checker.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ConfigurationError(ValueError):
@@ -95,9 +96,26 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
+# Whether ops record the graph; per thread and per asyncio task.
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording the graph: results have no parents or
+    backward closure, so nothing that only backward reads stays alive."""
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
+
+
 def _make(out_data, parents, backward):
     """Wrap an op result, wiring the graph only when a parent needs grads."""
     out = Tensor(_checked(out_data))
+    if not _grad_enabled.get():
+        return out
     live = [p for p in parents if p.requires_grad or p._parents]
     if live:
         out.requires_grad = any(p.requires_grad for p in parents)
@@ -192,10 +210,8 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    pos = a.data > 0  # subgradient at 0 is 0
-
     def backward(g):
-        a._accumulate(g * pos)
+        a._accumulate(g * (a.data > 0))  # subgradient at 0 is 0
 
     return _make(np.maximum(a.data, 0), (a,), backward)
 
@@ -241,7 +257,20 @@ def linear_map(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # convolution family
 
 
+def _im2col(x, k, s, pad, h_out, w_out):
+    """[N, C, H, W] -> contiguous [N, C*k*k, H_out*W_out], rows in weight order."""
+    n, c = x.shape[:2]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    cols = np.empty((n, c, k, k, h_out, w_out), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i : i + s * h_out : s, j : j + s * w_out : s]
+    return cols.reshape(n, c * k * k, h_out * w_out)
+
+
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
+    """One GEMM per call over an im2col buffer; a 1x1 stride-1 conv is a
+    plain matmul. Backward rebuilds the buffer rather than holding it."""
     n, c_in, h, w = x.shape
     c_out, c_in_w, k, _ = p.weight.shape
     if c_in != c_in_w:
@@ -251,27 +280,34 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     w_out = (w + 2 * pad - k) // s + 1
     if h_out < 1 or w_out < 1:
         raise ConfigurationError("conv2d: non-positive output size")
+    pointwise = k == 1 and s == 1 and pad == 0
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    # win: [N, C_in, H_out, W_out, k, k]
-    out = np.tensordot(win, p.weight.data, axes=([1, 4, 5], [1, 2, 3]))
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    def cols_of(data):
+        if pointwise:
+            return data.reshape(n, c_in, h * w)
+        return _im2col(data, k, s, pad, h_out, w_out)
+
+    out = p.weight.data.reshape(c_out, -1) @ cols_of(x.data)
     if p.bias is not None:
-        out = out + p.bias.data[None, :, None, None]
+        out += p.bias.data[None, :, None]
+    out = out.reshape(n, c_out, h_out, w_out)
 
     def backward(g):
-        p.weight._accumulate(np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3])))
+        g2 = g.reshape(n, c_out, h_out * w_out)
+        dw = np.tensordot(g2, cols_of(x.data), axes=([0, 2], [0, 2]))
+        p.weight._accumulate(dw.reshape(p.weight.shape))
         if p.bias is not None:
-            p.bias._accumulate(g.sum(axis=(0, 2, 3)))
-        dxp = np.zeros_like(xp)
+            p.bias._accumulate(g2.sum(axis=(0, 2)))
+        dcols = p.weight.data.reshape(c_out, -1).T @ g2
+        if pointwise:
+            x._accumulate(dcols.reshape(x.shape))
+            return
+        dcols = dcols.reshape(n, c_in, k, k, h_out, w_out)
+        dxp = np.zeros((n, c_in, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
         for i in range(k):
             for j in range(k):
-                piece = np.tensordot(g, p.weight.data[:, :, i, j], axes=([1], [0]))
-                dxp[:, :, i : i + s * h_out : s, j : j + s * w_out : s] += (
-                    piece.transpose(0, 3, 1, 2)
-                )
-        x._accumulate(dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp)
+                dxp[:, :, i : i + s * h_out : s, j : j + s * w_out : s] += dcols[:, :, i, j]
+        x._accumulate(dxp[:, :, pad : pad + h, pad : pad + w])
 
     parents = (x, p.weight) if p.bias is None else (x, p.weight, p.bias)
     return _make(out, parents, backward)
@@ -331,26 +367,30 @@ def batch_norm(x: Tensor, p: BatchNormParams) -> Tensor:
         raise ConfigurationError(f"batch_norm: unknown mode {p.mode!r}")
 
     inv_std = 1.0 / np.sqrt(var + np.asarray(p.eps, dtype=x.dtype))
-    x_hat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = p.gamma.data[None, :, None, None] * x_hat + p.beta.data[None, :, None, None]
+    a = p.gamma.data * inv_std
+    out = x.data * a[None, :, None, None]
+    out += (p.beta.data - mean * a)[None, :, None, None]
+
+    def x_hat():
+        return (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
 
     if p.mode == "eval":
 
         def backward(g):
-            k = (p.gamma.data * inv_std)[None, :, None, None]
-            x._accumulate(g * k)
-            p.gamma._accumulate((g * x_hat).sum(axis=axes))
+            x._accumulate(g * a[None, :, None, None])
+            p.gamma._accumulate((g * x_hat()).sum(axis=axes))
             p.beta._accumulate(g.sum(axis=axes))
 
     else:
 
         def backward(g):
-            p.gamma._accumulate((g * x_hat).sum(axis=axes))
+            xh = x_hat()
+            p.gamma._accumulate((g * xh).sum(axis=axes))
             p.beta._accumulate(g.sum(axis=axes))
             gy = g * p.gamma.data[None, :, None, None]
             mean_gy = gy.mean(axis=axes)[None, :, None, None]
-            mean_gy_xhat = (gy * x_hat).mean(axis=axes)[None, :, None, None]
-            dx = (gy - mean_gy - x_hat * mean_gy_xhat) * inv_std[None, :, None, None]
+            mean_gy_xhat = (gy * xh).mean(axis=axes)[None, :, None, None]
+            dx = (gy - mean_gy - xh * mean_gy_xhat) * inv_std[None, :, None, None]
             x._accumulate(dx)
 
     return _make(out, (x, p.gamma, p.beta), backward)
@@ -359,21 +399,21 @@ def batch_norm(x: Tensor, p: BatchNormParams) -> Tensor:
 def max_over_axis(x: Tensor, axis: int, mask=None) -> Tensor:
     """Max reduction; masked-out slots are excluded, empty groups yield 0."""
     axis = axis % x.data.ndim
-    if mask is not None:
-        mask_full = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        neg = np.where(mask_full, x.data, -np.inf)
-    else:
-        neg = x.data
-    out = neg.max(axis=axis)
+
+    def masked():
+        if mask is None:
+            return x.data
+        return np.where(np.broadcast_to(np.asarray(mask, dtype=bool), x.shape), x.data, -np.inf)
+
+    out = masked().max(axis=axis)
     empty = ~np.isfinite(out)
     out = np.where(empty, 0.0, out).astype(x.dtype)
-    arg = neg.argmax(axis=axis)  # ties resolve to lowest index
 
     def backward(g):
+        arg = masked().argmax(axis=axis)  # ties resolve to lowest index
         dx = np.zeros_like(x.data)
-        idx = list(np.indices(out.shape))
-        idx.insert(axis, arg)
-        np.add.at(dx, tuple(idx), np.where(empty, 0.0, g))
+        np.put_along_axis(dx, np.expand_dims(arg, axis),
+                          np.expand_dims(np.where(empty, 0.0, g), axis), axis)
         x._accumulate(dx)
 
     return _make(out, (x,), backward)

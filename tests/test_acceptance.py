@@ -175,6 +175,14 @@ def test_criterion_5_gradient_suite():
             lambda v: total(T.conv2d(v[0], T.Conv2dParams(v[1], None, 2, 1))),
             [t(1, 2, 6, 6), t(3, 2, 3, 3)],
         ),
+        "conv2d_1x1_bias": lambda: grad_check(
+            lambda v: total(T.conv2d(v[0], T.Conv2dParams(v[1], v[2]))),
+            [t(1, 3, 4, 4), t(2, 3, 1, 1), t(2)],
+        ),
+        "conv2d_batch2": lambda: grad_check(
+            lambda v: total(T.conv2d(v[0], T.Conv2dParams(v[1], None, 1, 1))),
+            [t(2, 2, 4, 4), t(3, 2, 3, 3)],
+        ),
         "conv_transpose2d": lambda: grad_check(
             lambda v: total(T.conv_transpose2d(v[0], v[1], 2)),
             [t(1, 2, 4, 4), t(2, 3, 2, 2)],
@@ -183,12 +191,22 @@ def test_criterion_5_gradient_suite():
             lambda v: total(T.batch_norm(v[0], _bn(v[1], v[2]))),
             [t(2, 3, 4, 4), t(3), t(3)],
         ),
+        "batch_norm_eval": lambda: grad_check(
+            lambda v, stats=(rng.normal(size=3), rng.uniform(0.5, 2.0, 3)): total(
+                T.batch_norm(v[0], _bn(v[1], v[2], stats))),
+            [t(2, 3, 4, 4), t(3), t(3)],
+        ),
         "relu": lambda: grad_check(lambda v: total(T.relu(v[0])), [t(3, 4)]),
         "avg_pool2x2": lambda: grad_check(
             lambda v: total(T.avg_pool2x2(v[0])), [t(1, 2, 4, 4)]
         ),
         "max_over_axis": lambda: grad_check(
             lambda v: total(T.max_over_axis(v[0], 1)), [t(3, 5)]
+        ),
+        "max_over_axis_masked": lambda: grad_check(  # the last group all masked
+            lambda v, m=(rng.uniform(size=(3, 5)) < 0.6) & [[True], [True], [False]]: total(
+                T.max_over_axis(v[0], 1, mask=m)),
+            [t(3, 5)],
         ),
         "focal": lambda: grad_check(
             lambda v, y=(rng.uniform(size=(4, 3)) < 0.3).astype(float):
@@ -235,10 +253,14 @@ def test_criterion_5_gradient_suite():
     report(5, "gradient suite", ok, detail)
 
 
-def _bn(gamma, beta):
+def _bn(gamma, beta, eval_stats=None):
+    """Train-mode BN params, or eval mode with (running_mean, running_var)."""
     p = T.BatchNormParams.create(gamma.shape[0], dtype=gamma.dtype)
     p.gamma = gamma
     p.beta = beta
+    if eval_stats is not None:
+        p.running_mean, p.running_var = eval_stats
+        p.mode = "eval"
     return p
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from densepillars.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from densepillars.pointcloud import PREDICTION_HEADER, PointCloud, write_kitti_bin
 
 TINY_CFG = """\
 [grid]
@@ -62,7 +63,8 @@ class TestGradcheck:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        for op in ("conv2d", "conv_transpose2d", "batch_norm", "conv_bn_relu"):
+        for op in ("conv2d", "conv2d_1x1_bias", "conv2d_batch2", "conv_transpose2d",
+                   "batch_norm", "batch_norm_eval", "max_over_axis_masked", "conv_bn_relu"):
             assert op in out
 
 
@@ -121,6 +123,19 @@ class TestTrainInferEvalRoundtrip:
                    "--out-dir", str(tmp_path / "p"),
                    "--checkpoint", os.path.join(run, "checkpoint.npz")])
         assert rc == EXIT_IO
+
+    def test_infer_frame_out_of_range_writes_header_only(self, tmp_path, tiny_cfg):
+        run = str(tmp_path / "run")
+        data = tmp_path / "data"
+        data.mkdir()
+        main(["train", "--config", tiny_cfg, "--out-dir", run])
+        behind_and_beyond = np.array([[-5.0, 0.0, -1.0, 0.5], [30.0, 2.0, -1.0, 0.1]])
+        write_kitti_bin(str(data / "far.bin"), PointCloud(behind_and_beyond))
+        rc = main(["infer", "--config", tiny_cfg, "--data-dir", str(data),
+                   "--out-dir", str(tmp_path / "p"),
+                   "--checkpoint", os.path.join(run, "checkpoint.npz")])
+        assert rc == EXIT_OK
+        assert (tmp_path / "p" / "far.pred.csv").read_text() == PREDICTION_HEADER + "\n"
 
     def test_infer_missing_checkpoint_is_io_error(self, tmp_path, tiny_cfg):
         rc = main(["infer", "--config", tiny_cfg, "--data-dir", str(tmp_path),

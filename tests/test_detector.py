@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densepillars import model
 from densepillars import tensor as T
 from densepillars.bev import rotated_iou_bev
 from densepillars.detector import (
@@ -24,8 +25,17 @@ from densepillars.detector import (
     softmax_cross_entropy,
 )
 from densepillars.encoder import GridSpec
-from densepillars.pointcloud import CLASS_SIZES, CLASSES, Box3D
-from densepillars.tensor import ConfigurationError, Tensor
+from densepillars.model import DetectionPipeline
+from densepillars.pointcloud import (
+    CLASS_SIZES,
+    CLASSES,
+    Box3D,
+    PointCloud,
+    read_predictions,
+    synth_scene,
+    write_predictions,
+)
+from densepillars.tensor import ConfigurationError, InvariantViolation, Tensor
 
 GRID = GridSpec(
     x_range=(0.0, 12.8), y_range=(-6.4, 6.4), pillar_size=(0.4, 0.4)
@@ -398,3 +408,81 @@ class TestDetectionLossAndPostprocess:
             zeros(3), zeros(7), zeros(2), anchors, anchor_cls, CFG, score_thr=0.1
         )
         assert dets == []
+
+    def test_postprocess_output_round_trips_through_csv(self, tmp_path):
+        anchors, anchor_cls, gt, asn = self._setup()
+        h, w = 16, 16
+        a_cell = CFG.anchors_per_cell
+        rng = np.random.default_rng(3)
+        cls = rng.normal(-1.0, 2.0, size=(h * w * a_cell, 3))
+        box = rng.normal(0.0, 0.3, size=(h * w * a_cell, 7))
+        dr = rng.normal(0.0, 1.0, size=(h * w * a_cell, 2))
+
+        def to_map(flat, c):
+            t = flat.reshape(h, w, a_cell, c).transpose(2, 3, 0, 1)
+            return Tensor(t.reshape(1, a_cell * c, h, w).astype(np.float32))
+
+        dets = postprocess(
+            to_map(cls, 3), to_map(box, 7), to_map(dr, 2),
+            anchors, anchor_cls, CFG, score_thr=0.5, nms_thr=0.01,
+        )
+        assert dets
+        path = tmp_path / "frame.pred.csv"
+        write_predictions(path, dets)
+        back = read_predictions(path)
+        assert [(d.label, d.score, d.box.as_array().tolist()) for d in back] == [
+            (d.label, d.score, d.box.as_array().tolist()) for d in dets
+        ]
+
+
+class TestPredict:
+    """`predict` runs the network under `no_grad` and handles empty frames."""
+
+    def _pipeline_and_scene(self):
+        pipeline = DetectionPipeline(GRID, backbone="dense", seed=0)
+        scene = synth_scene(seed=4, n_boxes=2, x_range=GRID.x_range, y_range=GRID.y_range,
+                            n_ground=400)
+        return pipeline, scene
+
+    def test_head_maps_match_graph_forward(self, monkeypatch):
+        pipeline, scene = self._pipeline_and_scene()
+        pipeline.set_mode("eval")
+        seen = []
+        monkeypatch.setattr(model, "postprocess", lambda *a, **k: seen.append(a[:3]) or [])
+        assert pipeline.predict(scene.cloud) == []
+        want = pipeline.forward(scene.cloud, cap=False)
+        (got,) = seen
+        for g, e in zip(got, want):
+            assert g._parents == () and g._backward is None
+            assert e._backward is not None
+            np.testing.assert_allclose(g.data, e.data, rtol=1e-5, atol=1e-5 * np.abs(e.data).max())
+
+    def test_backward_after_predict_unchanged(self):
+        pipeline, scene = self._pipeline_and_scene()
+        batch = pipeline.encode(scene.cloud, cap=True)
+        asn = pipeline.targets_for(scene.boxes)
+
+        def grads():
+            pipeline.set_mode("train")
+            pipeline.zero_grad()
+            pipeline.loss_encoded(batch, asn)["total"].backward()
+            return {k: v.grad.copy() for k, v in pipeline.named_params().items()}
+
+        before = grads()
+        pipeline.set_mode("eval")
+        pipeline.predict(scene.cloud)
+        after = grads()
+        assert before.keys() == after.keys()
+        for k in before:
+            np.testing.assert_array_equal(after[k], before[k], err_msg=k)
+
+    def test_frame_without_points_in_range_has_no_detections(self):
+        pipeline, scene = self._pipeline_and_scene()
+        pipeline.set_mode("eval")
+        pts = scene.cloud.points.copy()
+        pts[:, 0] -= GRID.x_range[1] + 1.0
+        cloud = PointCloud(pts)
+        assert pipeline.predict(cloud) == []
+        assert pipeline.predict(PointCloud(np.zeros((0, 4)))) == []
+        with pytest.raises(InvariantViolation):
+            pipeline.forward(cloud)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from densepillars import tensor as T
 from densepillars.tensor import ConfigurationError, Tensor, grad_check
@@ -269,6 +270,106 @@ class TestSimpleOps:
         out = T.max_over_axis(x, axis=1)
         out.backward(np.array([1.0]))
         np.testing.assert_array_equal(x.grad, [[1.0, 0.0]])
+
+
+def reference_conv2d(x, weight, bias, stride, pad, g):
+    """Sliding-window/tensordot conv2d, the engine's earlier kernel, kept as
+    the oracle: output, dW, db and dx (k*k tensordot loop) for upstream g."""
+    n, c_in, h, w = x.shape
+    k = weight.shape[2]
+    h_out = (h + 2 * pad - k) // stride + 1
+    w_out = (w + 2 * pad - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    out = np.tensordot(win, weight, axes=([1, 4, 5], [1, 2, 3])).transpose(0, 3, 1, 2)
+    if bias is not None:
+        out = out + bias[None, :, None, None]
+    dw = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
+    db = None if bias is None else g.sum(axis=(0, 2, 3))
+    dxp = np.zeros_like(xp)
+    for i in range(k):
+        for j in range(k):
+            piece = np.tensordot(g, weight[:, :, i, j], axes=([1], [0]))
+            dxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
+                piece.transpose(0, 3, 1, 2)
+            )
+    return out, dw, db, dxp[:, :, pad : pad + h, pad : pad + w]
+
+
+def _conv_against_reference(n, c_in, c_out, h, w, k, stride, pad, with_bias, dtype, rtol):
+    r = np.random.default_rng([n, c_in, c_out, h, k, stride, pad])
+    x = Tensor(r.normal(size=(n, c_in, h, w)).astype(dtype), requires_grad=True)
+    wt = Tensor(r.normal(size=(c_out, c_in, k, k)).astype(dtype), requires_grad=True)
+    b = Tensor(r.normal(size=c_out).astype(dtype), requires_grad=True) if with_bias else None
+    out = T.conv2d(x, T.Conv2dParams(wt, b, stride, pad))
+    g = r.normal(size=out.shape).astype(dtype)
+    out.backward(g)
+    want = reference_conv2d(x.data, wt.data, None if b is None else b.data, stride, pad, g)
+    got = (out.data, wt.grad, None if b is None else b.grad, x.grad)
+    for name, a, e in zip(("out", "dW", "db", "dx"), got, want):
+        if e is None:
+            continue
+        assert a.shape == e.shape and a.dtype == dtype, name
+        err = np.max(np.abs(a - e)) / np.max(np.abs(e))
+        assert err <= rtol, f"{name}: relative error {err:.2e} > {rtol:.0e}"
+
+
+DTYPE_RTOL = [(np.float64, 1e-12), (np.float32, 1e-5)]
+
+
+class TestConv2dOracle:
+    @pytest.mark.parametrize("dtype,rtol", DTYPE_RTOL)
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_grid(self, k, stride, pad, n, dtype, rtol):
+        _conv_against_reference(n, 3, 4, 7, 6, k, stride, pad, True, dtype, rtol)
+
+    @pytest.mark.parametrize("dtype,rtol", DTYPE_RTOL)
+    def test_head_1x1_with_bias(self, dtype, rtol):
+        _conv_against_reference(1, 384, 18, 6, 5, 1, 1, 0, True, dtype, rtol)
+
+    @pytest.mark.parametrize("dtype,rtol", DTYPE_RTOL)
+    def test_baseline_stride2_entry(self, dtype, rtol):
+        _conv_against_reference(1, 64, 64, 12, 10, 3, 2, 1, False, dtype, rtol)
+
+
+class TestNoGrad:
+    def _ops(self, x):
+        bn = T.BatchNormParams.create(2, dtype=np.float64)
+        bn.mode = "eval"
+        w = rand_t(3, 2, 3, 3)
+        return [
+            T.conv2d(x, T.Conv2dParams(w, rand_t(3), 1, 1)),
+            T.batch_norm(x, bn),
+            T.relu(x),
+            T.max_over_axis(x, 3, mask=np.ones(4, dtype=bool)),
+            T.add(x, x),
+        ]
+
+    def test_results_carry_no_graph(self):
+        x = rand_t(1, 2, 4, 4)
+        with T.no_grad():
+            outs = self._ops(x)
+        for out in outs:
+            assert out._parents == () and out._backward is None
+            assert not out.requires_grad
+        for out in self._ops(x):
+            assert out._parents and out._backward is not None
+
+    def test_restored_after_exception(self):
+        with pytest.raises(ConfigurationError):
+            with T.no_grad():
+                T.add(rand_t(2), rand_t(3))
+        assert T.relu(rand_t(2))._backward is not None
+
+    def test_restored_after_nesting(self):
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert T.relu(rand_t(2))._backward is None
+        assert T.relu(rand_t(2))._backward is not None
 
 
 class TestInvariants:
