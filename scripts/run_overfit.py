@@ -5,9 +5,8 @@ per-class recall of the trained model on those same scenes."""
 import argparse
 import os
 
-from densepillars.bev import rotated_iou_bev
+from densepillars.bev import recall_at_iou
 from densepillars.config import parse_config
-from densepillars.pointcloud import CLASSES
 from densepillars.train import make_training_scenes, train
 
 
@@ -26,23 +25,13 @@ def main():
           f"(ratio {history[-1] / history[0]:.4f})")
 
     pipeline.set_mode("eval")
-    found = {c: 0 for c in CLASSES}
-    total = {c: 0 for c in CLASSES}
-    for scene in scenes:
-        dets = pipeline.predict(
-            scene.cloud,
-            score_thr=cfg["eval.score_threshold"],
-            nms_thr=cfg["eval.nms_iou"],
-        )
-        for box, cls in scene.boxes:
-            total[cls] += 1
-            if any(d.label == cls and rotated_iou_bev(d.box, box) >= args.iou
-                   for d in dets):
-                found[cls] += 1
-    for cls in CLASSES:
-        if total[cls]:
-            print(f"{cls:<12} recall {found[cls]}/{total[cls]} "
-                  f"= {found[cls] / total[cls]:.2f}")
+    frames = [
+        (pipeline.predict(scene.cloud, score_thr=cfg["eval.score_threshold"],
+                          nms_thr=cfg["eval.nms_iou"]), scene.boxes)
+        for scene in scenes
+    ]
+    for cls, recall in recall_at_iou(frames, args.iou).items():
+        print(f"{cls:<12} recall {recall:.2f}")
 
 
 if __name__ == "__main__":

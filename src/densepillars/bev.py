@@ -1,4 +1,10 @@
-"""Rotated-box geometry, greedy NMS, and average precision at 40 recall points."""
+"""Rotated-box geometry, greedy NMS, and average precision at 40 recall points.
+
+Every overlap (target assignment, NMS, AP matching and recall) goes through
+one batched kernel, `_intersection_area`, on box rows
+`[cx, cy, cz, w, l, h, yaw]`. Callers first keep only the pairs whose
+centres are close enough to overlap, then make one call on those pairs.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pointcloud import Box3D
+from .pointcloud import CLASSES, Box3D
 
 _AREA_EPS = 1e-9
 
@@ -28,121 +34,201 @@ class EvalResult:
     mean_ap: float
 
 
-def _polygon_area(poly) -> float:
-    if len(poly) < 3:
-        return 0.0
-    x = np.array([p[0] for p in poly])
-    y = np.array([p[1] for p in poly])
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+def box_rows(boxes) -> np.ndarray:
+    """[N, 7] float64 rows (cx, cy, cz, w, l, h, yaw) of a list of Box3D."""
+    return np.array(
+        [(b.cx, b.cy, b.cz, b.w, b.l, b.h, b.yaw) for b in boxes], dtype=np.float64
+    ).reshape(-1, 7)
 
 
-def _clip_polygon(subject, clip) -> list:
-    """Sutherland-Hodgman: clip a polygon by a convex CCW polygon."""
-    output = list(subject)
-    n = len(clip)
-    for i in range(n):
-        if not output:
-            return []
-        a = clip[i]
-        b = clip[(i + 1) % n]
-        ex, ey = b[0] - a[0], b[1] - a[1]
+def _corners(rows):
+    """[P, 7] rows -> BEV corner coordinates (x, y), each [P, 4], CCW."""
+    c = np.cos(rows[:, 6:7])
+    s = np.sin(rows[:, 6:7])
+    hx = rows[:, 4:5] / 2.0
+    hy = rows[:, 3:4] / 2.0
+    lx = np.concatenate([hx, -hx, -hx, hx], axis=1)
+    ly = np.concatenate([hy, hy, -hy, -hy], axis=1)
+    return lx * c - ly * s + rows[:, 0:1], lx * s + ly * c + rows[:, 1:2]
 
-        def inside(q):
-            return ex * (q[1] - a[1]) - ey * (q[0] - a[0]) >= 0.0
 
-        input_pts = output
-        output = []
-        for j, cur in enumerate(input_pts):
-            prev = input_pts[j - 1]
-            cur_in, prev_in = inside(cur), inside(prev)
-            if cur_in != prev_in:
-                dx, dy = cur[0] - prev[0], cur[1] - prev[1]
-                denom = ex * dy - ey * dx
-                if abs(denom) > 1e-15:
-                    t = (ex * (a[1] - prev[1]) - ey * (a[0] - prev[0])) / denom
-                    output.append((prev[0] + t * dx, prev[1] + t * dy))
-            if cur_in:
-                output.append(cur)
-    return output
+def _intersection_area(a, b):
+    """BEV intersection areas of the box pairs (a[p], b[p]); a, b are [P, 7].
+
+    Sutherland-Hodgman clips each polygon of `a` by the four edges of its
+    `b`, on all pairs at once: row p holds its first n[p] vertices and the
+    lanes beyond them are masked. A quadrilateral clipped by four
+    half-planes has at most 8 vertices; the buffer width follows the counts,
+    so rounding cannot overflow it. The shoelace formula then gives the area.
+    """
+    px, py = _corners(a)
+    cx, cy = _corners(b)
+    p = px.shape[0]
+    n = np.full(p, 4)
+    for e in range(4):
+        ax, ay = cx[:, e:e + 1], cy[:, e:e + 1]
+        ex = cx[:, (e + 1) % 4, None] - ax
+        ey = cy[:, (e + 1) % 4, None] - ay
+        lane = np.arange(px.shape[1])
+        valid = lane < n[:, None]
+        inside = ex * (py - ay) - ey * (px - ax) >= 0.0
+        prev = (lane - 1) % np.maximum(n, 1)[:, None]
+        qx = np.take_along_axis(px, prev, axis=1)
+        qy = np.take_along_axis(py, prev, axis=1)
+        dx, dy = px - qx, py - qy
+        denom = ex * dy - ey * dx
+        # edge leaves or enters the half-plane: emit the crossing point first
+        cross = valid & (inside != np.take_along_axis(inside, prev, axis=1))
+        cross &= np.abs(denom) > 1e-15
+        keep = valid & inside
+        t = (ex * (ay - qy) - ey * (ax - qx)) / np.where(cross, denom, 1.0)
+        emitted = cross.astype(np.int64) + keep
+        pos = np.cumsum(emitted, axis=1) - emitted
+        n = emitted.sum(axis=1)
+        width = int(n.max()) if p else 0
+        nx = np.zeros((p, width))
+        ny = np.zeros((p, width))
+        r, k = np.nonzero(cross)
+        nx[r, pos[r, k]] = qx[r, k] + t[r, k] * dx[r, k]
+        ny[r, pos[r, k]] = qy[r, k] + t[r, k] * dy[r, k]
+        r, k = np.nonzero(keep)
+        slot = pos[r, k] + cross[r, k]
+        nx[r, slot] = px[r, k]
+        ny[r, slot] = py[r, k]
+        px, py = nx, ny
+    lane = np.arange(px.shape[1])
+    nxt = np.where(lane + 1 < n[:, None], lane + 1, 0)
+    term = px * np.take_along_axis(py, nxt, axis=1) - py * np.take_along_axis(px, nxt, axis=1)
+    term[lane >= n[:, None]] = 0.0
+    twice = np.zeros(p)
+    for k in range(term.shape[1]):  # fixed order: a row's area never depends on P
+        twice += term[:, k]
+    return np.where(n >= 3, 0.5 * np.abs(twice), 0.0)
+
+
+def pair_iou(a, b, mode: str = "BEV") -> np.ndarray:
+    """IoU of the box pairs (a[p], b[p]) in BEV or 3D; a, b are [P, 7] rows.
+
+    3D is the BEV intersection times the z overlap. A box with a footprint
+    below `_AREA_EPS`, or a pair whose union is below it, scores 0.
+    """
+    area_a = a[:, 3] * a[:, 4]
+    area_b = b[:, 3] * b[:, 4]
+    inter = _intersection_area(a, b)
+    if mode == "BEV":
+        union = area_a + area_b - inter
+    else:
+        z_lo = np.maximum(a[:, 2] - a[:, 5] / 2, b[:, 2] - b[:, 5] / 2)
+        z_hi = np.minimum(a[:, 2] + a[:, 5] / 2, b[:, 2] + b[:, 5] / 2)
+        inter = inter * np.maximum(0.0, z_hi - z_lo)
+        union = area_a * a[:, 5] + area_b * b[:, 5] - inter
+    ok = (area_a >= _AREA_EPS) & (area_b >= _AREA_EPS) & (union >= _AREA_EPS)
+    iou = np.divide(inter, union, out=np.zeros_like(inter), where=ok)
+    return np.clip(iou, 0.0, 1.0)
+
+
+def pairs_in_reach(a, b):
+    """Index pairs (i, j) of rows a [N, 7] and b [M, 7] whose BEV centres are
+    no farther apart than the two half diagonals: the only pairs that can
+    overlap. The pairs come ordered by j."""
+    diag_a = np.hypot(a[:, 3], a[:, 4])
+    diag_b = np.hypot(b[:, 3], b[:, 4])
+    if diag_a.size == 0 or diag_b.size == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    # the rows of a in a y band of the largest reach around each b, by
+    # binary search over a sorted by y; then the exact test on those
+    window = (diag_a.max() + diag_b.max()) / 2.0
+    by_y = np.argsort(a[:, 1], kind="stable")
+    ys = a[by_y, 1]
+    lo = np.searchsorted(ys, b[:, 1] - window, side="left")
+    count = np.searchsorted(ys, b[:, 1] + window, side="right") - lo
+    j = np.repeat(np.arange(b.shape[0]), count)
+    i = by_y[np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)]
+    dist = np.hypot(a[i, 0] - b[j, 0], a[i, 1] - b[j, 1])
+    hit = dist <= (diag_a[i] + diag_b[j]) / 2.0
+    return i[hit], j[hit]
+
+
+def iou_matrix(a, b, mode: str = "BEV") -> np.ndarray:
+    """[N, M] IoU of rows a [N, 7] against rows b [M, 7]; 0 out of reach."""
+    out = np.zeros((a.shape[0], b.shape[0]))
+    i, j = pairs_in_reach(a, b)
+    out[i, j] = pair_iou(a[i], b[j], mode)
+    return out
+
+
+def _out_of_reach(a: Box3D, b: Box3D) -> bool:
+    half_diags = (math.hypot(a.w, a.l) + math.hypot(b.w, b.l)) / 2.0
+    return math.hypot(a.cx - b.cx, a.cy - b.cy) > half_diags
 
 
 def rotated_iou_bev(a: Box3D, b: Box3D) -> float:
-    area_a = a.w * a.l
-    area_b = b.w * b.l
-    if area_a < _AREA_EPS or area_b < _AREA_EPS:
+    if _out_of_reach(a, b):
         return 0.0
-    half_diags = (math.hypot(a.w, a.l) + math.hypot(b.w, b.l)) / 2.0
-    if math.hypot(a.cx - b.cx, a.cy - b.cy) > half_diags:
-        return 0.0
-    inter = _polygon_area(
-        _clip_polygon([tuple(p) for p in a.bev_corners()], [tuple(p) for p in b.bev_corners()])
-    )
-    union = area_a + area_b - inter
-    if union < _AREA_EPS:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    return float(pair_iou(box_rows([a]), box_rows([b]))[0])
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
-    area_a = a.w * a.l
-    area_b = b.w * b.l
-    if area_a < _AREA_EPS or area_b < _AREA_EPS:
+    if _out_of_reach(a, b):
         return 0.0
-    z_lo = max(a.cz - a.h / 2, b.cz - b.h / 2)
-    z_hi = min(a.cz + a.h / 2, b.cz + b.h / 2)
-    dz = max(0.0, z_hi - z_lo)
-    if dz == 0.0:
-        return 0.0
-    inter_bev = _polygon_area(
-        _clip_polygon([tuple(p) for p in a.bev_corners()], [tuple(p) for p in b.bev_corners()])
-    )
-    inter = inter_bev * dz
-    union = area_a * a.h + area_b * b.h - inter
-    if union < _AREA_EPS:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    return float(pair_iou(box_rows([a]), box_rows([b]), "3D")[0])
 
 
 def nms_bev(dets, iou_thr: float):
     """Greedy by descending score (ties by original index); class-wise suppression."""
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    ranked = sorted(dets, key=lambda d: -d.score)
+    rows = box_rows([d.box for d in ranked])
+    labels = np.array([d.label for d in ranked])
+    # pairs (l, e), ordered by e: box e may suppress the later box l of its class
+    l, e = pairs_in_reach(rows, rows)
+    same = (e < l) & (labels[e] == labels[l])
+    l, e = l[same], e[same]
+    hit = pair_iou(rows[l], rows[e]) > iou_thr
+    l, e = l[hit], e[hit]
+    start = np.searchsorted(e, np.arange(len(ranked) + 1))
+    removed = np.zeros(len(ranked), dtype=bool)
     kept = []
-    for i in order:
-        d = dets[i]
-        if all(
-            k.label != d.label or rotated_iou_bev(d.box, k.box) <= iou_thr for k in kept
-        ):
+    for i, d in enumerate(ranked):
+        if not removed[i]:
             kept.append(d)
+            removed[l[start[i]:start[i + 1]]] = True
     return kept
 
 
-def _iou_fn(mode):
-    return rotated_iou_bev if mode == "BEV" else iou_3d
-
-
 def _match_frame(dets, gts, cls, iou_thr, mode):
-    """Greedy per-frame matching; returns (score, is_tp) pairs for this class."""
-    iou = _iou_fn(mode)
-    cls_dets = [d for d in dets if d.label == cls]
+    """Greedy per-frame matching; returns (score, is_tp) pairs for this class.
+
+    In descending score order each detection takes the first untaken ground
+    truth of highest IoU, if that IoU reaches `iou_thr`.
+    """
+    cls_dets = sorted((d for d in dets if d.label == cls), key=lambda d: -d.score)
     cls_gts = [b for b, c in gts if c == cls]
-    order = sorted(range(len(cls_dets)), key=lambda i: (-cls_dets[i].score, i))
-    taken = [False] * len(cls_gts)
+    iou = iou_matrix(box_rows([d.box for d in cls_dets]), box_rows(cls_gts), mode)
+    taken = np.zeros(len(cls_gts), dtype=bool)
     results = []
-    for i in order:
-        d = cls_dets[i]
-        best, best_iou = -1, iou_thr
-        for j, g in enumerate(cls_gts):
-            if taken[j]:
-                continue
-            v = iou(d.box, g)
-            if v > best_iou or (v == best_iou and v >= iou_thr and best == -1):
-                best, best_iou = j, v
-        if best >= 0:
-            taken[best] = True
-            results.append((d.score, True))
-        else:
-            results.append((d.score, False))
+    for d, row in zip(cls_dets, iou):
+        row = np.where(taken, -1.0, row)
+        j = int(row.argmax()) if row.size else -1
+        hit = bool(j >= 0 and row[j] >= iou_thr)
+        if hit:
+            taken[j] = True
+        results.append((d.score, hit))
     return results, len(cls_gts)
+
+
+def r40_from_scored(scores, is_tp, n_gt: int) -> float:
+    """Interpolated precision averaged over recall 1/40, ..., 40/40.
+
+    At each recall point it takes the best precision reached at that recall
+    or beyond; detections are ranked by descending score, ties in input order.
+    """
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    tp = np.cumsum(np.asarray(is_tp, dtype=bool)[order])
+    precision = tp / np.arange(1, tp.size + 1)
+    recall = tp / n_gt
+    envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    at = np.searchsorted(recall, np.arange(1, 41) / 40.0, side="left")
+    return sum(envelope[at].tolist()) / 40.0
 
 
 def ap_r40(frames, cls: str, iou_thr: float, mode: str = "BEV") -> float | None:
@@ -158,27 +244,28 @@ def ap_r40(frames, cls: str, iou_thr: float, mode: str = "BEV") -> float | None:
         n_gt += n
     if n_gt == 0:
         return None
-    scored.sort(key=lambda sc: -sc[0])
-    tp = 0
-    fp = 0
-    precisions = []
-    recalls = []
-    for _, is_tp in scored:
-        if is_tp:
-            tp += 1
-        else:
-            fp += 1
-        precisions.append(tp / (tp + fp))
-        recalls.append(tp / n_gt)
-    total = 0.0
-    for i in range(1, 41):
-        r = i / 40.0
-        best = 0.0
-        for p, rec in zip(precisions, recalls):
-            if rec >= r and p > best:
-                best = p
-        total += best
-    return total / 40.0
+    return r40_from_scored([s for s, _ in scored], [t for _, t in scored], n_gt)
+
+
+def recall_at_iou(frames, iou_thr: float) -> dict:
+    """Per class, the share of ground-truth boxes that some detection of the
+    same class overlaps with BEV IoU >= iou_thr.
+
+    Frames are (detections, labeled boxes) pairs; classes without ground
+    truth are left out.
+    """
+    found = dict.fromkeys(CLASSES, 0)
+    total = dict.fromkeys(CLASSES, 0)
+    for dets, gts in frames:
+        for cls in CLASSES:
+            cls_gts = [b for b, c in gts if c == cls]
+            if not cls_gts:
+                continue
+            rows = box_rows([d.box for d in dets if d.label == cls])
+            iou = iou_matrix(rows, box_rows(cls_gts))
+            found[cls] += int((iou >= iou_thr).any(axis=0).sum())
+            total[cls] += len(cls_gts)
+    return {c: found[c] / total[c] for c in CLASSES if total[c]}
 
 
 def evaluate_set(frames, cfg: EvalConfig) -> EvalResult:

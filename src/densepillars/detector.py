@@ -8,7 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .bev import nms_bev, rotated_iou_bev
+# rotated_iou_bev is not called here, but perfbench/spans.py traces it at
+# this attribute by name
+from .bev import box_rows, iou_matrix, nms_bev, rotated_iou_bev  # noqa: F401
 from .encoder import GridSpec
 from .pointcloud import CLASSES, CLASS_SIZES, Box3D, Detection, wrap_angle
 from .tensor import ConfigurationError, Tensor
@@ -186,10 +188,6 @@ def decode_boxes(deltas: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _box_from_row(row) -> Box3D:
-    return Box3D(row[0], row[1], row[2], row[3], row[4], row[5], row[6])
-
-
 @dataclass
 class TargetAssignment:
     labels: np.ndarray  # [A] int8: 1 positive, 0 negative, -1 ignore
@@ -210,7 +208,6 @@ def assign_targets(anchors, anchor_cls, gts, cfg: AnchorConfig) -> TargetAssignm
     reg_targets = np.zeros((a, 7), dtype=np.float64)
     dir_targets = np.zeros(a, dtype=np.int64)
 
-    anchor_boxes = [_box_from_row(r) for r in anchors]
     for ci, cls in enumerate(CLASSES):
         idx = np.nonzero(anchor_cls == ci)[0]
         cls_gts = [(gi, b) for gi, (b, c) in enumerate(gts) if c == cls]
@@ -219,13 +216,7 @@ def assign_targets(anchors, anchor_cls, gts, cfg: AnchorConfig) -> TargetAssignm
         match_thr = cfg.match_thresholds[cls]
         unmatch_thr = cfg.unmatch_thresholds[cls]
 
-        iou = np.zeros((idx.size, len(cls_gts)))
-        for gj, (_, gbox) in enumerate(cls_gts):
-            reach = (math.hypot(gbox.w, gbox.l) + math.hypot(*cfg.sizes[cls][:2])) / 2.0
-            dist = np.hypot(anchors[idx, 0] - gbox.cx, anchors[idx, 1] - gbox.cy)
-            for ai in np.nonzero(dist <= reach)[0]:
-                iou[ai, gj] = rotated_iou_bev(anchor_boxes[idx[ai]], gbox)
-
+        iou = iou_matrix(anchors[idx], box_rows([b for _, b in cls_gts]))
         best_gt = iou.argmax(axis=1)
         best_iou = iou[np.arange(idx.size), best_gt]
         pos = best_iou >= match_thr

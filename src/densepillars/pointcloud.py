@@ -138,6 +138,10 @@ def _parse_box_line(line, lineno, path, n_fields):
         vals = [float(v) for v in parts[1:]]
     except ValueError as e:
         raise FormatError(f"{path}:{lineno}: {e}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise FormatError(f"{path}:{lineno}: non-finite value in {line!r}")
+    if min(vals[3:6]) <= 0:  # w, l, h
+        raise FormatError(f"{path}:{lineno}: box sizes must be positive in {line!r}")
     return cls, vals
 
 

@@ -18,7 +18,7 @@ from densepillars.backbones import (
     DenseBackboneSpec,
     GrowthSchedule,
 )
-from densepillars.bev import ap_r40, nms_bev, rotated_iou_bev
+from densepillars.bev import ap_r40, nms_bev, recall_at_iou, rotated_iou_bev
 from densepillars.config import parse_config
 from densepillars.cost import (
     baseline_backbone_cost,
@@ -426,17 +426,11 @@ def test_criterion_7_overfit_smoke():
     ratio = history[-1] / history[0]
 
     pipeline.set_mode("eval")
-    found = {c: 0 for c in CLASSES}
-    total = {c: 0 for c in CLASSES}
-    for scene in scenes:
-        dets = pipeline.predict(scene.cloud, score_thr=0.1, nms_thr=0.01)
-        for box, cls in scene.boxes:
-            total[cls] += 1
-            if any(
-                d.label == cls and rotated_iou_bev(d.box, box) >= 0.5 for d in dets
-            ):
-                found[cls] += 1
-    recalls = {c: found[c] / total[c] for c in CLASSES if total[c]}
+    frames = [
+        (pipeline.predict(scene.cloud, score_thr=0.1, nms_thr=0.01), scene.boxes)
+        for scene in scenes
+    ]
+    recalls = recall_at_iou(frames, 0.5)
     ok = ratio < 0.1 and all(r >= 0.8 for r in recalls.values())
     report(
         7, "overfit smoke test", ok,

@@ -7,17 +7,134 @@ from hypothesis import strategies as st
 
 from densepillars.bev import (
     EvalConfig,
+    _intersection_area,
     ap_r40,
+    box_rows,
     evaluate_set,
     iou_3d,
+    iou_matrix,
     nms_bev,
+    pair_iou,
+    r40_from_scored,
+    recall_at_iou,
     rotated_iou_bev,
 )
 from densepillars.pointcloud import Box3D, Detection
 
+AREA_EPS = 1e-9
+
 
 def bev_box(cx, cy, w, l, yaw=0.0, cz=0.0, h=1.0):
     return Box3D(cx, cy, cz, w, l, h, yaw)
+
+
+# ---------------------------------------------------------------------------
+# scalar oracle: one pair at a time, polygons as lists of tuples
+
+
+def _polygon_area(poly) -> float:
+    if len(poly) < 3:
+        return 0.0
+    x = np.array([p[0] for p in poly])
+    y = np.array([p[1] for p in poly])
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def _clip_polygon(subject, clip) -> list:
+    """Sutherland-Hodgman: clip a polygon by a convex CCW polygon."""
+    output = list(subject)
+    n = len(clip)
+    for i in range(n):
+        if not output:
+            return []
+        a = clip[i]
+        b = clip[(i + 1) % n]
+        ex, ey = b[0] - a[0], b[1] - a[1]
+
+        def inside(q):
+            return ex * (q[1] - a[1]) - ey * (q[0] - a[0]) >= 0.0
+
+        input_pts = output
+        output = []
+        for j, cur in enumerate(input_pts):
+            prev = input_pts[j - 1]
+            cur_in, prev_in = inside(cur), inside(prev)
+            if cur_in != prev_in:
+                dx, dy = cur[0] - prev[0], cur[1] - prev[1]
+                denom = ex * dy - ey * dx
+                if abs(denom) > 1e-15:
+                    t = (ex * (a[1] - prev[1]) - ey * (a[0] - prev[0])) / denom
+                    output.append((prev[0] + t * dx, prev[1] + t * dy))
+            if cur_in:
+                output.append(cur)
+    return output
+
+
+def _oracle_inter(a, b):
+    return _polygon_area(
+        _clip_polygon([tuple(p) for p in a.bev_corners()], [tuple(p) for p in b.bev_corners()])
+    )
+
+
+def oracle_iou_bev(a, b):
+    area_a, area_b = a.w * a.l, b.w * b.l
+    if area_a < AREA_EPS or area_b < AREA_EPS:
+        return 0.0
+    half_diags = (math.hypot(a.w, a.l) + math.hypot(b.w, b.l)) / 2.0
+    if math.hypot(a.cx - b.cx, a.cy - b.cy) > half_diags:
+        return 0.0
+    inter = _oracle_inter(a, b)
+    union = area_a + area_b - inter
+    if union < AREA_EPS:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
+
+
+def oracle_iou_3d(a, b):
+    area_a, area_b = a.w * a.l, b.w * b.l
+    if area_a < AREA_EPS or area_b < AREA_EPS:
+        return 0.0
+    z_lo = max(a.cz - a.h / 2, b.cz - b.h / 2)
+    z_hi = min(a.cz + a.h / 2, b.cz + b.h / 2)
+    dz = max(0.0, z_hi - z_lo)
+    if dz == 0.0:
+        return 0.0
+    inter = _oracle_inter(a, b) * dz
+    union = area_a * a.h + area_b * b.h - inter
+    if union < AREA_EPS:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
+
+
+def oracle_r40(scored, n_gt):
+    """The 40 x N interpolation loop over (score, is_tp) pairs."""
+    scored = sorted(scored, key=lambda sc: -sc[0])
+    tp = fp = 0
+    precisions, recalls = [], []
+    for _, is_tp in scored:
+        if is_tp:
+            tp += 1
+        else:
+            fp += 1
+        precisions.append(tp / (tp + fp))
+        recalls.append(tp / n_gt)
+    total = 0.0
+    for i in range(1, 41):
+        r = i / 40.0
+        best = 0.0
+        for p, rec in zip(precisions, recalls):
+            if rec >= r and p > best:
+                best = p
+        total += best
+    return total / 40.0
+
+
+_coord = st.floats(-3.0, 3.0, allow_nan=False)
+_size = st.floats(0.05, 4.0, allow_nan=False)
+_yaw = st.floats(-math.pi, math.pi, allow_nan=False)
+_boxes = st.builds(
+    Box3D, _coord, _coord, st.floats(-1.0, 1.0), _size, _size, _size, _yaw
+)
 
 
 def axis_aligned_iou(a, b):
@@ -116,6 +233,75 @@ class TestRotatedIoU:
                         rng.uniform(0.8, 2.5), rng.uniform(-math.pi, math.pi))
             mc = monte_carlo_iou(a, b, n=400_000, seed=int(rng.integers(1 << 30)))
             assert rotated_iou_bev(a, b) == pytest.approx(mc, abs=5e-3)
+
+
+class TestBatchedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_boxes, _boxes), min_size=1, max_size=40))
+    def test_matches_scalar_oracle(self, pairs):
+        a = box_rows([p for p, _ in pairs])
+        b = box_rows([q for _, q in pairs])
+        bev = pair_iou(a, b)
+        three_d = pair_iou(a, b, "3D")
+        for k, (p, q) in enumerate(pairs):
+            assert bev[k] == pytest.approx(oracle_iou_bev(p, q), abs=1e-9)
+            assert three_d[k] == pytest.approx(oracle_iou_3d(p, q), abs=1e-9)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(_boxes, min_size=1, max_size=12), st.lists(_boxes, min_size=1, max_size=12))
+    def test_matrix_matches_one_pair_calls(self, left, right):
+        """Batching never changes a pair's value: equal to the one-pair call."""
+        for mode, one in (("BEV", rotated_iou_bev), ("3D", iou_3d)):
+            got = iou_matrix(box_rows(left), box_rows(right), mode)
+            want = np.array([[one(p, q) for q in right] for p in left])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    CASES = {
+        "identical": (bev_box(3.0, -2.0, 1.6, 3.9, 0.7), bev_box(3.0, -2.0, 1.6, 3.9, 0.7), 1.0),
+        "shared_edge": (bev_box(0, 0, 1, 1), bev_box(1, 0, 1, 1), 0.0),
+        "shared_edge_rotated": (
+            bev_box(0, 0, 1.0, 1.6, math.pi / 6),
+            bev_box(1.3 * math.cos(math.pi / 6) - 0.3 * math.sin(math.pi / 6),
+                    1.3 * math.sin(math.pi / 6) + 0.3 * math.cos(math.pi / 6),
+                    2.0, 1.0, math.pi / 6),
+            0.0,
+        ),
+        "square_45_degrees": (
+            bev_box(0, 0, 1, 1), bev_box(0, 0, 1, 1, math.pi / 4), 1.0 / math.sqrt(2.0)
+        ),
+        "contained": (bev_box(0, 0, 2, 2), bev_box(0, 0, 1, 1, 0.3), 0.25),
+        "disjoint_in_reach": (bev_box(0, 0, 1, 1), bev_box(1.2, 0.2, 1, 1, 0.1), 0.0),
+        "fails_reach_test": (bev_box(0, 0, 1, 1), bev_box(10, 10, 1, 1), 0.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_degenerate_cases(self, case):
+        a, b, want = self.CASES[case]
+        rows_a, rows_b = box_rows([a]), box_rows([b])
+        for mode, oracle in (("BEV", oracle_iou_bev), ("3D", oracle_iou_3d)):
+            got = pair_iou(rows_a, rows_b, mode)[0]
+            assert got == pytest.approx(want, abs=1e-9)
+            assert got == pytest.approx(oracle(a, b), abs=1e-9)
+            assert iou_matrix(rows_a, rows_b, mode)[0, 0] == pytest.approx(want, abs=1e-9)
+
+    def test_parallel_edge_crossing_is_dropped(self):
+        """Rounding puts the ends of the shared edge on both sides of the clip
+        line although the edge is parallel to it: the 1e-15 denominator guard
+        drops that crossing instead of dividing by zero."""
+        c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
+        a = np.array([[0.0, 0.0, 0.0, 1.0, 1.6, 1.0, math.pi / 6]])
+        b = np.array([[1.3 * c - 0.3 * s, 1.3 * s + 0.3 * c, 0.0, 2.0, 1.0, 1.0, math.pi / 6]])
+        assert _intersection_area(a, b)[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_reach_test_skips_far_pairs(self):
+        near, far = bev_box(0, 0, 1, 1), bev_box(10, 10, 1, 1)
+        got = iou_matrix(box_rows([near, far]), box_rows([near]))
+        np.testing.assert_array_equal(got, [[1.0], [0.0]])
+
+    def test_empty_inputs(self):
+        assert pair_iou(box_rows([]), box_rows([])).shape == (0,)
+        assert iou_matrix(box_rows([]), box_rows([bev_box(0, 0, 1, 1)])).shape == (0, 1)
+        assert iou_matrix(box_rows([bev_box(0, 0, 1, 1)]), box_rows([])).shape == (1, 0)
 
 
 class TestIoU3D:
@@ -249,6 +435,55 @@ class TestAPR40:
             ([], [self._gt(5, 5)]),
         ]
         assert ap_r40(frames, "Car", 0.7) == pytest.approx(0.5)
+
+
+class TestR40Interpolation:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from([0.1, 0.25, 0.5, 0.5, 0.75, 0.9]), st.booleans()),
+                 max_size=60),
+        st.integers(0, 70),
+    )
+    def test_matches_loop_oracle(self, scored, missed):
+        n_gt = max(1, sum(t for _, t in scored) + missed)
+        got = r40_from_scored([s for s, _ in scored], [t for _, t in scored], n_gt)
+        assert got == pytest.approx(oracle_r40(scored, n_gt), abs=1e-12)
+
+    def test_tied_scores_keep_input_order(self):
+        # FP then TP at one score: the stable order puts the FP first
+        assert r40_from_scored([0.5, 0.5], [False, True], 1) == pytest.approx(0.5)
+        assert r40_from_scored([0.5, 0.5], [True, False], 1) == pytest.approx(1.0)
+
+    def test_no_detections(self):
+        assert r40_from_scored([], [], 3) == 0.0
+
+
+class TestRecallAtIoU:
+    def _gt(self, cx, cy, cls="Car"):
+        return (Box3D(cx, cy, -1.0, 1.6, 3.9, 1.56, 0.0), cls)
+
+    def test_counts_each_gt_once_per_class(self):
+        frames = [
+            ([det(0, 0, 0.9), det(0.05, 0, 0.8), det(30, 0, 0.7, "Pedestrian")],
+             [self._gt(0, 0), self._gt(20, 0), self._gt(30, 0, "Pedestrian")]),
+            ([], [self._gt(5, 5)]),
+        ]
+        assert recall_at_iou(frames, 0.5) == {"Car": pytest.approx(1 / 3), "Pedestrian": 1.0}
+
+    def test_label_must_match(self):
+        frames = [([det(0, 0, 0.9, "Cyclist")], [self._gt(0, 0)])]
+        assert recall_at_iou(frames, 0.5) == {"Car": 0.0}
+
+    def test_threshold_is_inclusive(self):
+        # half-overlap unit squares: IoU exactly 1/3
+        gt = (bev_box(0, 0, 1, 1), "Car")
+        frames = [([Detection(bev_box(0.5, 0, 1, 1), 0.9, "Car")], [gt])]
+        iou = rotated_iou_bev(gt[0], frames[0][0][0].box)
+        assert recall_at_iou(frames, iou) == {"Car": 1.0}
+        assert recall_at_iou(frames, iou + 1e-9) == {"Car": 0.0}
+
+    def test_no_ground_truth(self):
+        assert recall_at_iou([([det(0, 0, 0.9)], [])], 0.5) == {}
 
 
 class TestEvaluateSet:

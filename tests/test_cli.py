@@ -162,6 +162,24 @@ class TestTrainInferEvalRoundtrip:
                    "--pred-dir", str(preds)])
         assert rc == EXIT_IO
 
+    @pytest.mark.parametrize("label_row, pred_row, bad_file", [
+        ("Car,nan,0,-1,1.6,3.9,1.56,0", "Car,1,0,-1,1.6,3.9,1.56,0,0.9", "scene_0000.csv:2"),
+        ("Car,1,0,-1,1.6,3.9,1.56,0", "Car,1,0,-1,1.6,3.9,1.56,inf,0.9",
+         "scene_0000.pred.csv:2"),
+    ])
+    def test_eval_non_finite_value_is_io_error(self, tmp_path, tiny_cfg, capsys,
+                                               label_row, pred_row, bad_file):
+        data = tmp_path / "data"
+        preds = tmp_path / "preds"
+        data.mkdir()
+        preds.mkdir()
+        (data / "scene_0000.csv").write_text(f"class,cx,cy,cz,w,l,h,yaw\n{label_row}\n")
+        (preds / "scene_0000.pred.csv").write_text(f"{PREDICTION_HEADER}\n{pred_row}\n")
+        rc = main(["eval", "--config", tiny_cfg, "--data-dir", str(data),
+                   "--pred-dir", str(preds)])
+        assert rc == EXIT_IO
+        assert bad_file in capsys.readouterr().err
+
 
 class TestLossCsvDeterminism:
     def test_two_train_runs_identical(self, tmp_path, tiny_cfg):

@@ -138,6 +138,24 @@ class TestLabelIO:
         with pytest.raises(FormatError):
             read_labels(path)
 
+    def test_nan_centre_rejected(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("class,cx,cy,cz,w,l,h,yaw\nCar,1,2,3,1,1,1,0\nCar,nan,2,3,1,1,1,0\n")
+        with pytest.raises(FormatError, match=r"l\.csv:3: non-finite"):
+            read_labels(path)
+
+    def test_zero_width_rejected(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("class,cx,cy,cz,w,l,h,yaw\nCar,1,2,3,0,1,1,0\n")
+        with pytest.raises(FormatError, match=r"l\.csv:2: box sizes must be positive"):
+            read_labels(path)
+
+    def test_inf_yaw_rejected_in_predictions(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("class,cx,cy,cz,w,l,h,yaw,score\nCar,1,2,3,1,1,1,inf,0.5\n")
+        with pytest.raises(FormatError, match=r"p\.csv:2: non-finite"):
+            read_predictions(path)
+
     def test_prediction_roundtrip(self, tmp_path):
         dets = [Detection(Box3D(1, 2, -1, 1.6, 3.9, 1.56, 0.25), 0.875, "Car")]
         path = tmp_path / "p.csv"
