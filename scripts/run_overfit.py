@@ -30,8 +30,8 @@ def main():
                           nms_thr=cfg["eval.nms_iou"]), scene.boxes)
         for scene in scenes
     ]
-    for cls, recall in recall_at_iou(frames, args.iou).items():
-        print(f"{cls:<12} recall {recall:.2f}")
+    for cls, (found, total) in recall_at_iou(frames, args.iou).items():
+        print(f"{cls:<12} recall {found}/{total} = {found / total:.2f}")
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-# rotated_iou_bev is not called here, but perfbench/spans.py traces it at
-# this attribute by name
-from .bev import box_rows, iou_matrix, nms_bev, rotated_iou_bev  # noqa: F401
+from .bev import box_rows, iou_matrix, nms_bev
+# not called here: re-exported because perfbench/spans.py wraps
+# detector.rotated_iou_bev by name, and tracing fails without the attribute
+from .bev import rotated_iou_bev  # noqa: F401
 from .encoder import GridSpec
 from .pointcloud import CLASSES, CLASS_SIZES, Box3D, Detection, wrap_angle
 from .tensor import ConfigurationError, Tensor

@@ -468,19 +468,19 @@ class TestRecallAtIoU:
              [self._gt(0, 0), self._gt(20, 0), self._gt(30, 0, "Pedestrian")]),
             ([], [self._gt(5, 5)]),
         ]
-        assert recall_at_iou(frames, 0.5) == {"Car": pytest.approx(1 / 3), "Pedestrian": 1.0}
+        assert recall_at_iou(frames, 0.5) == {"Car": (1, 3), "Pedestrian": (1, 1)}
 
     def test_label_must_match(self):
         frames = [([det(0, 0, 0.9, "Cyclist")], [self._gt(0, 0)])]
-        assert recall_at_iou(frames, 0.5) == {"Car": 0.0}
+        assert recall_at_iou(frames, 0.5) == {"Car": (0, 1)}
 
     def test_threshold_is_inclusive(self):
         # half-overlap unit squares: IoU exactly 1/3
         gt = (bev_box(0, 0, 1, 1), "Car")
         frames = [([Detection(bev_box(0.5, 0, 1, 1), 0.9, "Car")], [gt])]
         iou = rotated_iou_bev(gt[0], frames[0][0][0].box)
-        assert recall_at_iou(frames, iou) == {"Car": 1.0}
-        assert recall_at_iou(frames, iou + 1e-9) == {"Car": 0.0}
+        assert recall_at_iou(frames, iou) == {"Car": (1, 1)}
+        assert recall_at_iou(frames, iou + 1e-9) == {"Car": (0, 1)}
 
     def test_no_ground_truth(self):
         assert recall_at_iou([([det(0, 0, 0.9)], [])], 0.5) == {}
