@@ -272,7 +272,7 @@ def sigmoid_focal_loss(logits: Tensor, target, weight, alpha=0.25, gamma=2.0,
         d_neg = (1.0 - alpha) * p**gamma * (gamma * (1.0 - p) * s_neg + p)
         logits._accumulate(g * w * (y * d_pos + (1.0 - y) * d_neg))
 
-    return T._make(np.asarray(total, dtype=logits.dtype), (logits,), backward)
+    return T.make(np.asarray(total, dtype=logits.dtype), (logits,), backward)
 
 
 def smooth_l1_sine_loss(pred: Tensor, target, weight, beta=1.0 / 9.0,
@@ -294,7 +294,7 @@ def smooth_l1_sine_loss(pred: Tensor, target, weight, beta=1.0 / 9.0,
         dr[:, angle_channel] *= np.cos(ang)
         pred._accumulate(dr)
 
-    return T._make(np.asarray(total, dtype=pred.dtype), (pred,), backward)
+    return T.make(np.asarray(total, dtype=pred.dtype), (pred,), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, labels, weight, normalizer=1.0) -> Tensor:
@@ -313,7 +313,7 @@ def softmax_cross_entropy(logits: Tensor, labels, weight, normalizer=1.0) -> Ten
         onehot[np.arange(z.shape[0]), lab] = 1.0
         logits._accumulate(g * w[:, None] * (soft - onehot))
 
-    return T._make(np.asarray(total, dtype=logits.dtype), (logits,), backward)
+    return T.make(np.asarray(total, dtype=logits.dtype), (logits,), backward)
 
 
 def flatten_head_map(m: Tensor, per_anchor: int, anchors_per_cell: int) -> Tensor:

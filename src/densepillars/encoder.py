@@ -83,18 +83,25 @@ def pillarize(cloud: PointCloud, g: GridSpec, seed: int = 0, cap: bool = True) -
         pillar_ids = chosen
 
     s = g.max_points_per_pillar
-    features = np.zeros((pillar_ids.shape[0], s, 4), dtype=np.float32)
-    coords = np.zeros((pillar_ids.shape[0], 2), dtype=np.int64)
-    counts = np.zeros(pillar_ids.shape[0], dtype=np.int64)
     starts = np.concatenate([[0], np.cumsum(counts_all)])
-    for out_i, pid in enumerate(pillar_ids):
+    sizes = counts_all[pillar_ids]
+    features = np.zeros((pillar_ids.shape[0], s, 4), dtype=np.float32)
+    coords = np.stack([uniq[pillar_ids] // g.width, uniq[pillar_ids] % g.width], axis=1)
+    counts = np.minimum(sizes, s)
+
+    # One scatter places every point of each kept pillar that is not overfull.
+    out_row = np.full(uniq.shape[0], -1, dtype=np.int64)
+    out_row[pillar_ids] = np.arange(pillar_ids.shape[0])
+    point_pillar = np.repeat(np.arange(uniq.shape[0]), counts_all)  # of each grouped point
+    slot = np.arange(point_pillar.shape[0]) - starts[point_pillar]
+    fits = (out_row[point_pillar] >= 0) & (counts_all[point_pillar] <= s)
+    features[out_row[point_pillar[fits]], slot[fits]] = pts[order[fits]].astype(np.float32)
+    # Overfull pillars draw their subsample in pillar order, one draw each.
+    overfull = np.flatnonzero(sizes > s)
+    for out_i, pid in zip(overfull, pillar_ids[overfull]):
         members = order[starts[pid] : starts[pid + 1]]
-        if members.shape[0] > s:
-            members = members[np.sort(rng.choice(members.shape[0], size=s, replace=False))]
-        n = members.shape[0]
-        features[out_i, :n] = pts[members].astype(np.float32)
-        coords[out_i] = (uniq[pid] // g.width, uniq[pid] % g.width)
-        counts[out_i] = n
+        members = members[np.sort(rng.choice(members.shape[0], size=s, replace=False))]
+        features[out_i] = pts[members].astype(np.float32)
     return PillarBatch(features, coords, counts)
 
 
@@ -173,4 +180,4 @@ def scatter_to_pseudo_image(features: Tensor, coords: np.ndarray, g: GridSpec) -
     def backward(grad):
         features._accumulate(grad[0][:, rows, cols].T)
 
-    return T._make(out, (features,), backward)
+    return T.make(out, (features,), backward)

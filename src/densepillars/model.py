@@ -18,7 +18,7 @@ from .detector import (
     postprocess,
 )
 from .encoder import GridSpec, PFNWeights
-from .pointcloud import PointCloud
+from .pointcloud import FormatError, PointCloud
 from .tensor import InvariantViolation
 
 
@@ -109,11 +109,21 @@ class DetectionPipeline:
         return state
 
     def load_state_arrays(self, state):
+        """Copy parameters and BN running stats from `state`; a missing or
+        mis-shaped array is a FormatError naming its key."""
+
+        def take(key, like):
+            if key not in state:
+                raise FormatError(f"checkpoint has no array {key!r}")
+            arr = state[key]
+            if arr.shape != like.shape:
+                raise FormatError(
+                    f"checkpoint array {key!r} has shape {arr.shape}, expected {like.shape}"
+                )
+            return arr
+
         for k, v in self.named_params().items():
-            arr = state[f"param/{k}"]
-            if arr.shape != v.data.shape:
-                raise InvariantViolation(f"checkpoint shape mismatch for {k}")
-            v.data = arr.astype(v.data.dtype).copy()
+            v.data = take(f"param/{k}", v.data).astype(v.data.dtype).copy()
         for i, bn in enumerate(self.bn_list()):
-            bn.running_mean = state[f"bnstat/{i}/mean"].copy()
-            bn.running_var = state[f"bnstat/{i}/var"].copy()
+            bn.running_mean = take(f"bnstat/{i}/mean", bn.running_mean).copy()
+            bn.running_var = take(f"bnstat/{i}/var", bn.running_var).copy()

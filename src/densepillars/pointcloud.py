@@ -105,6 +105,9 @@ def read_kitti_bin(path) -> PointCloud:
     if len(raw) % 16 != 0:
         raise FormatError(f"{path}: length {len(raw)} is not a multiple of 16")
     pts = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        raise FormatError(f"{path}: point {int(np.argmax(bad))} has a non-finite value")
     return PointCloud(pts.copy())
 
 

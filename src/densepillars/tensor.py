@@ -111,8 +111,10 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
-def _make(out_data, parents, backward):
-    """Wrap an op result, wiring the graph only when a parent needs grads."""
+def make(out_data, parents, backward):
+    """Wrap an op result in a Tensor. `backward(g)` receives the output's
+    gradient and accumulates into `parents`; the graph is wired only when
+    recording is on and a parent needs grads."""
     out = Tensor(_checked(out_data))
     if not _grad_enabled.get():
         return out
@@ -181,14 +183,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         a._accumulate(g)
         b._accumulate(g)
 
-    return _make(a.data + b.data, (a, b), backward)
+    return make(a.data + b.data, (a, b), backward)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     def backward(g):
         a._accumulate(g * s)
 
-    return _make(a.data * s, (a,), backward)
+    return make(a.data * s, (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -197,7 +199,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def backward(g):
         a._accumulate(g.reshape(orig))
 
-    return _make(a.data.reshape(shape), (a,), backward)
+    return make(a.data.reshape(shape), (a,), backward)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -206,14 +208,14 @@ def transpose(a: Tensor, axes) -> Tensor:
     def backward(g):
         a._accumulate(np.transpose(g, inv))
 
-    return _make(np.transpose(a.data, axes), (a,), backward)
+    return make(np.transpose(a.data, axes), (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
     def backward(g):
         a._accumulate(g * (a.data > 0))  # subgradient at 0 is 0
 
-    return _make(np.maximum(a.data, 0), (a,), backward)
+    return make(np.maximum(a.data, 0), (a,), backward)
 
 
 def channel_concat(inputs) -> Tensor:
@@ -228,7 +230,7 @@ def channel_concat(inputs) -> Tensor:
         for t, piece in zip(inputs, np.split(g, splits, axis=1)):
             t._accumulate(piece)
 
-    return _make(np.concatenate([t.data for t in inputs], axis=1), inputs, backward)
+    return make(np.concatenate([t.data for t in inputs], axis=1), inputs, backward)
 
 
 def linear_map(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -250,27 +252,36 @@ def linear_map(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             bias._accumulate(g2.sum(axis=0))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out.reshape(*lead, weight.shape[1]), parents, backward)
+    return make(out.reshape(*lead, weight.shape[1]), parents, backward)
 
 
 # ---------------------------------------------------------------------------
 # convolution family
 
 
-def _im2col(x, k, s, pad, h_out, w_out):
-    """[N, C, H, W] -> contiguous [N, C*k*k, H_out*W_out], rows in weight order."""
-    n, c = x.shape[:2]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = np.empty((n, c, k, k, h_out, w_out), dtype=x.dtype)
+# Bytes of im2col scratch per GEMM. A conv fills and multiplies its columns
+# in tiles of output rows of about this size, so the scratch stays near cache
+# size instead of growing with the image (a whole-image buffer for a 64->32
+# 3x3 conv on the 496x432 KITTI grid is 494 MB).
+_TILE_BYTES = 2 << 20
+
+
+def _im2col(xp, k, s, r0, r1, w_out):
+    """Padded [N, C, Hp, Wp] -> contiguous [N, C*k*k, (r1-r0)*W_out]: the
+    columns of output rows [r0, r1), rows in weight order."""
+    n, c = xp.shape[:2]
+    cols = np.empty((n, c, k, k, r1 - r0, w_out), dtype=xp.dtype)
     for i in range(k):
         for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i : i + s * h_out : s, j : j + s * w_out : s]
-    return cols.reshape(n, c * k * k, h_out * w_out)
+            cols[:, :, i, j] = xp[:, :, i + s * r0 : i + s * r1 : s, j : j + s * w_out : s]
+    return cols.reshape(n, c * k * k, (r1 - r0) * w_out)
 
 
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
-    """One GEMM per call over an im2col buffer; a 1x1 stride-1 conv is a
-    plain matmul. Backward rebuilds the buffer rather than holding it."""
+    """A 1x1 stride-1 conv is one plain matmul. Any other conv runs one GEMM
+    per tile of output rows over that tile's im2col columns, writing into
+    its slice of the output; backward rebuilds each tile rather than
+    holding the columns."""
     n, c_in, h, w = x.shape
     c_out, c_in_w, k, _ = p.weight.shape
     if c_in != c_in_w:
@@ -280,37 +291,52 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     w_out = (w + 2 * pad - k) // s + 1
     if h_out < 1 or w_out < 1:
         raise ConfigurationError("conv2d: non-positive output size")
+    w2 = p.weight.data.reshape(c_out, -1)
+
+    def padded():
+        return np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
+
     pointwise = k == 1 and s == 1 and pad == 0
-
-    def cols_of(data):
-        if pointwise:
-            return data.reshape(n, c_in, h * w)
-        return _im2col(data, k, s, pad, h_out, w_out)
-
-    out = p.weight.data.reshape(c_out, -1) @ cols_of(x.data)
+    step = max(1, _TILE_BYTES // (n * w2.shape[1] * w_out * x.data.itemsize))
+    tiles = [(r0, min(r0 + step, h_out)) for r0 in range(0, h_out, step)]
+    if pointwise:
+        out = w2 @ x.data.reshape(n, c_in, h * w)
+    else:
+        xp = padded()
+        out = np.empty((n, c_out, h_out * w_out), dtype=np.result_type(w2, x.data))
+        for r0, r1 in tiles:
+            out[:, :, r0 * w_out : r1 * w_out] = w2 @ _im2col(xp, k, s, r0, r1, w_out)
     if p.bias is not None:
         out += p.bias.data[None, :, None]
     out = out.reshape(n, c_out, h_out, w_out)
 
     def backward(g):
         g2 = g.reshape(n, c_out, h_out * w_out)
-        dw = np.tensordot(g2, cols_of(x.data), axes=([0, 2], [0, 2]))
-        p.weight._accumulate(dw.reshape(p.weight.shape))
+        w2 = p.weight.data.reshape(c_out, -1)
         if p.bias is not None:
             p.bias._accumulate(g2.sum(axis=(0, 2)))
-        dcols = p.weight.data.reshape(c_out, -1).T @ g2
         if pointwise:
-            x._accumulate(dcols.reshape(x.shape))
+            dw = np.tensordot(g2, x.data.reshape(n, c_in, h * w), axes=([0, 2], [0, 2]))
+            p.weight._accumulate(dw.reshape(p.weight.shape))
+            x._accumulate((w2.T @ g2).reshape(x.shape))
             return
-        dcols = dcols.reshape(n, c_in, k, k, h_out, w_out)
-        dxp = np.zeros((n, c_in, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
-        for i in range(k):
-            for j in range(k):
-                dxp[:, :, i : i + s * h_out : s, j : j + s * w_out : s] += dcols[:, :, i, j]
+        xp = padded()
+        dw = np.zeros(w2.shape, dtype=np.result_type(w2, g2))
+        dxp = np.zeros(xp.shape, dtype=dw.dtype)
+        for r0, r1 in tiles:
+            g_t = g2[:, :, r0 * w_out : r1 * w_out]
+            dw += np.tensordot(g_t, _im2col(xp, k, s, r0, r1, w_out), axes=([0, 2], [0, 2]))
+            dcols = (w2.T @ g_t).reshape(n, c_in, k, k, r1 - r0, w_out)
+            for i in range(k):
+                for j in range(k):
+                    dxp[:, :, i + s * r0 : i + s * r1 : s, j : j + s * w_out : s] += (
+                        dcols[:, :, i, j]
+                    )
+        p.weight._accumulate(dw.reshape(p.weight.shape))
         x._accumulate(dxp[:, :, pad : pad + h, pad : pad + w])
 
     parents = (x, p.weight) if p.bias is None else (x, p.weight, p.bias)
-    return _make(out, parents, backward)
+    return make(out, parents, backward)
 
 
 def conv_transpose2d(x: Tensor, weight: Tensor, stride: int) -> Tensor:
@@ -332,19 +358,21 @@ def conv_transpose2d(x: Tensor, weight: Tensor, stride: int) -> Tensor:
         x._accumulate(np.einsum("nohiwj,coij->nchw", gr, weight.data, optimize=True))
         weight._accumulate(np.einsum("nohiwj,nchw->coij", gr, x.data, optimize=True))
 
-    return _make(out, (x, weight), backward)
+    return make(out, (x, weight), backward)
 
 
 def avg_pool2x2(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ConfigurationError("avg_pool2x2 requires even spatial dims")
-    out = x.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    r = x.data.reshape(n, c, h // 2, 2, w // 2, 2)
+    rows = r[:, :, :, 0] + r[:, :, :, 1]  # [N, C, H/2, W/2, 2]
+    out = (rows[..., 0] + rows[..., 1]) * 0.25
 
     def backward(g):
         x._accumulate(np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25)
 
-    return _make(out, (x,), backward)
+    return make(out, (x,), backward)
 
 
 def batch_norm(x: Tensor, p: BatchNormParams) -> Tensor:
@@ -393,7 +421,7 @@ def batch_norm(x: Tensor, p: BatchNormParams) -> Tensor:
             dx = (gy - mean_gy - xh * mean_gy_xhat) * inv_std[None, :, None, None]
             x._accumulate(dx)
 
-    return _make(out, (x, p.gamma, p.beta), backward)
+    return make(out, (x, p.gamma, p.beta), backward)
 
 
 def max_over_axis(x: Tensor, axis: int, mask=None) -> Tensor:
@@ -416,7 +444,7 @@ def max_over_axis(x: Tensor, axis: int, mask=None) -> Tensor:
                           np.expand_dims(np.where(empty, 0.0, g), axis), axis)
         x._accumulate(dx)
 
-    return _make(out, (x,), backward)
+    return make(out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------

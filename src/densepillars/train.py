@@ -10,7 +10,7 @@ import numpy as np
 from .config import RunConfig
 from .model import DetectionPipeline
 from .optim import OptimizerState, adamw_step, cosine_lr
-from .pointcloud import synth_scene
+from .pointcloud import FormatError, synth_scene
 from .tensor import InvariantViolation
 
 CHECKPOINT_VERSION = 1
@@ -47,7 +47,10 @@ def load_checkpoint(path):
         raise InvariantViolation(f"unsupported checkpoint version {version}")
     cfg = RunConfig.from_json(bytes(state["meta/config"]).decode("utf-8"))
     pipeline = build_pipeline(cfg)
-    pipeline.load_state_arrays(state)
+    try:
+        pipeline.load_state_arrays(state)
+    except FormatError as e:
+        raise FormatError(f"{path}: {e}") from None
     opt = OptimizerState(
         lr=cfg["train.lr"], weight_decay=cfg["train.weight_decay"],
         t=int(state["meta/step"]),

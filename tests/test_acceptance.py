@@ -43,6 +43,7 @@ from densepillars.encoder import GridSpec
 from densepillars.pointcloud import CLASSES, Box3D, Detection
 from densepillars.tensor import Tensor, grad_check
 from densepillars.train import make_training_scenes, train
+from iou_oracle import oracle_iou_bev
 
 KITTI = GridSpec()  # 64-channel pseudo-image at 496 x 432
 
@@ -288,7 +289,7 @@ def _brute_nms(dets, thr):
     for i in order:
         if all(
             dets[j].label != dets[i].label
-            or rotated_iou_bev(dets[i].box, dets[j].box) <= thr
+            or oracle_iou_bev(dets[i].box, dets[j].box) <= thr
             for j in kept
         ):
             kept.append(i)
@@ -307,7 +308,7 @@ def _brute_assign(anchors, anchor_cls, gts, cfg):
         if not cls_gts or idx.size == 0:
             continue
         iou = np.array(
-            [[rotated_iou_bev(anchor_boxes[i], g) for _, g in cls_gts] for i in idx]
+            [[oracle_iou_bev(anchor_boxes[i], g) for _, g in cls_gts] for i in idx]
         )
         best_gt = iou.argmax(axis=1)
         best = iou[np.arange(idx.size), best_gt]

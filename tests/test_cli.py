@@ -137,6 +137,42 @@ class TestTrainInferEvalRoundtrip:
         assert rc == EXIT_OK
         assert (tmp_path / "p" / "far.pred.csv").read_text() == PREDICTION_HEADER + "\n"
 
+    def test_infer_non_finite_point_is_io_error(self, tmp_path, tiny_cfg, capsys):
+        run = str(tmp_path / "run")
+        data = tmp_path / "data"
+        data.mkdir()
+        main(["train", "--config", tiny_cfg, "--out-dir", run])
+        pts = np.array([[1.0, 0.0, -1.0, 0.5], [2.0, np.inf, -1.0, 0.1]])
+        write_kitti_bin(str(data / "bad.bin"), PointCloud(pts))
+        rc = main(["infer", "--config", tiny_cfg, "--data-dir", str(data),
+                   "--out-dir", str(tmp_path / "p"),
+                   "--checkpoint", os.path.join(run, "checkpoint.npz")])
+        assert rc == EXIT_IO
+        assert "bad.bin: point 1 has a non-finite value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, edit", [
+        ("param/head.cls.weight", None),
+        ("bnstat/0/mean", lambda a: a[:-1]),
+    ])
+    def test_infer_damaged_checkpoint_is_io_error(self, tmp_path, tiny_cfg, capsys,
+                                                  key, edit):
+        run = tmp_path / "run"
+        main(["train", "--config", tiny_cfg, "--out-dir", str(run)])
+        with np.load(run / "checkpoint.npz") as z:
+            state = {k: z[k] for k in z.files}
+        assert key in state
+        if edit is None:
+            del state[key]
+        else:
+            state[key] = edit(state[key])
+        np.savez(run / "damaged.npz", **state)
+        rc = main(["infer", "--config", tiny_cfg, "--data-dir", str(tmp_path),
+                   "--out-dir", str(tmp_path / "p"),
+                   "--checkpoint", str(run / "damaged.npz")])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err
+        assert "damaged.npz: checkpoint" in err and repr(key) in err
+
     def test_infer_missing_checkpoint_is_io_error(self, tmp_path, tiny_cfg):
         rc = main(["infer", "--config", tiny_cfg, "--data-dir", str(tmp_path),
                    "--out-dir", str(tmp_path / "p"),

@@ -123,6 +123,99 @@ class TestPillarize:
         np.testing.assert_array_equal(batch.features[0, 1:], 0.0)
 
 
+def loop_pillarize(cloud, g, seed=0, cap=True):
+    """The engine's earlier per-pillar loop, kept as the oracle for the
+    vectorised `pillarize`: same grouping, same `rng` draws in the same order."""
+    pts = cloud.points.astype(np.float64)
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    keep = (
+        (x >= g.x_range[0]) & (x < g.x_range[1])
+        & (y >= g.y_range[0]) & (y < g.y_range[1])
+        & (z >= g.z_range[0]) & (z < g.z_range[1])
+    )
+    pts = pts[keep]
+    if pts.shape[0] == 0:
+        return PillarBatch(
+            np.zeros((0, g.max_points_per_pillar, 4), dtype=np.float32),
+            np.zeros((0, 2), dtype=np.int64),
+            np.zeros(0, dtype=np.int64),
+        )
+    col = np.floor((pts[:, 0] - g.x_range[0]) / g.pillar_size[0]).astype(np.int64)
+    row = np.floor((pts[:, 1] - g.y_range[0]) / g.pillar_size[1]).astype(np.int64)
+    lin = row * g.width + col
+
+    rng = np.random.default_rng(seed)
+    uniq, inverse, counts_all = np.unique(lin, return_inverse=True, return_counts=True)
+    order = np.argsort(inverse, kind="stable")
+
+    pillar_ids = np.arange(uniq.shape[0])
+    if cap and uniq.shape[0] > g.max_pillars:
+        pillar_ids = np.sort(rng.choice(uniq.shape[0], size=g.max_pillars, replace=False))
+
+    s = g.max_points_per_pillar
+    features = np.zeros((pillar_ids.shape[0], s, 4), dtype=np.float32)
+    coords = np.zeros((pillar_ids.shape[0], 2), dtype=np.int64)
+    counts = np.zeros(pillar_ids.shape[0], dtype=np.int64)
+    starts = np.concatenate([[0], np.cumsum(counts_all)])
+    for out_i, pid in enumerate(pillar_ids):
+        members = order[starts[pid] : starts[pid + 1]]
+        if members.shape[0] > s:
+            members = members[np.sort(rng.choice(members.shape[0], size=s, replace=False))]
+        n = members.shape[0]
+        features[out_i, :n] = pts[members].astype(np.float32)
+        coords[out_i] = (uniq[pid] // g.width, uniq[pid] % g.width)
+        counts[out_i] = n
+    return PillarBatch(features, coords, counts)
+
+
+def _scene(kind, seed):
+    """A cloud over SMALL (plus out-of-range points): `sparse` has no overfull
+    pillar and fewer pillars than the cap, `overfull` adds clusters of up to
+    12 points per cell, `over_cap` adds enough pillars to exceed the cap."""
+    rng = np.random.default_rng(seed)
+    n = {"sparse": 12, "overfull": 20, "over_cap": 600}[kind]
+    parts = [np.stack([rng.uniform(-0.5, 3.7, n), rng.uniform(-2.0, 2.0, n),
+                       rng.uniform(-3.5, 1.5, n), rng.uniform(0, 1, n)], axis=1)]
+    if kind != "sparse":
+        for cx, cy in rng.uniform([0.2, -1.4], [3.0, 1.4], size=(3, 2)):
+            m = int(rng.integers(5, 13))
+            parts.append(np.stack([cx + rng.uniform(0, 0.05, m), cy + rng.uniform(0, 0.05, m),
+                                   np.full(m, -1.0), rng.uniform(0, 1, m)], axis=1))
+    return PointCloud(np.concatenate(parts).astype(np.float32))
+
+
+class TestPillarizeAgainstLoop:
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("cap", [True, False])
+    @pytest.mark.parametrize("kind", ["sparse", "overfull", "over_cap"])
+    def test_bit_identical(self, kind, cap, seed):
+        cloud = _scene(kind, seed)
+        got = pillarize(cloud, SMALL, seed=seed, cap=cap)
+        want = loop_pillarize(cloud, SMALL, seed=seed, cap=cap)
+        everything = loop_pillarize(cloud, SMALL, cap=False)
+        assert np.any(everything.counts == SMALL.max_points_per_pillar) == (kind != "sparse")
+        assert (everything.counts.shape[0] > SMALL.max_pillars) == (kind == "over_cap")
+        for name in ("features", "coords", "counts"):
+            a, e = getattr(got, name), getattr(want, name)
+            assert a.dtype == e.dtype, name
+            assert np.array_equal(a, e), name
+
+    def test_kitti_grid_frame(self):
+        g = GridSpec()
+        rng = np.random.default_rng(11)
+        n = 16_000
+        pts = np.stack([rng.uniform(-2, 72, n), rng.uniform(-42, 42, n),
+                        rng.uniform(-3.5, 1.5, n), rng.uniform(0, 1, n)], axis=1)
+        cluster = np.stack([rng.normal(20, 0.05, 400), rng.normal(0, 0.05, 400),
+                            np.full(400, -1.0), rng.uniform(0, 1, 400)], axis=1)
+        cloud = PointCloud(np.concatenate([pts, cluster]).astype(np.float32))
+        for cap in (True, False):
+            got, want = pillarize(cloud, g, cap=cap), loop_pillarize(cloud, g, cap=cap)
+            assert np.any(want.counts == g.max_points_per_pillar)
+            for name in ("features", "coords", "counts"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 class TestDecorate:
     def test_channel_layout(self):
         g = SMALL

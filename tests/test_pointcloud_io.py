@@ -99,6 +99,17 @@ class TestBinaryIO:
         with pytest.raises(FormatError):
             read_kitti_bin(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row, col", [(0, 0), (3, 2), (4, 3)])
+    def test_non_finite_point_rejected_with_index(self, tmp_path, bad, row, col):
+        pts = np.ones((5, 4), np.float32)
+        pts[row, col] = bad
+        pts[4, 1] = np.nan  # a later bad point is not the one reported
+        path = tmp_path / "nan.bin"
+        write_kitti_bin(path, PointCloud(pts))
+        with pytest.raises(FormatError, match=rf"nan\.bin: point {row} has a non-finite"):
+            read_kitti_bin(path)
+
 
 class TestLabelIO:
     def test_roundtrip_exact(self, tmp_path):

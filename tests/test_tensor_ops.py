@@ -335,6 +335,48 @@ class TestConv2dOracle:
         _conv_against_reference(1, 64, 64, 12, 10, 3, 2, 1, False, dtype, rtol)
 
 
+class TestConv2dRowTiles:
+    """Several row tiles and a ragged last one: the tile budget is shrunk to
+    `rows` output rows so that small images still split."""
+
+    @pytest.mark.parametrize("dtype,rtol", DTYPE_RTOL)
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_grid(self, monkeypatch, k, stride, pad, rows, dtype, rtol):
+        n, c_in, h, w = 2, 3, 11, 6
+        w_out = (w + 2 * pad - k) // stride + 1
+        row_bytes = n * c_in * k * k * w_out * np.dtype(dtype).itemsize
+        monkeypatch.setattr(T, "_TILE_BYTES", rows * row_bytes)
+        _conv_against_reference(n, c_in, 4, h, w, k, stride, pad, True, dtype, rtol)
+
+
+def mean_pool(x):
+    """`avg_pool2x2` as a mean over the 2x2 window axes, kept as the oracle."""
+    n, c, h, w = x.shape
+    return x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+
+
+class TestAvgPoolOracle:
+    @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-15), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 2), (2, 3, 6, 4), (1, 5, 8, 14)])
+    def test_matches_mean_form(self, shape, dtype, atol):
+        x = np.random.default_rng(list(shape)).normal(size=shape).astype(dtype)
+        out = T.avg_pool2x2(Tensor(x)).data
+        assert out.dtype == dtype
+        np.testing.assert_allclose(out, mean_pool(x), rtol=0, atol=atol)
+
+    def test_gradcheck_weighted_batch_of_rectangles(self):
+        weights = Tensor(rng.normal(size=(36, 1)))  # the pooled [2, 3, 2, 3] map
+
+        def f(v):
+            pooled = T.reshape(T.avg_pool2x2(v[0]), (1, 36))
+            return T.reshape(T.linear_map(pooled, weights), (1,))
+
+        assert grad_check(f, [rand_t(2, 3, 4, 6)]) <= 1e-6
+
+
 class TestNoGrad:
     def _ops(self, x):
         bn = T.BatchNormParams.create(2, dtype=np.float64)
