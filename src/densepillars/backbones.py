@@ -83,7 +83,7 @@ class ConvBNRelu:
         self.bn = T.BatchNormParams.create(c_out)
 
     def forward(self, x):
-        return T.relu(T.batch_norm(T.conv2d(x, self.conv), self.bn))
+        return T.batch_norm(T.conv2d(x, self.conv), self.bn, relu=True)
 
     def named_params(self, prefix):
         return {

@@ -113,6 +113,12 @@ def cmd_gradcheck(args) -> int:
         ("batch_norm_eval", 1e-5, lambda: grad_check(
             lambda v: _total(T.batch_norm(v[0], _bn_of(v[1], v[2], eval_stats))),
             [t(2, 3, 4, 4), t(3), t(3)])),
+        ("batch_norm_relu", 1e-5, lambda: grad_check(
+            lambda v: _total(T.batch_norm(v[0], _bn_of(v[1], v[2]), relu=True)),
+            [t(2, 3, 4, 4), t(3), t(3)])),
+        ("batch_norm_relu_eval", 1e-5, lambda: grad_check(
+            lambda v: _total(T.batch_norm(v[0], _bn_of(v[1], v[2], eval_stats), relu=True)),
+            [t(2, 3, 4, 4), t(3), t(3)])),
         ("relu", 1e-6, lambda: grad_check(
             lambda v: _total(T.relu(v[0])), [t(3, 4)])),
         ("avg_pool2x2", 1e-6, lambda: grad_check(
@@ -122,17 +128,17 @@ def cmd_gradcheck(args) -> int:
         ("max_over_axis_masked", 1e-5, lambda: grad_check(
             lambda v: _total(T.max_over_axis(v[0], 1, mask=max_mask)), [t(3, 5)])),
         ("conv_bn_relu", 1e-4, lambda: grad_check(
-            lambda v: _total(T.relu(T.batch_norm(
-                T.conv2d(v[0], T.Conv2dParams(v[1], None, 1, 1)), _bn_of(v[2], v[3])))),
+            lambda v: _total(T.batch_norm(
+                T.conv2d(v[0], T.Conv2dParams(v[1], None, 1, 1)), _bn_of(v[2], v[3]), relu=True)),
             [t(1, 2, 4, 4), t(3, 2, 3, 3), t(3), t(3)])),
     ]
     failed = False
-    print(f"{'op':<20}{'max rel err':>14}{'tolerance':>12}  status")
+    print(f"{'op':<22}{'max rel err':>14}{'tolerance':>12}  status")
     for name, tol, run in checks:
         err = run()
         ok = err <= tol
         failed |= not ok
-        print(f"{name:<20}{err:>14.3e}{tol:>12.0e}  {'pass' if ok else 'FAIL'}")
+        print(f"{name:<22}{err:>14.3e}{tol:>12.0e}  {'pass' if ok else 'FAIL'}")
     return EXIT_INVARIANT if failed else EXIT_OK
 
 

@@ -116,6 +116,8 @@ class RunConfig:
     @staticmethod
     def from_json(text: str) -> "RunConfig":
         values = json.loads(text)
+        if not isinstance(values, dict):
+            raise ValueError(f"expected a JSON object, got {type(values).__name__}")
         cfg = RunConfig()
         for key in SCHEMA:
             cfg.values[key] = values.get(key, SCHEMA[key][1])

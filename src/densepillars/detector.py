@@ -64,7 +64,7 @@ class FPN:
         outs = []
         for tap, (w, bn, stride) in zip(taps, self.branches):
             h = T.conv_transpose2d(tap, w, stride)
-            outs.append(T.relu(T.batch_norm(h, bn)))
+            outs.append(T.batch_norm(h, bn, relu=True))
         return T.channel_concat(outs)
 
     def named_params(self, prefix="neck"):

@@ -153,18 +153,17 @@ class PFNWeights:
 
 
 def pfn_forward(batch: PillarBatch, weights: PFNWeights) -> Tensor:
-    """Per-point linear + BN + ReLU, then masked max over the point slots."""
-    p, s, c = batch.features.shape
-    x = Tensor(batch.features)
-    h = T.linear_map(x, weights.weight)  # [P, S, C_f]
+    """Per-point linear + BN + ReLU, then masked max over the point slots.
+
+    Stays in the [P, S, C_f] layout of the linear map: BN sees it as
+    [P*S, C_f, 1, 1] and the max reduces the slot axis, so no step copies
+    a transposed array."""
+    p, s = batch.features.shape[:2]
     cf = weights.weight.shape[1]
-    h = T.transpose(h, (2, 0, 1))  # [C_f, P, S]
-    h = T.reshape(h, (1, cf, p, s))
-    h = T.relu(T.batch_norm(h, weights.bn))
+    h = T.linear_map(Tensor(batch.features), weights.weight)  # [P, S, C_f]
+    h = T.batch_norm(T.reshape(h, (p * s, cf, 1, 1)), weights.bn, relu=True)
     mask = np.arange(s)[None, :] < batch.counts[:, None]  # [P, S]
-    h = T.max_over_axis(h, axis=3, mask=mask[None, None, :, :])  # [1, C_f, P]
-    h = T.reshape(h, (cf, p))
-    return T.transpose(h, (1, 0))  # [P, C_f]
+    return T.max_over_axis(T.reshape(h, (p, s, cf)), axis=1, mask=mask[:, :, None])
 
 
 def scatter_to_pseudo_image(features: Tensor, coords: np.ndarray, g: GridSpec) -> Tensor:

@@ -111,19 +111,19 @@ class DetectionPipeline:
     def load_state_arrays(self, state):
         """Copy parameters and BN running stats from `state`; a missing or
         mis-shaped array is a FormatError naming its key."""
-
-        def take(key, like):
-            if key not in state:
-                raise FormatError(f"checkpoint has no array {key!r}")
-            arr = state[key]
-            if arr.shape != like.shape:
-                raise FormatError(
-                    f"checkpoint array {key!r} has shape {arr.shape}, expected {like.shape}"
-                )
-            return arr
-
         for k, v in self.named_params().items():
-            v.data = take(f"param/{k}", v.data).astype(v.data.dtype).copy()
+            v.data = state_array(state, f"param/{k}", v.data.shape).astype(v.data.dtype).copy()
         for i, bn in enumerate(self.bn_list()):
-            bn.running_mean = take(f"bnstat/{i}/mean", bn.running_mean).copy()
-            bn.running_var = take(f"bnstat/{i}/var", bn.running_var).copy()
+            bn.running_mean = state_array(state, f"bnstat/{i}/mean", bn.running_mean.shape).copy()
+            bn.running_var = state_array(state, f"bnstat/{i}/var", bn.running_var.shape).copy()
+
+
+def state_array(state, key, shape=None):
+    """`state[key]`, or a FormatError naming the key when it is missing or,
+    with `shape` given, shaped otherwise."""
+    if key not in state:
+        raise FormatError(f"checkpoint has no array {key!r}")
+    arr = state[key]
+    if shape is not None and arr.shape != shape:
+        raise FormatError(f"checkpoint array {key!r} has shape {arr.shape}, expected {shape}")
+    return arr

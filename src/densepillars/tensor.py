@@ -62,8 +62,11 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # A copy, never `g` itself: an op may hand one array to several
+            # parents (add), and each grad is summed into in place later.
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None
@@ -74,7 +77,7 @@ class Tensor:
             if self.data.size != 1:
                 raise ConfigurationError("backward() without grad requires a scalar")
             grad = np.ones_like(self.data)
-        self._accumulate(np.asarray(grad, dtype=self.dtype))
+        self._accumulate(np.broadcast_to(np.asarray(grad, dtype=self.dtype), self.shape))
 
         order = []
         seen = set()
@@ -246,7 +249,8 @@ def linear_map(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def backward(g):
         g2 = g.reshape(-1, weight.shape[1])
-        x._accumulate((g2 @ weight.data.T).reshape(x.shape))
+        if x.requires_grad or x._parents:  # not for constant inputs (PFN features)
+            x._accumulate((g2 @ weight.data.T).reshape(x.shape))
         weight._accumulate(x2.T @ g2)
         if bias is not None:
             bias._accumulate(g2.sum(axis=0))
@@ -375,17 +379,23 @@ def avg_pool2x2(x: Tensor) -> Tensor:
     return make(out, (x,), backward)
 
 
-def batch_norm(x: Tensor, p: BatchNormParams) -> Tensor:
+def batch_norm(x: Tensor, p: BatchNormParams, relu: bool = False) -> Tensor:
+    """Per-channel batch norm of [N, C, H, W]; with `relu` the output is
+    clamped at 0 in place, so BN+ReLU is one op and one output buffer.
+
+    Backward never rebuilds x_hat: with Σg and Σg·x per channel,
+    Σg·x_hat = (Σg·x - mean·Σg)·inv_std, and dx is g·a - x·k2 + k3 with
+    per-channel constants (k2 = k3 = 0 in eval mode)."""
     n, c, h, w = x.shape
     if c != p.gamma.shape[0]:
         raise ConfigurationError("batch_norm: channel mismatch")
-    axes = (0, 2, 3)
-    if p.mode == "train":
-        count = n * h * w
+    count = n * h * w
+    train = p.mode == "train"
+    if train:
         if count < 2:
             raise ConfigurationError("batch_norm: degenerate batch in train mode")
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mean = x.data.mean(axis=(0, 2, 3))
+        var = x.data.var(axis=(0, 2, 3))
         p.running_mean += p.momentum * (mean.astype(p.running_mean.dtype) - p.running_mean)
         p.running_var += p.momentum * (var.astype(p.running_var.dtype) - p.running_var)
     elif p.mode == "eval":
@@ -398,47 +408,44 @@ def batch_norm(x: Tensor, p: BatchNormParams) -> Tensor:
     a = p.gamma.data * inv_std
     out = x.data * a[None, :, None, None]
     out += (p.beta.data - mean * a)[None, :, None, None]
+    if relu:
+        np.maximum(out, 0, out=out)
 
-    def x_hat():
-        return (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-
-    if p.mode == "eval":
-
-        def backward(g):
-            x._accumulate(g * a[None, :, None, None])
-            p.gamma._accumulate((g * x_hat()).sum(axis=axes))
-            p.beta._accumulate(g.sum(axis=axes))
-
-    else:
-
-        def backward(g):
-            xh = x_hat()
-            p.gamma._accumulate((g * xh).sum(axis=axes))
-            p.beta._accumulate(g.sum(axis=axes))
-            gy = g * p.gamma.data[None, :, None, None]
-            mean_gy = gy.mean(axis=axes)[None, :, None, None]
-            mean_gy_xhat = (gy * xh).mean(axis=axes)[None, :, None, None]
-            dx = (gy - mean_gy - xh * mean_gy_xhat) * inv_std[None, :, None, None]
-            x._accumulate(dx)
+    def backward(g):
+        if relu:
+            g = g * (out > 0)  # subgradient at 0 is 0; a new buffer dx may reuse
+        sum_g = np.einsum("nchw->c", g)
+        sum_g_xhat = (np.einsum("nchw,nchw->c", g, x.data) - mean * sum_g) * inv_std
+        p.gamma._accumulate(sum_g_xhat)
+        p.beta._accumulate(sum_g)
+        dx = np.multiply(g, a[None, :, None, None], out=g if relu else None)
+        if train:
+            # dx = a·(g - Σg/count - x_hat·Σg·x_hat/count), x_hat expanded
+            k2 = a * inv_std * sum_g_xhat / count
+            k3 = mean * k2 - a * sum_g / count
+            dx -= x.data * k2[None, :, None, None]
+            dx += k3[None, :, None, None]
+        x._accumulate(dx)
 
     return make(out, (x, p.gamma, p.beta), backward)
 
 
 def max_over_axis(x: Tensor, axis: int, mask=None) -> Tensor:
-    """Max reduction; masked-out slots are excluded, empty groups yield 0."""
+    """Max reduction; masked-out slots are excluded, empty groups yield 0.
+
+    No pass builds a masked copy of x: forward reduces with `where=`, and
+    backward routes each gradient to the first kept slot equal to the max."""
     axis = axis % x.data.ndim
-
-    def masked():
-        if mask is None:
-            return x.data
-        return np.where(np.broadcast_to(np.asarray(mask, dtype=bool), x.shape), x.data, -np.inf)
-
-    out = masked().max(axis=axis)
+    keep = True if mask is None else np.asarray(mask, dtype=bool)
+    out = x.data.max(axis=axis, where=keep, initial=-np.inf)
     empty = ~np.isfinite(out)
     out = np.where(empty, 0.0, out).astype(x.dtype)
 
     def backward(g):
-        arg = masked().argmax(axis=axis)  # ties resolve to lowest index
+        hit = x.data == np.expand_dims(out, axis)
+        if mask is not None:
+            hit &= keep
+        arg = hit.argmax(axis=axis)  # ties resolve to lowest index
         dx = np.zeros_like(x.data)
         np.put_along_axis(dx, np.expand_dims(arg, axis),
                           np.expand_dims(np.where(empty, 0.0, g), axis), axis)

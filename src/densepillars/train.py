@@ -8,7 +8,7 @@ import os
 import numpy as np
 
 from .config import RunConfig
-from .model import DetectionPipeline
+from .model import DetectionPipeline, state_array
 from .optim import OptimizerState, adamw_step, cosine_lr
 from .pointcloud import FormatError, synth_scene
 from .tensor import InvariantViolation
@@ -40,26 +40,48 @@ def save_checkpoint(path, pipeline: DetectionPipeline, opt: OptimizerState,
 
 
 def load_checkpoint(path):
+    """Pipeline, optimizer state and config from a checkpoint. A missing,
+    mis-shaped, undecodable or unknown array is a FormatError naming `path`
+    and the key; a checkpoint of another version is an InvariantViolation."""
     with np.load(path, allow_pickle=False) as z:
         state = {k: z[k] for k in z.files}
-    version = int(state["meta/version"])
-    if version != CHECKPOINT_VERSION:
-        raise InvariantViolation(f"unsupported checkpoint version {version}")
-    cfg = RunConfig.from_json(bytes(state["meta/config"]).decode("utf-8"))
-    pipeline = build_pipeline(cfg)
     try:
-        pipeline.load_state_arrays(state)
+        return _restore(state)
     except FormatError as e:
         raise FormatError(f"{path}: {e}") from None
-    opt = OptimizerState(
-        lr=cfg["train.lr"], weight_decay=cfg["train.weight_decay"],
-        t=int(state["meta/step"]),
-    )
-    for k in pipeline.named_params():
+
+
+def _meta_int(state, key):
+    arr = state_array(state, key, ())
+    if arr.dtype.kind not in "iu":
+        raise FormatError(f"checkpoint array {key!r} has dtype {arr.dtype}, expected an integer")
+    return int(arr)
+
+
+def _restore(state):
+    version = _meta_int(state, "meta/version")
+    if version != CHECKPOINT_VERSION:
+        raise InvariantViolation(f"unsupported checkpoint version {version}")
+    step = _meta_int(state, "meta/step")
+    raw = bytes(state_array(state, "meta/config"))
+    try:
+        cfg = RunConfig.from_json(raw.decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError, JSONDecodeError or not an object
+        raise FormatError(f"checkpoint array 'meta/config' is not a JSON config: {e}") from None
+    pipeline = build_pipeline(cfg)
+    pipeline.load_state_arrays(state)
+    params = pipeline.named_params()
+    opt = OptimizerState(lr=cfg["train.lr"], weight_decay=cfg["train.weight_decay"], t=step)
+    for k, p in params.items():
         mk, vk = f"opt_m/{k}", f"opt_v/{k}"
-        if mk in state:
-            opt.m[k] = state[mk].copy()
-            opt.v[k] = state[vk].copy()
+        if mk in state or vk in state:
+            opt.m[k] = state_array(state, mk, p.shape).copy()
+            opt.v[k] = state_array(state, vk, p.shape).copy()
+    known = {"meta/version", "meta/step", "meta/config", *pipeline.state_arrays()}
+    known.update(f"opt_{s}/{k}" for k in params for s in "mv")
+    unknown = sorted(set(state) - known)
+    if unknown:
+        raise FormatError(f"checkpoint has unknown array {unknown[0]!r}")
     return pipeline, opt, cfg
 
 

@@ -197,6 +197,15 @@ def test_criterion_5_gradient_suite():
                 T.batch_norm(v[0], _bn(v[1], v[2], stats))),
             [t(2, 3, 4, 4), t(3), t(3)],
         ),
+        "batch_norm_relu": lambda: grad_check(
+            lambda v: total(T.batch_norm(v[0], _bn(v[1], v[2]), relu=True)),
+            [t(2, 3, 4, 4), t(3), t(3)],
+        ),
+        "batch_norm_relu_eval": lambda: grad_check(
+            lambda v, stats=(rng.normal(size=3), rng.uniform(0.5, 2.0, 3)): total(
+                T.batch_norm(v[0], _bn(v[1], v[2], stats), relu=True)),
+            [t(2, 3, 4, 4), t(3), t(3)],
+        ),
         "relu": lambda: grad_check(lambda v: total(T.relu(v[0])), [t(3, 4)]),
         "avg_pool2x2": lambda: grad_check(
             lambda v: total(T.avg_pool2x2(v[0])), [t(1, 2, 4, 4)]

@@ -64,7 +64,8 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         for op in ("conv2d", "conv2d_1x1_bias", "conv2d_batch2", "conv_transpose2d",
-                   "batch_norm", "batch_norm_eval", "max_over_axis_masked", "conv_bn_relu"):
+                   "batch_norm", "batch_norm_eval", "batch_norm_relu", "batch_norm_relu_eval",
+                   "max_over_axis_masked", "conv_bn_relu"):
             assert op in out
 
 
@@ -153,6 +154,15 @@ class TestTrainInferEvalRoundtrip:
     @pytest.mark.parametrize("key, edit", [
         ("param/head.cls.weight", None),
         ("bnstat/0/mean", lambda a: a[:-1]),
+        ("meta/step", None),
+        ("meta/config", None),
+        ("meta/version", None),
+        ("meta/config", lambda a: np.frombuffer(b'{"run.seed": ', dtype=np.uint8)),
+        ("meta/config", lambda a: np.frombuffer(b"\xff\xfe", dtype=np.uint8)),
+        ("meta/config", lambda a: np.frombuffer(b"[1, 2]", dtype=np.uint8)),
+        ("meta/step", lambda a: np.array([3, 4])),
+        ("opt_v/head.cls.weight", None),
+        ("param/bogus", lambda a: np.zeros(3, dtype=np.float32)),
     ])
     def test_infer_damaged_checkpoint_is_io_error(self, tmp_path, tiny_cfg, capsys,
                                                   key, edit):
@@ -160,11 +170,10 @@ class TestTrainInferEvalRoundtrip:
         main(["train", "--config", tiny_cfg, "--out-dir", str(run)])
         with np.load(run / "checkpoint.npz") as z:
             state = {k: z[k] for k in z.files}
-        assert key in state
         if edit is None:
             del state[key]
         else:
-            state[key] = edit(state[key])
+            state[key] = edit(state.get(key))
         np.savez(run / "damaged.npz", **state)
         rc = main(["infer", "--config", tiny_cfg, "--data-dir", str(tmp_path),
                    "--out-dir", str(tmp_path / "p"),

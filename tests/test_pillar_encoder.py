@@ -312,6 +312,98 @@ class TestPFN:
         assert err <= 1e-4
 
 
+def transposed_pfn_forward(batch: PillarBatch, weights: PFNWeights) -> Tensor:
+    """The earlier PFN, kept as the oracle: it transposes the linear map's
+    [P, S, C_f] output to [1, C_f, P, S], normalises and clamps it there,
+    takes the masked max over the last axis and transposes back."""
+    p, s, _ = batch.features.shape
+    cf = weights.weight.shape[1]
+    h = T.linear_map(Tensor(batch.features), weights.weight)
+    h = T.reshape(T.transpose(h, (2, 0, 1)), (1, cf, p, s))
+    h = T.relu(T.batch_norm(h, weights.bn))
+    mask = np.arange(s)[None, :] < batch.counts[:, None]
+    h = T.max_over_axis(h, axis=3, mask=mask[None, None, :, :])
+    return T.transpose(T.reshape(h, (cf, p)), (1, 0))
+
+
+class TestPFNOracle:
+    """`pfn_forward` in the [P, S, C_f] layout against the transposed one on
+    a scene with an overfull pillar, a partly filled one, a one-point pillar and
+    a pillar whose first two points are the same point."""
+
+    DUP = (1.31, 0.52)
+
+    @classmethod
+    def _batch(cls):
+        xy = [(0.05, 0.05), (0.11, 0.13), (0.17, 0.02), (0.08, 0.19), (0.12, 0.07),  # overfull
+              (0.71, -0.33), (0.75, -0.21), (0.62, -0.38),  # three of four slots
+              (2.5, 1.1),  # one point
+              cls.DUP, cls.DUP, (1.37, 0.47)]  # a duplicate point first
+        pts = np.array([[x, y, -1.0 + 0.1 * i, 0.1 * (i % 5)] for i, (x, y) in enumerate(xy)],
+                       dtype=np.float32)
+        pts[10, 2:] = pts[9, 2:]
+        return decorate(pillarize(PointCloud(pts), SMALL, seed=3), SMALL)
+
+    @staticmethod
+    def _weights(mode, dtype):
+        w = PFNWeights.create(SMALL, np.random.default_rng(7))
+        r = np.random.default_rng(8)
+        c = SMALL.feature_channels
+        w.weight = Tensor(w.weight.data.astype(dtype), requires_grad=True)
+        w.bn = T.BatchNormParams(Tensor(r.uniform(0.5, 1.5, c).astype(dtype), requires_grad=True),
+                                 Tensor(r.normal(0.0, 0.3, c).astype(dtype), requires_grad=True),
+                                 r.normal(0.0, 0.3, c).astype(dtype),
+                                 r.uniform(0.5, 2.0, c).astype(dtype), mode=mode)
+        return w
+
+    def _run(self, forward, mode, dtype):
+        batch = self._batch()
+        w = self._weights(mode, dtype)
+        out = forward(batch, w)
+        g = np.random.default_rng(9).normal(size=out.shape).astype(dtype)
+        out.backward(g)
+        return out.data, (w.weight.grad, w.bn.gamma.grad, w.bn.beta.grad), g
+
+    def test_scene_has_every_pillar_kind(self):
+        counts = sorted(self._batch().counts.tolist())
+        assert counts == [1, 3, 3, 4]
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_matches_transposed_layout(self, mode, dtype, rtol):
+        out, grads, _ = self._run(pfn_forward, mode, dtype)
+        want_out, want_grads, _ = self._run(transposed_pfn_forward, mode, dtype)
+        assert out.shape == want_out.shape and out.dtype == dtype
+        err = np.max(np.abs(out - want_out)) / np.max(np.abs(want_out))
+        assert err <= rtol, f"out: relative error {err:.2e}"
+        for name, got, want in zip(("weight", "gamma", "beta"), grads, want_grads):
+            assert got.dtype == dtype, name
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= rtol, f"{name}: relative error {err:.2e} > {rtol:.0e}"
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_duplicate_point_gradient_reaches_lowest_slot(self, monkeypatch, mode):
+        seen = []
+        max_over_axis = T.max_over_axis
+
+        def recording(x, *args, **kwargs):
+            seen.append(x)
+            return max_over_axis(x, *args, **kwargs)
+
+        monkeypatch.setattr(T, "max_over_axis", recording)
+        out, _, g = self._run(pfn_forward, mode, np.float64)
+        batch = self._batch()
+        (h,) = seen
+        dup = int(np.flatnonzero(np.all(batch.features[:, 0] == batch.features[:, 1], axis=1))[0])
+        np.testing.assert_array_equal(h.data[dup, 0], h.data[dup, 1])
+        np.testing.assert_array_equal(h.grad[dup, 1], 0.0)
+        np.testing.assert_array_equal(h.grad[dup, 3:], 0.0)  # empty slot
+        np.testing.assert_array_equal(h.grad[dup].sum(axis=0), g[dup])
+        ties = h.data[dup, 0] == out[dup]
+        assert ties.any()
+        np.testing.assert_array_equal(h.grad[dup, 0, ties], g[dup, ties])
+
+
 class TestScatter:
     def test_values_land_at_coords(self):
         g = SMALL

@@ -271,6 +271,14 @@ class TestSimpleOps:
         out.backward(np.array([1.0]))
         np.testing.assert_array_equal(x.grad, [[1.0, 0.0]])
 
+    def test_max_gradient_skips_masked_slot_equal_to_max(self):
+        x = Tensor(np.array([[7.0, 3.0, 7.0], [9.0, 9.0, 1.0]]), requires_grad=True)
+        mask = np.array([[False, True, True], [False, False, False]])
+        out = T.max_over_axis(x, axis=1, mask=mask)
+        np.testing.assert_array_equal(out.data, [7.0, 0.0])
+        out.backward(np.array([2.0, 5.0]))
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
+
 
 def reference_conv2d(x, weight, bias, stride, pad, g):
     """Sliding-window/tensordot conv2d, the engine's earlier kernel, kept as
@@ -447,3 +455,119 @@ class TestInvariants:
                 T.scale(Tensor(np.array([1e308])), 1e308)
         finally:
             T.CHECK_FINITE = False
+
+
+def reference_batch_norm(x: Tensor, p: T.BatchNormParams) -> Tensor:
+    """The engine's earlier batch norm, kept as the oracle: backward rebuilds
+    x_hat and takes the textbook multi-pass train-mode gradient."""
+    n, c, h, w = x.shape
+    axes = (0, 2, 3)
+    if p.mode == "train":
+        mean = x.data.mean(axis=axes)
+        var = x.data.var(axis=axes)
+        p.running_mean += p.momentum * (mean.astype(p.running_mean.dtype) - p.running_mean)
+        p.running_var += p.momentum * (var.astype(p.running_var.dtype) - p.running_var)
+    else:
+        mean = p.running_mean.astype(x.dtype)
+        var = p.running_var.astype(x.dtype)
+    inv_std = 1.0 / np.sqrt(var + np.asarray(p.eps, dtype=x.dtype))
+    a = p.gamma.data * inv_std
+    out = x.data * a[None, :, None, None]
+    out += (p.beta.data - mean * a)[None, :, None, None]
+
+    def x_hat():
+        return (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
+
+    def backward(g):
+        xh = x_hat()
+        p.gamma._accumulate((g * xh).sum(axis=axes))
+        p.beta._accumulate(g.sum(axis=axes))
+        if p.mode == "eval":
+            x._accumulate(g * a[None, :, None, None])
+            return
+        gy = g * p.gamma.data[None, :, None, None]
+        mean_gy = gy.mean(axis=axes)[None, :, None, None]
+        mean_gy_xhat = (gy * xh).mean(axis=axes)[None, :, None, None]
+        x._accumulate((gy - mean_gy - xh * mean_gy_xhat) * inv_std[None, :, None, None])
+
+    return T.make(out, (x, p.gamma, p.beta), backward)
+
+
+class TestBatchNormOracle:
+    """`batch_norm(relu=...)` against `relu(reference_batch_norm(.))`: the
+    forward and the running statistics bit for bit, the gradients of x,
+    gamma and beta to the conv oracle's relative tolerances."""
+
+    @staticmethod
+    def _inputs(shape, mode, dtype):
+        r = np.random.default_rng([*shape, mode == "train", np.dtype(dtype).itemsize])
+        x = r.normal(0.4, 1.3, size=shape).astype(dtype)
+        c = shape[1]
+        params = (r.uniform(0.5, 1.5, c).astype(dtype), r.normal(0.0, 0.5, c).astype(dtype),
+                  r.normal(0.0, 0.3, c).astype(dtype), r.uniform(0.5, 2.0, c).astype(dtype))
+        return x, params, r.normal(size=shape).astype(dtype)
+
+    @staticmethod
+    def _run(op, x, params, g, mode):
+        gamma, beta, mean, var = params
+        p = T.BatchNormParams(Tensor(gamma.copy(), requires_grad=True),
+                              Tensor(beta.copy(), requires_grad=True),
+                              mean.copy(), var.copy(), mode=mode)
+        xt = Tensor(x.copy(), requires_grad=True)
+        out = op(xt, p)
+        out.backward(g)
+        return out.data, (p.running_mean, p.running_var), (xt.grad, p.gamma.grad, p.beta.grad)
+
+    @pytest.mark.parametrize("dtype,rtol", DTYPE_RTOL)
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 4), (7 * 4, 6, 1, 1)])  # NCHW and PFN [P*S, C]
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_matches_reference(self, relu, shape, mode, dtype, rtol):
+        x, params, g = self._inputs(shape, mode, dtype)
+        fused = self._run(lambda t, p: T.batch_norm(t, p, relu=relu), x, params, g, mode)
+        ref = self._run(lambda t, p: T.relu(reference_batch_norm(t, p)) if relu
+                        else reference_batch_norm(t, p), x, params, g, mode)
+        np.testing.assert_array_equal(fused[0], ref[0])
+        assert fused[0].dtype == dtype
+        for got, want in zip(fused[1], ref[1]):
+            np.testing.assert_array_equal(got, want)
+        for name, got, want in zip(("dx", "dgamma", "dbeta"), fused[2], ref[2]):
+            assert got.shape == want.shape and got.dtype == dtype, name
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= rtol, f"{name}: relative error {err:.2e} > {rtol:.0e}"
+
+    def test_relu_gradient_stops_at_clamped_outputs(self):
+        x = Tensor(np.array([-2.0, -1.0, 1.0, 2.0]).reshape(1, 1, 2, 2), requires_grad=True)
+        p = T.BatchNormParams.create(1, dtype=np.float64)
+        p.mode = "eval"
+        out = T.batch_norm(x, p, relu=True)
+        np.testing.assert_array_equal(out.data > 0, [[[[False, False], [True, True]]]])
+        out.backward(np.ones((1, 1, 2, 2)))
+        a = 1.0 / np.sqrt(1.0 + p.eps)
+        np.testing.assert_array_equal(x.grad, np.array([0.0, 0.0, a, a]).reshape(1, 1, 2, 2))
+        assert p.beta.grad[0] == 2.0
+
+
+class TestAccumulate:
+    """The first gradient a tensor receives is stored as its own copy."""
+
+    def test_same_tensor_twice_sums(self):
+        x = rand_t(2, 3)
+        g = rng.normal(size=(2, 3))
+        T.add(x, x).backward(g)
+        np.testing.assert_array_equal(x.grad, 2 * g)
+
+    def test_two_parents_get_separate_buffers(self):
+        x, y = rand_t(2, 3), rand_t(2, 3)
+        g = rng.normal(size=(2, 3))
+        out = T.add(x, y)
+        out.backward(g)
+        assert x.grad is not y.grad and x.grad is not out.grad
+        x.grad += 1.0
+        np.testing.assert_array_equal(y.grad, g)
+        np.testing.assert_array_equal(out.grad, g)
+
+    def test_scalar_seed_broadcasts(self):
+        x = rand_t(1)
+        T.scale(x, 3.0).backward(np.array(0.5))
+        assert x.grad.shape == (1,) and x.grad[0] == 1.5
