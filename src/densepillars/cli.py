@@ -6,15 +6,27 @@ import argparse
 import glob
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import tensor as T
-from .backbones import BaselineBackboneSpec, DenseBackboneSpec
+from .backbones import BaselineBackboneSpec, DenseBackboneSpec, GrowthSchedule
 from .bev import evaluate_set
 from .config import RunConfig, parse_config
-from .cost import comparison_report
+from .cost import comparison_report, dense_backbone_cost
+from .detector import (
+    AnchorConfig,
+    assign_targets,
+    detection_loss,
+    generate_anchors,
+    sigmoid_focal_loss,
+    smooth_l1_sine_loss,
+    softmax_cross_entropy,
+)
+from .encoder import GridSpec
 from .pointcloud import (
+    Box3D,
     FormatError,
     read_kitti_bin,
     read_labels,
@@ -24,7 +36,7 @@ from .pointcloud import (
     write_labels,
     write_predictions,
 )
-from .tensor import ConfigurationError, InvariantViolation, Tensor, grad_check
+from .tensor import ConfigurationError, InvariantViolation, grad_check
 from .train import load_checkpoint, train
 
 EXIT_OK = 0
@@ -79,80 +91,94 @@ def cmd_analyze(args) -> int:
         path = os.path.join(out_dir, f"cost_{name}.csv")
         with open(path, "w", encoding="utf-8") as f:
             f.write(report.to_csv())
+
+    print("\ngrowth schedule comparison (dense backbone only)")
+    print(f"{'schedule':<20}{'params':>12}{'GMACs':>10}")
+    for name, growth in (
+        ("fixed k=16", GrowthSchedule("fixed", 16)),
+        ("fixed k=32", GrowthSchedule("fixed", 32)),
+        ("fixed k=64", GrowthSchedule("fixed", 64)),
+        ("table-matched", GrowthSchedule("table_matched")),
+        ("doubling k0=32", GrowthSchedule("doubling", 32)),
+    ):
+        c = dense_backbone_cost(replace(dense_spec, growth=growth), grid.height, grid.width)
+        print(f"{name:<20}{c.params:>12,}{c.macs / 1e9:>10.2f}")
     return EXIT_OK
 
 
-def cmd_gradcheck(args) -> int:
-    del args
-    rng = np.random.default_rng(0)
+def gradcheck_cases(rng):
+    """The finite-difference suite as (name, tolerance, run) triples.
 
-    def t(*shape):
-        return Tensor(rng.normal(0.5, 1.0, size=shape))
+    Each `run()` draws fresh inputs from `rng` and returns `grad_check`'s max
+    relative error. `densepillars gradcheck` runs every case once and
+    acceptance criterion 5 runs each on ten draws.
+    """
 
-    eval_stats = (rng.normal(size=3), rng.uniform(0.5, 2.0, 3))
-    max_mask = rng.uniform(size=(3, 5)) < 0.6
-    max_mask[2] = False  # one all-masked group
-    checks = [
-        ("linear_map", 1e-7, lambda: grad_check(
-            lambda v: _total(T.linear_map(v[0], v[1], v[2])), [t(4, 5), t(5, 3), t(3)])),
-        ("conv2d", 1e-5, lambda: grad_check(
-            lambda v: _total(T.conv2d(v[0], T.Conv2dParams(v[1], v[2], 1, 1))),
-            [t(1, 2, 5, 5), t(3, 2, 3, 3), t(3)])),
-        ("conv2d_1x1_bias", 1e-5, lambda: grad_check(
-            lambda v: _total(T.conv2d(v[0], T.Conv2dParams(v[1], v[2]))),
-            [t(1, 3, 4, 4), t(2, 3, 1, 1), t(2)])),
-        ("conv2d_batch2", 1e-5, lambda: grad_check(
-            lambda v: _total(T.conv2d(v[0], T.Conv2dParams(v[1], None, 1, 1))),
-            [t(2, 2, 4, 4), t(3, 2, 3, 3)])),
-        ("conv_transpose2d", 1e-5, lambda: grad_check(
-            lambda v: _total(T.conv_transpose2d(v[0], v[1], 2)),
-            [t(1, 2, 4, 4), t(2, 3, 2, 2)])),
-        ("batch_norm", 1e-5, lambda: grad_check(
-            lambda v: _total(T.batch_norm(v[0], _bn_of(v[1], v[2]))),
-            [t(2, 3, 4, 4), t(3), t(3)])),
-        ("batch_norm_eval", 1e-5, lambda: grad_check(
-            lambda v: _total(T.batch_norm(v[0], _bn_of(v[1], v[2], eval_stats))),
-            [t(2, 3, 4, 4), t(3), t(3)])),
-        ("batch_norm_relu", 1e-5, lambda: grad_check(
-            lambda v: _total(T.batch_norm(v[0], _bn_of(v[1], v[2]), relu=True)),
-            [t(2, 3, 4, 4), t(3), t(3)])),
-        ("batch_norm_relu_eval", 1e-5, lambda: grad_check(
-            lambda v: _total(T.batch_norm(v[0], _bn_of(v[1], v[2], eval_stats), relu=True)),
-            [t(2, 3, 4, 4), t(3), t(3)])),
-        ("relu", 1e-6, lambda: grad_check(
-            lambda v: _total(T.relu(v[0])), [t(3, 4)])),
-        ("avg_pool2x2", 1e-6, lambda: grad_check(
-            lambda v: _total(T.avg_pool2x2(v[0])), [t(1, 2, 4, 4)])),
-        ("max_over_axis", 1e-6, lambda: grad_check(
-            lambda v: _total(T.max_over_axis(v[0], 1)), [t(3, 5)])),
-        ("max_over_axis_masked", 1e-5, lambda: grad_check(
-            lambda v: _total(T.max_over_axis(v[0], 1, mask=max_mask)), [t(3, 5)])),
-        ("conv_bn_relu", 1e-4, lambda: grad_check(
-            lambda v: _total(T.batch_norm(
-                T.conv2d(v[0], T.Conv2dParams(v[1], None, 1, 1)), _bn_of(v[2], v[3]), relu=True)),
-            [t(1, 2, 4, 4), t(3, 2, 3, 3), t(3), t(3)])),
+    def case(name, tol, fn, shapes, draw=None):
+        # `draw()`, if given, makes a non-differentiable last argument of `fn`
+        def run():
+            extra = () if draw is None else (draw(),)
+            inputs = [rng.normal(0.3, 1.0, size=s) for s in shapes]
+            return grad_check(lambda v: fn(*v, *extra), inputs)
+        return name, tol, run
+
+    def eval_stats():
+        return rng.normal(size=3), rng.uniform(0.5, 2.0, 3)
+
+    def max_mask():  # the last group all masked
+        return (rng.uniform(size=(3, 5)) < 0.6) & [[True], [True], [False]]
+
+    grid = GridSpec(x_range=(0.0, 6.4), y_range=(-3.2, 3.2), pillar_size=(0.4, 0.4))
+    anchor_cfg = AnchorConfig()
+    anchors, anchor_cls = generate_anchors(grid, anchor_cfg)
+    gt = Box3D(3.2, 0.4, -1.78, 1.6, 3.9, 1.56, 0.2)
+    asn = assign_targets(anchors, anchor_cls, [(gt, "Car")], anchor_cfg)
+
+    bn_shapes = [(2, 3, 4, 4), (3,), (3,)]
+    return [
+        case("linear_map", 1e-7, T.linear_map, [(3, 4), (4, 2), (2,)]),
+        case("conv2d", 1e-5, lambda x, w, b: T.conv2d(x, T.Conv2dParams(w, b, 1, 1)),
+             [(1, 2, 5, 5), (3, 2, 3, 3), (3,)]),
+        case("conv2d_stride2", 1e-5, lambda x, w: T.conv2d(x, T.Conv2dParams(w, None, 2, 1)),
+             [(1, 2, 6, 6), (3, 2, 3, 3)]),
+        case("conv2d_1x1_bias", 1e-5, lambda x, w, b: T.conv2d(x, T.Conv2dParams(w, b)),
+             [(1, 3, 4, 4), (2, 3, 1, 1), (2,)]),
+        case("conv2d_batch2", 1e-5, lambda x, w: T.conv2d(x, T.Conv2dParams(w, None, 1, 1)),
+             [(2, 2, 4, 4), (3, 2, 3, 3)]),
+        case("conv_transpose2d", 1e-5, lambda x, w: T.conv_transpose2d(x, w, 2),
+             [(1, 2, 4, 4), (2, 3, 2, 2)]),
+        case("batch_norm", 1e-5, lambda x, g, b: T.batch_norm(x, _bn(g, b)), bn_shapes),
+        case("batch_norm_eval", 1e-5, lambda x, g, b, s: T.batch_norm(x, _bn(g, b, s)),
+             bn_shapes, eval_stats),
+        case("batch_norm_relu", 1e-5,
+             lambda x, g, b: T.batch_norm(x, _bn(g, b), relu=True), bn_shapes),
+        case("batch_norm_relu_eval", 1e-5,
+             lambda x, g, b, s: T.batch_norm(x, _bn(g, b, s), relu=True), bn_shapes, eval_stats),
+        case("relu", 1e-6, T.relu, [(3, 4)]),
+        case("avg_pool2x2", 1e-6, T.avg_pool2x2, [(1, 2, 4, 4)]),
+        case("max_over_axis", 1e-6, lambda x: T.max_over_axis(x, 1), [(3, 5)]),
+        case("max_over_axis_masked", 1e-5, lambda x, m: T.max_over_axis(x, 1, mask=m),
+             [(3, 5)], max_mask),
+        case("conv_bn_relu", 1e-4,
+             lambda x, w, g, b: T.batch_norm(
+                 T.conv2d(x, T.Conv2dParams(w, None, 1, 1)), _bn(g, b), relu=True),
+             [(1, 2, 4, 4), (3, 2, 3, 3), (3,), (3,)]),
+        case("focal", 1e-5,
+             lambda z, y: sigmoid_focal_loss(z, y, np.ones(4), normalizer=2.0),
+             [(4, 3)], lambda: (rng.uniform(size=(4, 3)) < 0.3).astype(float)),
+        case("smooth_l1_sine", 1e-5,
+             lambda p, t: smooth_l1_sine_loss(p, t, np.ones(4), normalizer=2.0),
+             [(4, 7)], lambda: rng.normal(0, 0.4, size=(4, 7))),
+        case("softmax_ce", 1e-5,
+             lambda z, lab: softmax_cross_entropy(z, lab, np.ones(4), normalizer=2.0),
+             [(4, 2)], lambda: rng.integers(0, 2, size=4)),
+        case("detection_loss", 1e-4,
+             lambda c, b, d: detection_loss(c, b, d, asn, anchor_cls, anchor_cfg)["total"],
+             [(1, 18, 8, 8), (1, 42, 8, 8), (1, 12, 8, 8)]),
     ]
-    failed = False
-    print(f"{'op':<22}{'max rel err':>14}{'tolerance':>12}  status")
-    for name, tol, run in checks:
-        err = run()
-        ok = err <= tol
-        failed |= not ok
-        print(f"{name:<22}{err:>14.3e}{tol:>12.0e}  {'pass' if ok else 'FAIL'}")
-    return EXIT_INVARIANT if failed else EXIT_OK
 
 
-def _total(x):
-    return T.reshape(x, (x.data.size,)) if x.data.size == 1 else _sum_all(x)
-
-
-def _sum_all(x):
-    flat = T.reshape(x, (1, x.data.size))
-    ones = Tensor(np.ones((x.data.size, 1), dtype=x.dtype))
-    return T.reshape(T.linear_map(flat, ones), (1,))
-
-
-def _bn_of(gamma, beta, eval_stats=None):
+def _bn(gamma, beta, eval_stats=None):
     """Train-mode BN params, or eval mode with (running_mean, running_var)."""
     p = T.BatchNormParams.create(gamma.shape[0], dtype=gamma.dtype)
     p.gamma = gamma
@@ -161,6 +187,18 @@ def _bn_of(gamma, beta, eval_stats=None):
         p.running_mean, p.running_var = eval_stats
         p.mode = "eval"
     return p
+
+
+def cmd_gradcheck(args) -> int:
+    del args
+    failed = False
+    print(f"{'op':<22}{'max rel err':>14}{'tolerance':>12}  status")
+    for name, tol, run in gradcheck_cases(np.random.default_rng(0)):
+        err = run()
+        ok = err <= tol
+        failed |= not ok
+        print(f"{name:<22}{err:>14.3e}{tol:>12.0e}  {'pass' if ok else 'FAIL'}")
+    return EXIT_INVARIANT if failed else EXIT_OK
 
 
 def cmd_synth(args) -> int:

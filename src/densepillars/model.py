@@ -86,9 +86,6 @@ class DetectionPipeline:
         return detection_loss(cls_map, box_map, dir_map, assignment,
                               self.anchor_cls, self.anchor_cfg)
 
-    def loss(self, cloud: PointCloud, assignment, seed: int = 0):
-        return self.loss_encoded(self.encode(cloud, seed=seed, cap=True), assignment)
-
     def predict(self, cloud: PointCloud, score_thr: float = 0.1, nms_thr: float = 0.01):
         """Detections for one frame; a frame with no point in range has none."""
         batch = self.encode(cloud, cap=False)

@@ -57,9 +57,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
     def _accumulate(self, g):
         if self.grad is None:
             # A copy, never `g` itself: an op may hand one array to several
@@ -459,20 +456,19 @@ def max_over_axis(x: Tensor, axis: int, mask=None) -> Tensor:
 
 
 def grad_check(fn, inputs, h=1e-6):
-    """Max relative error between reverse-mode and central-difference grads.
+    """Max relative error between reverse-mode and central-difference grads
+    of the sum of `fn`'s outputs.
 
-    `fn` maps a list of float64 Tensors to a scalar Tensor. Inputs are
+    `fn` maps a list of float64 Tensors to a Tensor of any shape. Inputs are
     upcast to float64; the analytic path runs through the same ops the
     pipeline uses.
     """
     ts = [Tensor(np.asarray(t.data if isinstance(t, Tensor) else t, dtype=np.float64),
                  requires_grad=True) for t in inputs]
     out = fn(ts)
-    if out.data.size != 1:
-        raise ConfigurationError("grad_check target must be scalar")
     for t in ts:
         t.zero_grad()
-    out.backward()
+    out.backward(1.0)  # broadcast to every output entry: the gradient of the sum
 
     worst = 0.0
     for t in ts:
@@ -483,9 +479,9 @@ def grad_check(fn, inputs, h=1e-6):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            fp = fn(ts).data.item()
+            fp = float(fn(ts).data.sum())
             flat[i] = orig - h
-            fm = fn(ts).data.item()
+            fm = float(fn(ts).data.sum())
             flat[i] = orig
             num_flat[i] = (fp - fm) / (2 * h)
         denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1.0)

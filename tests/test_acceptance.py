@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 
-from densepillars import tensor as T
 from densepillars.backbones import (
     BaselineBackbone,
     BaselineBackboneSpec,
@@ -19,6 +18,7 @@ from densepillars.backbones import (
     GrowthSchedule,
 )
 from densepillars.bev import ap_r40, nms_bev, recall_at_iou, rotated_iou_bev
+from densepillars.cli import gradcheck_cases
 from densepillars.config import parse_config
 from densepillars.cost import (
     baseline_backbone_cost,
@@ -33,15 +33,11 @@ from densepillars.detector import (
     AnchorHead,
     NeckSpec,
     assign_targets,
-    detection_loss,
     generate_anchors,
-    sigmoid_focal_loss,
-    smooth_l1_sine_loss,
-    softmax_cross_entropy,
 )
 from densepillars.encoder import GridSpec
 from densepillars.pointcloud import CLASSES, Box3D, Detection
-from densepillars.tensor import Tensor, grad_check
+from densepillars.tensor import Tensor
 from densepillars.train import make_training_scenes, train
 from iou_oracle import oracle_iou_bev
 
@@ -153,125 +149,15 @@ def test_criterion_4_analyzer_runtime_agreement():
 
 
 def test_criterion_5_gradient_suite():
-    """Finite differences on every op (10 random points) and the fused loss."""
-    rng = np.random.default_rng(0)
-
-    def total(x):
-        flat = T.reshape(x, (1, x.data.size))
-        ones = Tensor(np.ones((x.data.size, 1), dtype=x.dtype))
-        return T.linear_map(flat, ones)
-
-    def t(*shape):
-        return Tensor(rng.normal(0.3, 1.0, size=shape), requires_grad=True)
-
-    op_checks = {
-        "linear_map": lambda: grad_check(
-            lambda v: total(T.linear_map(v[0], v[1], v[2])), [t(3, 4), t(4, 2), t(2)]
-        ),
-        "conv2d": lambda: grad_check(
-            lambda v: total(T.conv2d(v[0], T.Conv2dParams(v[1], v[2], 1, 1))),
-            [t(1, 2, 5, 5), t(3, 2, 3, 3), t(3)],
-        ),
-        "conv2d_stride2": lambda: grad_check(
-            lambda v: total(T.conv2d(v[0], T.Conv2dParams(v[1], None, 2, 1))),
-            [t(1, 2, 6, 6), t(3, 2, 3, 3)],
-        ),
-        "conv2d_1x1_bias": lambda: grad_check(
-            lambda v: total(T.conv2d(v[0], T.Conv2dParams(v[1], v[2]))),
-            [t(1, 3, 4, 4), t(2, 3, 1, 1), t(2)],
-        ),
-        "conv2d_batch2": lambda: grad_check(
-            lambda v: total(T.conv2d(v[0], T.Conv2dParams(v[1], None, 1, 1))),
-            [t(2, 2, 4, 4), t(3, 2, 3, 3)],
-        ),
-        "conv_transpose2d": lambda: grad_check(
-            lambda v: total(T.conv_transpose2d(v[0], v[1], 2)),
-            [t(1, 2, 4, 4), t(2, 3, 2, 2)],
-        ),
-        "batch_norm": lambda: grad_check(
-            lambda v: total(T.batch_norm(v[0], _bn(v[1], v[2]))),
-            [t(2, 3, 4, 4), t(3), t(3)],
-        ),
-        "batch_norm_eval": lambda: grad_check(
-            lambda v, stats=(rng.normal(size=3), rng.uniform(0.5, 2.0, 3)): total(
-                T.batch_norm(v[0], _bn(v[1], v[2], stats))),
-            [t(2, 3, 4, 4), t(3), t(3)],
-        ),
-        "batch_norm_relu": lambda: grad_check(
-            lambda v: total(T.batch_norm(v[0], _bn(v[1], v[2]), relu=True)),
-            [t(2, 3, 4, 4), t(3), t(3)],
-        ),
-        "batch_norm_relu_eval": lambda: grad_check(
-            lambda v, stats=(rng.normal(size=3), rng.uniform(0.5, 2.0, 3)): total(
-                T.batch_norm(v[0], _bn(v[1], v[2], stats), relu=True)),
-            [t(2, 3, 4, 4), t(3), t(3)],
-        ),
-        "relu": lambda: grad_check(lambda v: total(T.relu(v[0])), [t(3, 4)]),
-        "avg_pool2x2": lambda: grad_check(
-            lambda v: total(T.avg_pool2x2(v[0])), [t(1, 2, 4, 4)]
-        ),
-        "max_over_axis": lambda: grad_check(
-            lambda v: total(T.max_over_axis(v[0], 1)), [t(3, 5)]
-        ),
-        "max_over_axis_masked": lambda: grad_check(  # the last group all masked
-            lambda v, m=(rng.uniform(size=(3, 5)) < 0.6) & [[True], [True], [False]]: total(
-                T.max_over_axis(v[0], 1, mask=m)),
-            [t(3, 5)],
-        ),
-        "focal": lambda: grad_check(
-            lambda v, y=(rng.uniform(size=(4, 3)) < 0.3).astype(float):
-                sigmoid_focal_loss(v[0], y, np.ones(4), normalizer=2.0),
-            [t(4, 3)],
-        ),
-        "smooth_l1_sine": lambda: grad_check(
-            lambda v, tt=rng.normal(0, 0.4, size=(4, 7)):
-                smooth_l1_sine_loss(v[0], tt, np.ones(4), normalizer=2.0),
-            [t(4, 7)],
-        ),
-        "softmax_ce": lambda: grad_check(
-            lambda v, lab=rng.integers(0, 2, size=4):
-                softmax_cross_entropy(v[0], lab, np.ones(4), normalizer=2.0),
-            [t(4, 2)],
-        ),
-    }
+    """Finite differences on every op, loss and the composed detection loss,
+    10 random points each, through the table `densepillars gradcheck` runs."""
     ok = True
     worst = {}
-    for name, run in op_checks.items():
-        err = max(run() for _ in range(10))
-        worst[name] = err
-        ok &= err <= 1e-5
-
-    # composed detection loss over tiny random head maps
-    grid = GridSpec(x_range=(0.0, 6.4), y_range=(-3.2, 3.2), pillar_size=(0.4, 0.4))
-    cfg = AnchorConfig()
-    anchors, anchor_cls = generate_anchors(grid, cfg)
-    gt = Box3D(3.2, 0.4, -1.78, 1.6, 3.9, 1.56, 0.2)
-    asn = assign_targets(anchors, anchor_cls, [(gt, "Car")], cfg)
-
-    def composed(v):
-        return detection_loss(v[0], v[1], v[2], asn, anchor_cls, cfg)["total"]
-
-    h = w = 8
-    errs = [
-        grad_check(composed, [t(1, 18, h, w), t(1, 42, h, w), t(1, 12, h, w)])
-        for _ in range(10)
-    ]
-    worst["detection_loss"] = max(errs)
-    ok &= worst["detection_loss"] <= 1e-4
-
+    for name, tol, run in gradcheck_cases(np.random.default_rng(0)):
+        worst[name] = max(run() for _ in range(10))
+        ok &= worst[name] <= tol
     detail = ", ".join(f"{k} {v:.1e}" for k, v in worst.items())
     report(5, "gradient suite", ok, detail)
-
-
-def _bn(gamma, beta, eval_stats=None):
-    """Train-mode BN params, or eval mode with (running_mean, running_var)."""
-    p = T.BatchNormParams.create(gamma.shape[0], dtype=gamma.dtype)
-    p.gamma = gamma
-    p.beta = beta
-    if eval_stats is not None:
-        p.running_mean, p.running_var = eval_stats
-        p.mode = "eval"
-    return p
 
 
 def _mc_iou(a, b, n, rng):

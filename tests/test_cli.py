@@ -1,9 +1,14 @@
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from densepillars.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from densepillars.backbones import DenseBackboneSpec, GrowthSchedule
+from densepillars.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, build_parser, main
+from densepillars.cost import dense_backbone_cost
+from densepillars.encoder import GridSpec
 from densepillars.pointcloud import PREDICTION_HEADER, PointCloud, write_kitti_bin
 
 TINY_CFG = """\
@@ -41,6 +46,18 @@ class TestAnalyze:
             assert text.startswith("component,params,macs\n")
             assert len(text.strip().split("\n")) == 5
 
+    def test_prints_growth_sweep(self, tmp_path, capsys):
+        assert main(["analyze", "--out-dir", str(tmp_path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        for label in ("fixed k=16", "fixed k=32", "fixed k=64", "table-matched",
+                      "doubling k0=32"):
+            assert any(line.startswith(label) for line in lines)
+        grid = GridSpec()
+        k16 = dense_backbone_cost(DenseBackboneSpec(growth=GrowthSchedule("fixed", 16)),
+                                  grid.height, grid.width)
+        row = next(line for line in lines if line.startswith("fixed k=16"))
+        assert row.split()[2] == f"{k16.params:,}"
+
     def test_growth_flag(self, tmp_path, capsys):
         rc = main(["analyze", "--growth", "doubling:16", "--out-dir", str(tmp_path)])
         assert rc == EXIT_OK
@@ -63,10 +80,27 @@ class TestGradcheck:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        for op in ("conv2d", "conv2d_1x1_bias", "conv2d_batch2", "conv_transpose2d",
-                   "batch_norm", "batch_norm_eval", "batch_norm_relu", "batch_norm_relu_eval",
-                   "max_over_axis_masked", "conv_bn_relu"):
-            assert op in out
+        names = {line.split()[0] for line in out.splitlines()[1:]}
+        assert names == {
+            "linear_map", "conv2d", "conv2d_stride2", "conv2d_1x1_bias", "conv2d_batch2",
+            "conv_transpose2d", "batch_norm", "batch_norm_eval", "batch_norm_relu",
+            "batch_norm_relu_eval", "relu", "avg_pool2x2", "max_over_axis",
+            "max_over_axis_masked", "conv_bn_relu", "focal", "smooth_l1_sine", "softmax_ce",
+            "detection_loss",
+        }
+
+
+def test_readme_cli_block_parses():
+    """Every `densepillars ...` command in README's CLI block is accepted by
+    the parser, so a renamed or dropped verb or flag fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.strip() for line in block.replace("\\\n", " ").splitlines()
+                if line.strip().startswith("densepillars ")]
+    assert len(commands) >= 6
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])
 
 
 class TestSynth:

@@ -14,12 +14,6 @@ def rand_t(*shape, dtype=np.float64):
     return Tensor(rng.normal(0.0, 1.0, size=shape).astype(dtype), requires_grad=True)
 
 
-def total(x):
-    flat = T.reshape(x, (1, x.data.size))
-    ones = Tensor(np.ones((x.data.size, 1), dtype=x.dtype))
-    return T.reshape(T.linear_map(flat, ones), (1,))
-
-
 class TestConv2d:
     def test_identity_1x1(self):
         c = 3
@@ -42,14 +36,14 @@ class TestConv2d:
         w = rand_t(3, 2, 3, 3)
         b = rand_t(3)
         err = grad_check(
-            lambda v: total(T.conv2d(v[0], T.Conv2dParams(v[1], v[2], stride=1, padding=1))),
+            lambda v: T.conv2d(v[0], T.Conv2dParams(v[1], v[2], stride=1, padding=1)),
             [x, w, b],
         )
         assert err <= 1e-5
 
     def test_gradcheck_stride2(self):
         err = grad_check(
-            lambda v: total(T.conv2d(v[0], T.Conv2dParams(v[1], None, stride=2, padding=1))),
+            lambda v: T.conv2d(v[0], T.Conv2dParams(v[1], None, stride=2, padding=1)),
             [rand_t(1, 2, 6, 6), rand_t(3, 2, 3, 3)],
         )
         assert err <= 1e-5
@@ -113,7 +107,7 @@ class TestConvTranspose2d:
 
     def test_gradcheck(self):
         err = grad_check(
-            lambda v: total(T.conv_transpose2d(v[0], v[1], stride=2)),
+            lambda v: T.conv_transpose2d(v[0], v[1], stride=2),
             [rand_t(1, 2, 4, 4), rand_t(2, 3, 2, 2)],
         )
         assert err <= 1e-5
@@ -168,7 +162,7 @@ class TestBatchNorm:
             p = T.BatchNormParams.create(2, dtype=np.float64)
             p.gamma = v[1]
             p.beta = v[2]
-            return total(T.batch_norm(v[0], p))
+            return T.batch_norm(v[0], p)
 
         err = grad_check(f, [rand_t(2, 2, 3, 3), rand_t(2), rand_t(2)])
         assert err <= 1e-5
@@ -182,7 +176,7 @@ class TestSimpleOps:
 
     def test_relu_gradcheck_away_from_zero(self):
         x = Tensor(np.array([1.2, -0.8, 2.5, -3.0]))
-        err = grad_check(lambda v: total(T.relu(v[0])), [x])
+        err = grad_check(lambda v: T.relu(v[0]), [x])
         assert err <= 1e-6
 
     def test_avg_pool_examples(self):
@@ -196,7 +190,7 @@ class TestSimpleOps:
             T.avg_pool2x2(rand_t(1, 1, 3, 4))
 
     def test_avg_pool_gradcheck(self):
-        err = grad_check(lambda v: total(T.avg_pool2x2(v[0])), [rand_t(1, 2, 4, 4)])
+        err = grad_check(lambda v: T.avg_pool2x2(v[0]), [rand_t(1, 2, 4, 4)])
         assert err <= 1e-6
 
     def test_concat_examples(self):
@@ -240,7 +234,7 @@ class TestSimpleOps:
 
     def test_linear_gradcheck(self):
         err = grad_check(
-            lambda v: total(T.linear_map(v[0], v[1], v[2])), [rand_t(4, 5), rand_t(5, 3), rand_t(3)]
+            lambda v: T.linear_map(v[0], v[1], v[2]), [rand_t(4, 5), rand_t(5, 3), rand_t(3)]
         )
         assert err <= 1e-7
 
@@ -260,7 +254,7 @@ class TestSimpleOps:
         out.backward(np.array([2.0]))
         np.testing.assert_array_equal(x.grad, [[0.0, 2.0, 0.0]])
         err = grad_check(
-            lambda v: total(T.max_over_axis(v[0], 1)),
+            lambda v: T.max_over_axis(v[0], 1),
             [Tensor(np.array([[0.3, 2.0, -1.0], [4.0, 1.0, 0.0]]))],
         )
         assert err <= 1e-6
@@ -422,6 +416,36 @@ class TestNoGrad:
         assert T.relu(rand_t(2))._backward is not None
 
 
+class TestGradCheck:
+    """`grad_check` of a non-scalar output checks the sum of its entries."""
+
+    def test_catches_a_dropped_entry_gradient(self):
+        def drop_last(x):  # identity whose backward loses the last entry's gradient
+            def backward(g):
+                g = np.array(g)
+                g.reshape(-1)[-1] = 0.0
+                x._accumulate(g)
+
+            return T.make(x.data.copy(), (x,), backward)
+
+        assert grad_check(lambda v: drop_last(v[0]), [rand_t(2, 3)]) > 0.5
+
+    def test_non_scalar_equals_explicit_sum(self):
+        def explicit_sum(x):
+            def backward(g):
+                x._accumulate(np.broadcast_to(g, x.shape))
+
+            return T.make(np.sum(x.data).reshape(1), (x,), backward)
+
+        def conv(v):
+            return T.conv2d(v[0], T.Conv2dParams(v[1], v[2], 1, 1))
+
+        inputs = [rand_t(1, 2, 5, 5), rand_t(3, 2, 3, 3), rand_t(3)]
+        err = grad_check(conv, inputs)
+        assert err <= 1e-5
+        assert abs(err - grad_check(lambda v: explicit_sum(conv(v)), inputs)) <= 1e-12
+
+
 class TestInvariants:
     def test_composed_conv_bn_relu_gradcheck(self):
         def f(v):
@@ -429,7 +453,7 @@ class TestInvariants:
             p.gamma = v[2]
             p.beta = v[3]
             h = T.conv2d(v[0], T.Conv2dParams(v[1], None, 1, 1))
-            return total(T.relu(T.batch_norm(h, p)))
+            return T.relu(T.batch_norm(h, p))
 
         err = grad_check(
             f,
@@ -444,7 +468,7 @@ class TestInvariants:
             x = Tensor(r.normal(size=(1, 2, 4, 4)))
             w = Tensor(r.normal(size=(2, 2, 3, 3)))
             err = grad_check(
-                lambda v: total(T.conv2d(v[0], T.Conv2dParams(v[1], None, 1, 1))), [x, w]
+                lambda v: T.conv2d(v[0], T.Conv2dParams(v[1], None, 1, 1)), [x, w]
             )
             assert err <= 1e-5
 
