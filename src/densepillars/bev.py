@@ -8,7 +8,6 @@ centres are close enough to overlap, then make one call on those pairs.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,7 +23,6 @@ class EvalConfig:
     iou_thresholds: dict = field(
         default_factory=lambda: {"Car": 0.7, "Pedestrian": 0.5, "Cyclist": 0.5}
     )
-    nms_iou: float = 0.01
     mode: str = "BEV"  # BEV | 3D
 
 
@@ -158,21 +156,12 @@ def iou_matrix(a, b, mode: str = "BEV") -> np.ndarray:
     return out
 
 
-def _out_of_reach(a: Box3D, b: Box3D) -> bool:
-    half_diags = (math.hypot(a.w, a.l) + math.hypot(b.w, b.l)) / 2.0
-    return math.hypot(a.cx - b.cx, a.cy - b.cy) > half_diags
-
-
 def rotated_iou_bev(a: Box3D, b: Box3D) -> float:
-    if _out_of_reach(a, b):
-        return 0.0
-    return float(pair_iou(box_rows([a]), box_rows([b]))[0])
+    return float(iou_matrix(box_rows([a]), box_rows([b]))[0, 0])
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
-    if _out_of_reach(a, b):
-        return 0.0
-    return float(pair_iou(box_rows([a]), box_rows([b]), "3D")[0])
+    return float(iou_matrix(box_rows([a]), box_rows([b]), "3D")[0, 0])
 
 
 def nms_bev(dets, iou_thr: float):

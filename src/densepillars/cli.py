@@ -31,13 +31,12 @@ from .pointcloud import (
     read_kitti_bin,
     read_labels,
     read_predictions,
-    synth_scene,
     write_kitti_bin,
     write_labels,
     write_predictions,
 )
 from .tensor import ConfigurationError, InvariantViolation, grad_check
-from .train import load_checkpoint, train
+from .train import load_checkpoint, make_training_scenes, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -60,6 +59,8 @@ def _load_config(args) -> RunConfig:
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["run.seed"] = str(args.seed)
+    if getattr(args, "num_scenes", None) is not None:
+        overrides["train.num_scenes"] = str(args.num_scenes)
     if getattr(args, "backbone", None) is not None:
         overrides["architecture.backbone"] = args.backbone
     if getattr(args, "growth", None) is not None:
@@ -203,16 +204,9 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = _load_config(args)
-    g = cfg.grid_spec()
     out_dir = cfg["paths.out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    for i in range(args.num_scenes):
-        scene = synth_scene(
-            seed=cfg["run.seed"] * 1000 + i,
-            n_boxes=cfg["train.boxes_per_scene"],
-            x_range=g.x_range,
-            y_range=g.y_range,
-        )
+    for i, scene in enumerate(make_training_scenes(cfg)):
         stem = os.path.join(out_dir, f"scene_{i:04d}")
         write_kitti_bin(stem + ".bin", scene.cloud)
         write_labels(stem + ".csv", scene.boxes)
@@ -232,7 +226,6 @@ def cmd_infer(args) -> int:
     cfg = _load_config(args)
     pipeline, _, _ckpt_cfg = load_checkpoint(args.checkpoint)
     pipeline.set_mode("eval")
-    eval_cfg = cfg.eval_config()
     paths = sorted(glob.glob(os.path.join(cfg["paths.data_dir"], "*.bin")))
     if not paths:
         raise FileNotFoundError(f"no .bin clouds in {cfg['paths.data_dir']}")
@@ -241,7 +234,7 @@ def cmd_infer(args) -> int:
     for path in paths:
         cloud = read_kitti_bin(path)
         dets = pipeline.predict(
-            cloud, score_thr=cfg["eval.score_threshold"], nms_thr=eval_cfg.nms_iou
+            cloud, score_thr=cfg["eval.score_threshold"], nms_thr=cfg["eval.nms_iou"]
         )
         stem = os.path.splitext(os.path.basename(path))[0]
         out = os.path.join(out_dir, stem + ".pred.csv")
@@ -278,29 +271,31 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, out=True, data=False):
-        p.add_argument("--config", default=None, help="key = value config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--backbone", choices=("dense", "baseline"), default=None)
-        p.add_argument("--growth", default=None,
-                       help="fixed:<k> | doubling:<k0> | table")
-        if out:
-            p.add_argument("--out-dir", default=None)
-        if data:
-            p.add_argument("--data-dir", default=None)
+    # each verb takes --config and only the flags it reads
+    flags = {
+        "seed": dict(type=int),
+        "backbone": dict(choices=("dense", "baseline")),
+        "growth": dict(help="fixed:<k> | doubling:<k0> | table"),
+        "num-scenes": dict(type=int, help="overrides train.num_scenes"),
+        "out-dir": dict(),
+        "data-dir": dict(),
+        "checkpoint": dict(required=True),
+        "pred-dir": dict(required=True),
+    }
 
-    common(sub.add_parser("analyze", help="parameter/MAC cost report"))
+    def verb(name, summary, *names):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", default=None, help="key = value config file")
+        for n in names:
+            p.add_argument(f"--{n}", **flags[n])
+
+    verb("analyze", "parameter/MAC cost report", "growth", "out-dir")
     sub.add_parser("gradcheck", help="finite-difference check of every op")
-    p = sub.add_parser("synth", help="generate labeled synthetic scenes")
-    common(p)
-    p.add_argument("--num-scenes", type=int, default=8)
-    common(sub.add_parser("train", help="overfit training on synthetic scenes"))
-    p = sub.add_parser("infer", help="run a checkpoint over .bin clouds")
-    common(p, data=True)
-    p.add_argument("--checkpoint", required=True)
-    p = sub.add_parser("eval", help="AP(R40) of prediction CSVs against labels")
-    common(p, out=False, data=True)
-    p.add_argument("--pred-dir", required=True)
+    verb("synth", "write the scenes train trains on", "seed", "num-scenes", "out-dir")
+    verb("train", "overfit training on synthetic scenes",
+         "seed", "backbone", "growth", "out-dir")
+    verb("infer", "run a checkpoint over .bin clouds", "data-dir", "checkpoint", "out-dir")
+    verb("eval", "AP(R40) of prediction CSVs against labels", "data-dir", "pred-dir")
     return parser
 
 

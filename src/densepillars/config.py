@@ -106,7 +106,6 @@ class RunConfig:
                 "Pedestrian": v["eval.iou_pedestrian"],
                 "Cyclist": v["eval.iou_cyclist"],
             },
-            nms_iou=v["eval.nms_iou"],
             mode=v["eval.mode"],
         )
 

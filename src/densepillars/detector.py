@@ -270,7 +270,7 @@ def sigmoid_focal_loss(logits: Tensor, target, weight, alpha=0.25, gamma=2.0,
         s_neg = _softplus(z)
         d_pos = -alpha * (1.0 - p) ** gamma * (gamma * p * s_pos + (1.0 - p))
         d_neg = (1.0 - alpha) * p**gamma * (gamma * (1.0 - p) * s_neg + p)
-        logits._accumulate(g * w * (y * d_pos + (1.0 - y) * d_neg))
+        return (g * w * (y * d_pos + (1.0 - y) * d_neg),)
 
     return T.make(np.asarray(total, dtype=logits.dtype), (logits,), backward)
 
@@ -292,7 +292,7 @@ def smooth_l1_sine_loss(pred: Tensor, target, weight, beta=1.0 / 9.0,
     def backward(g):
         dr = np.where(quad, r / beta, np.sign(r)) * w * g
         dr[:, angle_channel] *= np.cos(ang)
-        pred._accumulate(dr)
+        return (dr,)
 
     return T.make(np.asarray(total, dtype=pred.dtype), (pred,), backward)
 
@@ -311,7 +311,7 @@ def softmax_cross_entropy(logits: Tensor, labels, weight, normalizer=1.0) -> Ten
         soft /= soft.sum(axis=1, keepdims=True)
         onehot = np.zeros_like(z)
         onehot[np.arange(z.shape[0]), lab] = 1.0
-        logits._accumulate(g * w[:, None] * (soft - onehot))
+        return (g * w[:, None] * (soft - onehot),)
 
     return T.make(np.asarray(total, dtype=logits.dtype), (logits,), backward)
 

@@ -177,6 +177,6 @@ def scatter_to_pseudo_image(features: Tensor, coords: np.ndarray, g: GridSpec) -
     out[0, :, rows, cols] = features.data
 
     def backward(grad):
-        features._accumulate(grad[0][:, rows, cols].T)
+        return (grad[0][:, rows, cols].T,)
 
     return T.make(out, (features,), backward)

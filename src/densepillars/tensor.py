@@ -5,6 +5,12 @@ transposed conv, batch norm, relu, 2x2 average pooling, channel concat,
 affine maps, masked max reduction, plus a handful of glue ops (add, scale,
 reshape, transpose). Data lives in numpy arrays; float32 is the working
 precision, float64 is used by the finite-difference checker.
+
+Each op is a vector-Jacobian product: `make(out, parents, backward)` records
+it, and `backward(g)` returns one gradient per parent (None for a parent
+that gets none) without touching any tensor's `.grad`. `Tensor.backward` is
+the one place gradients are accumulated, and only into tensors with
+`requires_grad`.
 """
 
 from __future__ import annotations
@@ -22,16 +28,6 @@ class ConfigurationError(ValueError):
 
 class InvariantViolation(RuntimeError):
     """An internal invariant (finiteness, uniqueness, ...) was broken."""
-
-
-# Debug switch: when True, every op asserts its output is finite.
-CHECK_FINITE = False
-
-
-def _checked(arr):
-    if CHECK_FINITE and not np.all(np.isfinite(arr)):
-        raise InvariantViolation("non-finite values produced by tensor op")
-    return arr
 
 
 class Tensor:
@@ -77,23 +73,29 @@ class Tensor:
         self._accumulate(np.broadcast_to(np.asarray(grad, dtype=self.dtype), self.shape))
 
         order = []
-        seen = set()
-
-        def visit(t):
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            order.append(t)
-
-        visit(self)
+        _visit(self, set(), order)
         for t in reversed(order):
-            if t._backward is not None and t.grad is not None:
-                t._backward(t.grad)
+            if t._backward is None or t.grad is None:
+                continue
+            for p, g in zip(t._parents, t._backward(t.grad), strict=True):
+                if g is not None and p.requires_grad:
+                    p._accumulate(g)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
+
+
+def _visit(t, seen, order):
+    """Append t's graph to `order`, parents first. Not a closure in
+    `backward`: a closure that calls itself is a reference cycle, which would
+    keep the whole graph, activations and gradients, alive until the cycle
+    collector runs instead of freeing it when the caller drops the output."""
+    if id(t) in seen:
+        return
+    seen.add(id(t))
+    for p in t._parents:
+        _visit(p, seen, order)
+    order.append(t)
 
 
 # Whether ops record the graph; per thread and per asyncio task.
@@ -113,15 +115,13 @@ def no_grad():
 
 def make(out_data, parents, backward):
     """Wrap an op result in a Tensor. `backward(g)` receives the output's
-    gradient and accumulates into `parents`; the graph is wired only when
-    recording is on and a parent needs grads."""
-    out = Tensor(_checked(out_data))
-    if not _grad_enabled.get():
-        return out
-    live = [p for p in parents if p.requires_grad or p._parents]
-    if live:
-        out.requires_grad = any(p.requires_grad for p in parents)
-        out._parents = tuple(live)
+    gradient and returns one gradient per parent, or None for a parent that
+    gets none; the graph is wired only when recording is on and a parent
+    requires grad."""
+    out = Tensor(out_data)
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = tuple(parents)
         out._backward = backward
     return out
 
@@ -180,15 +180,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ConfigurationError(f"add shape mismatch: {a.shape} vs {b.shape}")
 
     def backward(g):
-        a._accumulate(g)
-        b._accumulate(g)
+        return g, g
 
     return make(a.data + b.data, (a, b), backward)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     def backward(g):
-        a._accumulate(g * s)
+        return (g * s,)
 
     return make(a.data * s, (a,), backward)
 
@@ -197,7 +196,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     orig = a.shape
 
     def backward(g):
-        a._accumulate(g.reshape(orig))
+        return (g.reshape(orig),)
 
     return make(a.data.reshape(shape), (a,), backward)
 
@@ -206,14 +205,14 @@ def transpose(a: Tensor, axes) -> Tensor:
     inv = np.argsort(axes)
 
     def backward(g):
-        a._accumulate(np.transpose(g, inv))
+        return (np.transpose(g, inv),)
 
     return make(np.transpose(a.data, axes), (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
     def backward(g):
-        a._accumulate(g * (a.data > 0))  # subgradient at 0 is 0
+        return (g * (a.data > 0),)  # subgradient at 0 is 0
 
     return make(np.maximum(a.data, 0), (a,), backward)
 
@@ -227,8 +226,7 @@ def channel_concat(inputs) -> Tensor:
     splits = np.cumsum([t.shape[1] for t in inputs])[:-1]
 
     def backward(g):
-        for t, piece in zip(inputs, np.split(g, splits, axis=1)):
-            t._accumulate(piece)
+        return np.split(g, splits, axis=1)
 
     return make(np.concatenate([t.data for t in inputs], axis=1), inputs, backward)
 
@@ -246,11 +244,11 @@ def linear_map(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def backward(g):
         g2 = g.reshape(-1, weight.shape[1])
-        if x.requires_grad or x._parents:  # not for constant inputs (PFN features)
-            x._accumulate((g2 @ weight.data.T).reshape(x.shape))
-        weight._accumulate(x2.T @ g2)
-        if bias is not None:
-            bias._accumulate(g2.sum(axis=0))
+        # no input gradient for a constant input (the PFN features)
+        dx = (g2 @ weight.data.T).reshape(x.shape) if x.requires_grad else None
+        if bias is None:
+            return dx, x2.T @ g2
+        return dx, x2.T @ g2, g2.sum(axis=0)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return make(out.reshape(*lead, weight.shape[1]), parents, backward)
@@ -314,13 +312,10 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     def backward(g):
         g2 = g.reshape(n, c_out, h_out * w_out)
         w2 = p.weight.data.reshape(c_out, -1)
-        if p.bias is not None:
-            p.bias._accumulate(g2.sum(axis=(0, 2)))
+        db = () if p.bias is None else (g2.sum(axis=(0, 2)),)
         if pointwise:
             dw = np.tensordot(g2, x.data.reshape(n, c_in, h * w), axes=([0, 2], [0, 2]))
-            p.weight._accumulate(dw.reshape(p.weight.shape))
-            x._accumulate((w2.T @ g2).reshape(x.shape))
-            return
+            return ((w2.T @ g2).reshape(x.shape), dw.reshape(p.weight.shape), *db)
         xp = padded()
         dw = np.zeros(w2.shape, dtype=np.result_type(w2, g2))
         dxp = np.zeros(xp.shape, dtype=dw.dtype)
@@ -333,8 +328,7 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
                     dxp[:, :, i + s * r0 : i + s * r1 : s, j : j + s * w_out : s] += (
                         dcols[:, :, i, j]
                     )
-        p.weight._accumulate(dw.reshape(p.weight.shape))
-        x._accumulate(dxp[:, :, pad : pad + h, pad : pad + w])
+        return (dxp[:, :, pad : pad + h, pad : pad + w], dw.reshape(p.weight.shape), *db)
 
     parents = (x, p.weight) if p.bias is None else (x, p.weight, p.bias)
     return make(out, parents, backward)
@@ -356,8 +350,8 @@ def conv_transpose2d(x: Tensor, weight: Tensor, stride: int) -> Tensor:
 
     def backward(g):
         gr = g.reshape(n, c_out, h, stride, w, stride)
-        x._accumulate(np.einsum("nohiwj,coij->nchw", gr, weight.data, optimize=True))
-        weight._accumulate(np.einsum("nohiwj,nchw->coij", gr, x.data, optimize=True))
+        return (np.einsum("nohiwj,coij->nchw", gr, weight.data, optimize=True),
+                np.einsum("nohiwj,nchw->coij", gr, x.data, optimize=True))
 
     return make(out, (x, weight), backward)
 
@@ -371,7 +365,7 @@ def avg_pool2x2(x: Tensor) -> Tensor:
     out = (rows[..., 0] + rows[..., 1]) * 0.25
 
     def backward(g):
-        x._accumulate(np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25)
+        return (np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25,)
 
     return make(out, (x,), backward)
 
@@ -413,8 +407,6 @@ def batch_norm(x: Tensor, p: BatchNormParams, relu: bool = False) -> Tensor:
             g = g * (out > 0)  # subgradient at 0 is 0; a new buffer dx may reuse
         sum_g = np.einsum("nchw->c", g)
         sum_g_xhat = (np.einsum("nchw,nchw->c", g, x.data) - mean * sum_g) * inv_std
-        p.gamma._accumulate(sum_g_xhat)
-        p.beta._accumulate(sum_g)
         dx = np.multiply(g, a[None, :, None, None], out=g if relu else None)
         if train:
             # dx = a·(g - Σg/count - x_hat·Σg·x_hat/count), x_hat expanded
@@ -422,7 +414,7 @@ def batch_norm(x: Tensor, p: BatchNormParams, relu: bool = False) -> Tensor:
             k3 = mean * k2 - a * sum_g / count
             dx -= x.data * k2[None, :, None, None]
             dx += k3[None, :, None, None]
-        x._accumulate(dx)
+        return dx, sum_g_xhat, sum_g
 
     return make(out, (x, p.gamma, p.beta), backward)
 
@@ -446,7 +438,7 @@ def max_over_axis(x: Tensor, axis: int, mask=None) -> Tensor:
         dx = np.zeros_like(x.data)
         np.put_along_axis(dx, np.expand_dims(arg, axis),
                           np.expand_dims(np.where(empty, 0.0, g), axis), axis)
-        x._accumulate(dx)
+        return (dx,)
 
     return make(out, (x,), backward)
 

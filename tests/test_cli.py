@@ -7,9 +7,16 @@ import pytest
 
 from densepillars.backbones import DenseBackboneSpec, GrowthSchedule
 from densepillars.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, build_parser, main
+from densepillars.config import parse_config
 from densepillars.cost import dense_backbone_cost
 from densepillars.encoder import GridSpec
-from densepillars.pointcloud import PREDICTION_HEADER, PointCloud, write_kitti_bin
+from densepillars.pointcloud import (
+    PREDICTION_HEADER,
+    PointCloud,
+    write_kitti_bin,
+    write_labels,
+)
+from densepillars.train import make_training_scenes
 
 TINY_CFG = """\
 [grid]
@@ -103,6 +110,16 @@ def test_readme_cli_block_parses():
         parser.parse_args(shlex.split(command)[1:])
 
 
+def test_verbs_reject_flags_they_ignore(capsys):
+    """`infer` takes its model from the checkpoint, so `--backbone` there
+    is a usage error rather than a flag that is silently dropped."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["infer", "--backbone", "baseline", "--data-dir", "d",
+                                   "--checkpoint", "c.npz"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --backbone baseline" in capsys.readouterr().err
+
+
 class TestSynth:
     def test_writes_scene_files(self, tmp_path, tiny_cfg):
         rc = main(
@@ -122,6 +139,25 @@ class TestSynth:
         a = (tmp_path / "a" / "scene_0000.bin").read_bytes()
         b = (tmp_path / "b" / "scene_0000.bin").read_bytes()
         assert a == b
+
+    def test_writes_the_training_scenes(self, tmp_path, tiny_cfg):
+        assert main(["synth", "--config", tiny_cfg, "--seed", "5", "--num-scenes", "3",
+                     "--out-dir", str(tmp_path / "data")]) == EXIT_OK
+        cfg = parse_config(tiny_cfg, {"run.seed": "5", "train.num_scenes": "3"})
+        (tmp_path / "want").mkdir()
+        for i, scene in enumerate(make_training_scenes(cfg)):
+            stem = f"scene_{i:04d}"
+            write_kitti_bin(str(tmp_path / "want" / f"{stem}.bin"), scene.cloud)
+            write_labels(str(tmp_path / "want" / f"{stem}.csv"), scene.boxes)
+        assert sorted(os.listdir(tmp_path / "data")) == sorted(os.listdir(tmp_path / "want"))
+        for name in os.listdir(tmp_path / "want"):
+            assert ((tmp_path / "data" / name).read_bytes()
+                    == (tmp_path / "want" / name).read_bytes()), name
+
+    def test_scene_count_defaults_to_the_config(self, tmp_path, tiny_cfg):
+        out = tmp_path / "data"
+        assert main(["synth", "--config", tiny_cfg, "--out-dir", str(out)]) == EXIT_OK
+        assert len(os.listdir(out)) == 2 * 2  # num_scenes = 2: a .bin and a .csv each
 
 
 class TestTrainInferEvalRoundtrip:
