@@ -36,7 +36,7 @@ from .pointcloud import (
     write_predictions,
 )
 from .tensor import ConfigurationError, InvariantViolation, grad_check
-from .train import load_checkpoint, make_training_scenes, train
+from .train import RECALL_IOU, load_checkpoint, make_training_scenes, train, training_recall
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -55,20 +55,27 @@ def _parse_growth(text: str) -> dict:
     )
 
 
+# flag -> (the config key it overrides, or a function of its value giving the
+# overrides, or None; its argparse keywords). Each verb takes --config and
+# only the flags it reads.
+FLAGS = {
+    "seed": ("run.seed", dict(type=int)),
+    "backbone": ("architecture.backbone", dict(choices=("dense", "baseline"))),
+    "growth": (_parse_growth, dict(help="fixed:<k> | doubling:<k0> | table")),
+    "num-scenes": ("train.num_scenes", dict(type=int, help="overrides train.num_scenes")),
+    "out-dir": ("paths.out_dir", dict()),
+    "data-dir": ("paths.data_dir", dict()),
+    "checkpoint": (None, dict(required=True)),
+    "pred-dir": (None, dict(required=True)),
+}
+
+
 def _load_config(args) -> RunConfig:
     overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["run.seed"] = str(args.seed)
-    if getattr(args, "num_scenes", None) is not None:
-        overrides["train.num_scenes"] = str(args.num_scenes)
-    if getattr(args, "backbone", None) is not None:
-        overrides["architecture.backbone"] = args.backbone
-    if getattr(args, "growth", None) is not None:
-        overrides.update(_parse_growth(args.growth))
-    if getattr(args, "out_dir", None) is not None:
-        overrides["paths.out_dir"] = args.out_dir
-    if getattr(args, "data_dir", None) is not None:
-        overrides["paths.data_dir"] = args.data_dir
+    for flag, (key, _) in FLAGS.items():
+        value = getattr(args, flag.replace("-", "_"), None)
+        if key is not None and value is not None:
+            overrides.update(key(value) if callable(key) else {key: value})
     return parse_config(args.config, overrides)
 
 
@@ -217,8 +224,14 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     out_dir = cfg["paths.out_dir"]
-    train(cfg, out_dir)
+    scenes = make_training_scenes(cfg)
+    pipeline, history = train(cfg, out_dir, scenes=scenes)
     print(f"checkpoint and loss.csv written to {out_dir}")
+    print(f"\nloss {history[0]:.3f} -> {history[-1]:.3f} "
+          f"(ratio {history[-1] / history[0]:.4f})")
+    print(f"recall on the training scenes at BEV IoU {RECALL_IOU}:")
+    for cls, (found, total) in training_recall(pipeline, scenes, cfg).items():
+        print(f"{cls:<12} recall {found}/{total} = {found / total:.2f}")
     return EXIT_OK
 
 
@@ -271,28 +284,16 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    # each verb takes --config and only the flags it reads
-    flags = {
-        "seed": dict(type=int),
-        "backbone": dict(choices=("dense", "baseline")),
-        "growth": dict(help="fixed:<k> | doubling:<k0> | table"),
-        "num-scenes": dict(type=int, help="overrides train.num_scenes"),
-        "out-dir": dict(),
-        "data-dir": dict(),
-        "checkpoint": dict(required=True),
-        "pred-dir": dict(required=True),
-    }
-
     def verb(name, summary, *names):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", default=None, help="key = value config file")
         for n in names:
-            p.add_argument(f"--{n}", **flags[n])
+            p.add_argument(f"--{n}", **FLAGS[n][1])
 
     verb("analyze", "parameter/MAC cost report", "growth", "out-dir")
     sub.add_parser("gradcheck", help="finite-difference check of every op")
     verb("synth", "write the scenes train trains on", "seed", "num-scenes", "out-dir")
-    verb("train", "overfit training on synthetic scenes",
+    verb("train", "overfit on synthetic scenes, then report recall on them",
          "seed", "backbone", "growth", "out-dir")
     verb("infer", "run a checkpoint over .bin clouds", "data-dir", "checkpoint", "out-dir")
     verb("eval", "AP(R40) of prediction CSVs against labels", "data-dir", "pred-dir")

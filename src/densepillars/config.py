@@ -59,14 +59,12 @@ SCHEMA = {
 
 
 def _convert(key, raw):
+    """The typed, checked value of `key` from any source: a file string, a flag
+    override or a checkpoint's JSON value. Each is read as its text, so an int
+    key rejects 2.5 and a float key rejects true whatever the source."""
     typ, _, check = SCHEMA[key]
     try:
-        if typ is int:
-            val = int(raw)
-        elif typ is float:
-            val = float(raw)
-        else:
-            val = str(raw)
+        val = typ(str(raw))
     except ValueError:
         raise ConfigurationError(f"malformed value for {key}: {raw!r}") from None
     if check is not None:
@@ -118,8 +116,8 @@ class RunConfig:
         if not isinstance(values, dict):
             raise ValueError(f"expected a JSON object, got {type(values).__name__}")
         cfg = RunConfig()
-        for key in SCHEMA:
-            cfg.values[key] = values.get(key, SCHEMA[key][1])
+        for key, (_, default, _) in SCHEMA.items():
+            cfg.values[key] = _convert(key, values[key]) if key in values else default
             cfg.provenance[key] = "checkpoint"
         return cfg
 
@@ -149,6 +147,6 @@ def parse_config(path=None, overrides=None) -> RunConfig:
     for key, raw in (overrides or {}).items():
         if key not in SCHEMA:
             raise ConfigurationError(f"unknown key {key!r}")
-        cfg.values[key] = _convert(key, raw) if isinstance(raw, str) else raw
+        cfg.values[key] = _convert(key, raw)
         cfg.provenance[key] = "flag"
     return cfg

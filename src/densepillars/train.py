@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 
+from .bev import recall_at_iou
 from .config import RunConfig
 from .model import DetectionPipeline, state_array
 from .optim import OptimizerState, adamw_step, cosine_lr
@@ -14,6 +15,7 @@ from .pointcloud import FormatError, synth_scene
 from .tensor import InvariantViolation
 
 CHECKPOINT_VERSION = 1
+RECALL_IOU = 0.5  # BEV IoU at which `training_recall` counts a box as found
 
 
 def build_pipeline(cfg: RunConfig) -> DetectionPipeline:
@@ -66,8 +68,8 @@ def _restore(state):
     raw = bytes(state_array(state, "meta/config"))
     try:
         cfg = RunConfig.from_json(raw.decode("utf-8"))
-    except ValueError as e:  # UnicodeDecodeError, JSONDecodeError or not an object
-        raise FormatError(f"checkpoint array 'meta/config' is not a JSON config: {e}") from None
+    except ValueError as e:  # undecodable, not a JSON object, or a bad value
+        raise FormatError(f"checkpoint array 'meta/config' is not a valid config: {e}") from None
     pipeline = build_pipeline(cfg)
     pipeline.load_state_arrays(state)
     params = pipeline.named_params()
@@ -130,6 +132,7 @@ def train(cfg: RunConfig, out_dir: str, scenes=None, log=print):
             losses["total"].backward(np.array(1.0 / bs, dtype=np.float32))
             for k in sums:
                 sums[k] += float(losses[k].data) / bs
+            del losses  # free this sample's graph before the next forward
         if not math.isfinite(sums["total"]):
             raise InvariantViolation(f"non-finite loss at step {step}: {sums}")
         adamw_step(params, opt)
@@ -145,3 +148,16 @@ def train(cfg: RunConfig, out_dir: str, scenes=None, log=print):
         f.write("\n".join(rows) + "\n")
     save_checkpoint(os.path.join(out_dir, "checkpoint.npz"), pipeline, opt, cfg)
     return pipeline, history
+
+
+def training_recall(pipeline: DetectionPipeline, scenes, cfg: RunConfig) -> dict:
+    """Per class, (found, total) of the scenes' boxes that the pipeline, in
+    eval mode with the config's score and NMS thresholds, detects at BEV IoU
+    >= RECALL_IOU. On the scenes `train` fitted, this is the overfit check."""
+    pipeline.set_mode("eval")
+    frames = [
+        (pipeline.predict(s.cloud, score_thr=cfg["eval.score_threshold"],
+                          nms_thr=cfg["eval.nms_iou"]), s.boxes)
+        for s in scenes
+    ]
+    return recall_at_iou(frames, RECALL_IOU)

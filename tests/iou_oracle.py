@@ -1,6 +1,6 @@
-"""Scalar rotated-box IoU oracle shared by the tests: Sutherland-Hodgman on
-lists of tuples, one pair at a time, independent of the batched kernel in
-`densepillars.bev`."""
+"""Rotated-box oracles shared by the tests, independent of the batched kernel
+in `densepillars.bev`: a scalar Sutherland-Hodgman IoU on lists of tuples,
+one pair at a time, a Monte-Carlo IoU estimate, and a greedy-NMS replay."""
 
 import math
 
@@ -81,3 +81,40 @@ def oracle_iou_3d(a, b):
     if union < AREA_EPS:
         return 0.0
     return min(max(inter / union, 0.0), 1.0)
+
+
+def monte_carlo_iou(a, b, n, rng):
+    """Rejection-sampling BEV IoU estimate from `n` points drawn by `rng`
+    over the two boxes' joint bounding box."""
+
+    def inside(px, py, box):
+        c, s = math.cos(box.yaw), math.sin(box.yaw)
+        dx, dy = px - box.cx, py - box.cy
+        lx = c * dx + s * dy
+        ly = -s * dx + c * dy
+        return (np.abs(lx) <= box.l / 2) & (np.abs(ly) <= box.w / 2)
+
+    corners = np.concatenate([a.bev_corners(), b.bev_corners()])
+    lo, hi = corners.min(axis=0), corners.max(axis=0)
+    px = rng.uniform(lo[0], hi[0], n)
+    py = rng.uniform(lo[1], hi[1], n)
+    in_a = inside(px, py, a)
+    in_b = inside(px, py, b)
+    union = np.count_nonzero(in_a | in_b)
+    return 0.0 if union == 0 else np.count_nonzero(in_a & in_b) / union
+
+
+def brute_nms(dets, thr):
+    """Indices NMS keeps, by replaying the greedy rule one pair at a time: in
+    score order, keep a detection unless a kept one of its class overlaps it
+    with BEV IoU above `thr`."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    kept = []
+    for i in order:
+        if all(
+            dets[j].label != dets[i].label
+            or oracle_iou_bev(dets[i].box, dets[j].box) <= thr
+            for j in kept
+        ):
+            kept.append(i)
+    return kept

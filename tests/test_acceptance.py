@@ -6,6 +6,7 @@ and takes a few minutes on a laptop CPU; everything else is fast.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from densepillars.backbones import (
     DenseBackboneSpec,
     GrowthSchedule,
 )
-from densepillars.bev import ap_r40, nms_bev, recall_at_iou, rotated_iou_bev
+from densepillars.bev import ap_r40, nms_bev, rotated_iou_bev
 from densepillars.cli import gradcheck_cases
 from densepillars.config import parse_config
 from densepillars.cost import (
@@ -38,10 +39,11 @@ from densepillars.detector import (
 from densepillars.encoder import GridSpec
 from densepillars.pointcloud import CLASSES, Box3D, Detection
 from densepillars.tensor import Tensor
-from densepillars.train import make_training_scenes, train
-from iou_oracle import oracle_iou_bev
+from densepillars.train import RECALL_IOU, make_training_scenes, train, training_recall
+from iou_oracle import brute_nms, monte_carlo_iou, oracle_iou_bev
 
 KITTI = GridSpec()  # 64-channel pseudo-image at 496 x 432
+REPO = Path(__file__).resolve().parents[1]
 
 
 def report(criterion, name, passed, detail=""):
@@ -160,37 +162,6 @@ def test_criterion_5_gradient_suite():
     report(5, "gradient suite", ok, detail)
 
 
-def _mc_iou(a, b, n, rng):
-    def inside(px, py, box):
-        c, s = math.cos(box.yaw), math.sin(box.yaw)
-        dx, dy = px - box.cx, py - box.cy
-        lx = c * dx + s * dy
-        ly = -s * dx + c * dy
-        return (np.abs(lx) <= box.l / 2) & (np.abs(ly) <= box.w / 2)
-
-    corners = np.concatenate([a.bev_corners(), b.bev_corners()])
-    lo, hi = corners.min(axis=0), corners.max(axis=0)
-    px = rng.uniform(lo[0], hi[0], n)
-    py = rng.uniform(lo[1], hi[1], n)
-    in_a = inside(px, py, a)
-    in_b = inside(px, py, b)
-    union = np.count_nonzero(in_a | in_b)
-    return 0.0 if union == 0 else np.count_nonzero(in_a & in_b) / union
-
-
-def _brute_nms(dets, thr):
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    kept = []
-    for i in order:
-        if all(
-            dets[j].label != dets[i].label
-            or oracle_iou_bev(dets[i].box, dets[j].box) <= thr
-            for j in kept
-        ):
-            kept.append(i)
-    return kept
-
-
 def _brute_assign(anchors, anchor_cls, gts, cfg):
     """Threshold matching + per-gt force matching, no distance prefilter."""
     a = anchors.shape[0]
@@ -233,7 +204,7 @@ def test_criterion_6_geometry_oracles():
                   rng.uniform(0.6, 3), rng.uniform(0.6, 3), 1.0,
                   rng.uniform(-math.pi, math.pi))
         mc_worst = max(
-            mc_worst, abs(rotated_iou_bev(a, b) - _mc_iou(a, b, 1_000_000, rng))
+            mc_worst, abs(rotated_iou_bev(a, b) - monte_carlo_iou(a, b, 1_000_000, rng))
         )
     mc_ok = mc_worst <= 2e-3
 
@@ -259,7 +230,7 @@ def test_criterion_6_geometry_oracles():
         ]
         thr = float(rng.uniform(0.0, 0.5))
         got = nms_bev(dets, thr)
-        want = [dets[i] for i in _brute_nms(dets, thr)]
+        want = [dets[i] for i in brute_nms(dets, thr)]
         nms_ok &= [(d.score, d.label) for d in got] == [(d.score, d.label) for d in want]
 
     # target assignment against a brute-force oracle on 200 random instances
@@ -306,27 +277,17 @@ def test_criterion_6_geometry_oracles():
     )
 
 
-def test_criterion_7_overfit_smoke():
-    """Train on 8 synthetic scenes; loss < 10% of start, recall >= 0.8 per class."""
-    cfg = parse_config(
-        overrides={
-            "grid.x_min": "0", "grid.x_max": "20.48",
-            "grid.y_min": "-10.24", "grid.y_max": "10.24",
-            "grid.pillar_size": "0.32",
-            "train.steps": "300",
-        }
-    )
+def test_criterion_7_overfit_smoke(tmp_path):
+    """Train the desk config on its 8 synthetic scenes; loss < 10% of start,
+    recall >= 0.8 per class, scored as `densepillars train` reports it."""
+    cfg = parse_config(REPO / "configs" / "desk_overfit.cfg")
+    assert (RECALL_IOU, cfg["eval.score_threshold"], cfg["eval.nms_iou"]) == (0.5, 0.1, 0.01)
     scenes = make_training_scenes(cfg)
     assert len(scenes) == 8
-    pipeline, history = train(cfg, "/tmp/densepillars_acceptance_run", scenes=scenes, log=None)
+    pipeline, history = train(cfg, str(tmp_path), scenes=scenes, log=None)
     ratio = history[-1] / history[0]
 
-    pipeline.set_mode("eval")
-    frames = [
-        (pipeline.predict(scene.cloud, score_thr=0.1, nms_thr=0.01), scene.boxes)
-        for scene in scenes
-    ]
-    recalls = {c: f / t for c, (f, t) in recall_at_iou(frames, 0.5).items()}
+    recalls = {c: f / t for c, (f, t) in training_recall(pipeline, scenes, cfg).items()}
     ok = ratio < 0.1 and all(r >= 0.8 for r in recalls.values())
     report(
         7, "overfit smoke test", ok,

@@ -20,7 +20,7 @@ from densepillars.bev import (
     rotated_iou_bev,
 )
 from densepillars.pointcloud import Box3D, Detection
-from iou_oracle import oracle_iou_3d, oracle_iou_bev
+from iou_oracle import brute_nms, monte_carlo_iou, oracle_iou_3d, oracle_iou_bev
 
 
 def bev_box(cx, cy, w, l, yaw=0.0, cz=0.0, h=1.0):
@@ -70,30 +70,6 @@ def axis_aligned_iou(a, b):
     )
     inter = ix * iy
     return inter / (a.w * a.l + b.w * b.l - inter)
-
-
-def monte_carlo_iou(a, b, n=2_000_000, seed=0):
-    """Rejection-sampling IoU estimate over the joint bounding box."""
-
-    def inside(px, py, box):
-        c, s = math.cos(box.yaw), math.sin(box.yaw)
-        dx, dy = px - box.cx, py - box.cy
-        lx = c * dx + s * dy
-        ly = -s * dx + c * dy
-        return (np.abs(lx) <= box.l / 2) & (np.abs(ly) <= box.w / 2)
-
-    corners = np.concatenate([a.bev_corners(), b.bev_corners()])
-    lo = corners.min(axis=0)
-    hi = corners.max(axis=0)
-    rng = np.random.default_rng(seed)
-    px = rng.uniform(lo[0], hi[0], n)
-    py = rng.uniform(lo[1], hi[1], n)
-    in_a = inside(px, py, a)
-    in_b = inside(px, py, b)
-    union = np.count_nonzero(in_a | in_b)
-    if union == 0:
-        return 0.0
-    return np.count_nonzero(in_a & in_b) / union
 
 
 class TestRotatedIoU:
@@ -152,7 +128,8 @@ class TestRotatedIoU:
                         rng.uniform(0.8, 2.5), rng.uniform(-math.pi, math.pi))
             b = bev_box(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.8, 2.5),
                         rng.uniform(0.8, 2.5), rng.uniform(-math.pi, math.pi))
-            mc = monte_carlo_iou(a, b, n=400_000, seed=int(rng.integers(1 << 30)))
+            mc = monte_carlo_iou(a, b, 400_000,
+                                 np.random.default_rng(int(rng.integers(1 << 30))))
             assert rotated_iou_bev(a, b) == pytest.approx(mc, abs=5e-3)
 
 
@@ -251,22 +228,6 @@ def det(cx, cy, score, label="Car", w=1.6, l=3.9, yaw=0.0):
     return Detection(Box3D(cx, cy, -1.0, w, l, 1.56, yaw), score, label)
 
 
-def brute_force_nms(dets, thr):
-    """Check every subset ordering-free: replay the greedy rule explicitly."""
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    kept = []
-    for i in order:
-        ok = True
-        for j in kept:
-            if dets[j].label == dets[i].label:
-                if rotated_iou_bev(dets[i].box, dets[j].box) > thr:
-                    ok = False
-                    break
-        if ok:
-            kept.append(i)
-    return [dets[i] for i in kept]
-
-
 class TestNMS:
     def test_keeps_highest_score(self):
         dets = [det(0, 0, 0.4), det(0.1, 0, 0.9)]
@@ -302,7 +263,7 @@ class TestNMS:
         ]
         thr = float(rng.uniform(0.0, 0.5))
         got = nms_bev(dets, thr)
-        want = brute_force_nms(dets, thr)
+        want = [dets[i] for i in brute_nms(dets, thr)]
         assert [(d.score, d.label) for d in got] == [(d.score, d.label) for d in want]
 
 

@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import shlex
 from pathlib import Path
 
@@ -11,12 +13,16 @@ from densepillars.config import parse_config
 from densepillars.cost import dense_backbone_cost
 from densepillars.encoder import GridSpec
 from densepillars.pointcloud import (
+    CLASSES,
     PREDICTION_HEADER,
     PointCloud,
     write_kitti_bin,
     write_labels,
 )
 from densepillars.train import make_training_scenes
+
+LOSS_LINE = re.compile(r"loss (\S+) -> (\S+) \(ratio (\S+)\)")
+RECALL_LINE = re.compile(r"(\w+) +recall (\d+)/(\d+) = (\S+)")
 
 TINY_CFG = """\
 [grid]
@@ -186,6 +192,21 @@ class TestTrainInferEvalRoundtrip:
         assert "mAP" in out
         assert "AP(R40)" in out
 
+    def test_train_reports_loss_ratio_and_recall(self, tmp_path, tiny_cfg, capsys):
+        assert main(["train", "--config", tiny_cfg, "--out-dir", str(tmp_path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        totals = np.loadtxt(tmp_path / "loss.csv", delimiter=",", skiprows=1)[:, 5]
+        (loss,) = [m for m in map(LOSS_LINE.fullmatch, lines) if m]
+        first, last, ratio = map(float, loss.groups())
+        assert first == pytest.approx(totals[0], abs=1e-3)
+        assert last == pytest.approx(totals[-1], abs=1e-3)
+        assert ratio == pytest.approx(totals[-1] / totals[0], abs=1e-4)
+        recall = [m.groups() for m in map(RECALL_LINE.fullmatch, lines) if m]
+        assert {cls for cls, *_ in recall} <= set(CLASSES)
+        assert sum(int(total) for _, _, total, _ in recall) == 2  # 2 scenes, 1 box each
+        for _, found, total, value in recall:
+            assert int(found) <= int(total) and value == f"{int(found) / int(total):.2f}"
+
     def test_infer_without_clouds_is_io_error(self, tmp_path, tiny_cfg):
         run = str(tmp_path / "run")
         main(["train", "--config", tiny_cfg, "--out-dir", run])
@@ -230,6 +251,8 @@ class TestTrainInferEvalRoundtrip:
         ("meta/config", lambda a: np.frombuffer(b'{"run.seed": ', dtype=np.uint8)),
         ("meta/config", lambda a: np.frombuffer(b"\xff\xfe", dtype=np.uint8)),
         ("meta/config", lambda a: np.frombuffer(b"[1, 2]", dtype=np.uint8)),
+        ("meta/config", lambda a: np.frombuffer(json.dumps(
+            {**json.loads(bytes(a)), "grid.pillar_size": "abc"}).encode(), dtype=np.uint8)),
         ("meta/step", lambda a: np.array([3, 4])),
         ("opt_v/head.cls.weight", None),
         ("param/bogus", lambda a: np.zeros(3, dtype=np.float32)),

@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from densepillars.config import SCHEMA, RunConfig, parse_config
+from densepillars.model import DetectionPipeline
 from densepillars.optim import OptimizerState
 from densepillars.tensor import ConfigurationError, InvariantViolation
 from densepillars.train import (
@@ -68,6 +71,24 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError):
             parse_config(overrides={"eval.mode": "4D"})
 
+    @pytest.mark.parametrize("overrides", [
+        {"train.batch_size": 0},
+        {"grid.pillar_size": -1.0},
+        {"train.steps": 2.5},
+        {"grid.pillar_size": True},
+    ])
+    def test_non_string_override_is_checked(self, overrides):
+        with pytest.raises(ConfigurationError):
+            parse_config(overrides=overrides)
+
+    def test_numeric_overrides_accepted(self):
+        """The int and float overrides the benchmark's smoke sizes pass."""
+        overrides = {"run.seed": 3, "grid.x_max": 10.24, "grid.y_min": -5.12,
+                     "grid.y_max": 5.12, "train.num_scenes": 2, "train.boxes_per_scene": 2}
+        cfg = parse_config(overrides=overrides)
+        assert {k: cfg[k] for k in overrides} == overrides
+        assert all(cfg.provenance[k] == "flag" for k in overrides)
+
     def test_malformed_file_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("steps = 42\n")  # key before any section header
@@ -115,6 +136,23 @@ class TestTraining:
         _, h1 = train(tiny_config(), str(tmp_path / "a"), log=None)
         _, h2 = train(tiny_config(**{"run.seed": "1"}), str(tmp_path / "b"), log=None)
         assert h1 != h2
+
+    def test_each_sample_graph_is_freed_before_the_next_forward(self, tmp_path, monkeypatch):
+        """A sample's graph must not live through the next sample's forward,
+        or a step's peak memory holds two graphs. Tensor has no weakref slot,
+        so this watches each returned total's data array."""
+        loss_encoded = DetectionPipeline.loss_encoded
+        totals = []
+
+        def watched(self, batch, assignment):
+            assert all(ref() is None for ref in totals), "previous graph still alive"
+            losses = loss_encoded(self, batch, assignment)
+            totals.append(weakref.ref(losses["total"].data))
+            return losses
+
+        monkeypatch.setattr(DetectionPipeline, "loss_encoded", watched)
+        train(tiny_config(**{"train.batch_size": "2"}), str(tmp_path), log=None)
+        assert len(totals) == 6
 
     def test_scenes_are_deterministic(self):
         cfg = tiny_config()

@@ -43,6 +43,19 @@ GRID = GridSpec(
 CFG = AnchorConfig()
 
 
+def head_maps(cls, box, dr, dtype=None):
+    """Per-anchor class, box and direction rows [h·w·a, c] on the 16 x 16
+    anchor grid as the head's [1, a·c, h, w] maps."""
+
+    def to_map(flat):
+        h = w = 16
+        a, c = CFG.anchors_per_cell, flat.shape[1]
+        t = flat.reshape(h, w, a, c).transpose(2, 3, 0, 1)
+        return Tensor(t.reshape(1, a * c, h, w).astype(dtype or flat.dtype))
+
+    return to_map(cls), to_map(box), to_map(dr)
+
+
 class TestNeckAndHead:
     def test_neck_fuses_to_stride2(self):
         neck = FPN(NeckSpec(), seed=0)
@@ -338,13 +351,7 @@ class TestDetectionLossAndPostprocess:
         box[pos] = asn.reg_targets[pos]
         dr[pos, asn.dir_targets[pos]] = 40.0
 
-        def to_map(flat, c):
-            t = flat.reshape(h, w, a_cell, c).transpose(2, 3, 0, 1)
-            return Tensor(t.reshape(1, a_cell * c, h, w))
-
-        losses = detection_loss(
-            to_map(cls, 3), to_map(box, 7), to_map(dr, 2), asn, anchor_cls, CFG
-        )
+        losses = detection_loss(*head_maps(cls, box, dr), asn, anchor_cls, CFG)
         assert losses["total"].data.item() < 1e-6
 
     def test_postprocess_recovers_planted_box(self):
@@ -359,13 +366,8 @@ class TestDetectionLossAndPostprocess:
         box[pos] = asn.reg_targets[pos]
         dr[pos, asn.dir_targets[pos]] = 5.0
 
-        def to_map(flat, c):
-            t = flat.reshape(h, w, a_cell, c).transpose(2, 3, 0, 1)
-            return Tensor(t.reshape(1, a_cell * c, h, w))
-
         dets = postprocess(
-            to_map(cls, 3), to_map(box, 7), to_map(dr, 2),
-            anchors, anchor_cls, CFG, score_thr=0.5, nms_thr=0.01,
+            *head_maps(cls, box, dr), anchors, anchor_cls, CFG, score_thr=0.5, nms_thr=0.01,
         )
         assert len(dets) == 1
         d = dets[0]
@@ -386,13 +388,8 @@ class TestDetectionLossAndPostprocess:
         box[pos] = asn.reg_targets[pos]
         dr[pos, 0] = 5.0  # vote for the "backwards" bin
 
-        def to_map(flat, c):
-            t = flat.reshape(h, w, a_cell, c).transpose(2, 3, 0, 1)
-            return Tensor(t.reshape(1, a_cell * c, h, w))
-
         dets = postprocess(
-            to_map(cls, 3), to_map(box, 7), to_map(dr, 2),
-            anchors, anchor_cls, CFG, score_thr=0.5, nms_thr=0.01,
+            *head_maps(cls, box, dr), anchors, anchor_cls, CFG, score_thr=0.5, nms_thr=0.01,
         )
         assert len(dets) == 1
         assert dets[0].box.yaw == pytest.approx(math.pi - abs(gt.yaw), abs=1e-6) or \
@@ -418,12 +415,8 @@ class TestDetectionLossAndPostprocess:
         box = rng.normal(0.0, 0.3, size=(h * w * a_cell, 7))
         dr = rng.normal(0.0, 1.0, size=(h * w * a_cell, 2))
 
-        def to_map(flat, c):
-            t = flat.reshape(h, w, a_cell, c).transpose(2, 3, 0, 1)
-            return Tensor(t.reshape(1, a_cell * c, h, w).astype(np.float32))
-
         dets = postprocess(
-            to_map(cls, 3), to_map(box, 7), to_map(dr, 2),
+            *head_maps(cls, box, dr, np.float32),
             anchors, anchor_cls, CFG, score_thr=0.5, nms_thr=0.01,
         )
         assert dets
