@@ -41,13 +41,10 @@ class DenseBackboneSpec:
     growth: GrowthSchedule = field(default_factory=GrowthSchedule)
     transition_out_channels: tuple = (64, 128, 256)
     input_channels: int = 64
-    downsample: str = "avg_pool"  # avg_pool | strided_conv
 
     def __post_init__(self):
         if len(self.layers_per_block) != len(self.transition_out_channels):
             raise ConfigurationError("layers_per_block / transition channels mismatch")
-        if self.downsample not in ("avg_pool", "strided_conv"):
-            raise ConfigurationError(f"unknown downsample {self.downsample!r}")
 
     @property
     def n_blocks(self):
@@ -107,14 +104,14 @@ def dense_block_forward(x, layers):
 
 
 class DenseBackbone:
-    """Dense blocks + transition layers producing strides 2/4/8 taps."""
+    """Dense blocks + transition layers producing strides 2/4/8 taps. Each
+    transition is DenseNet's: a 1x1 conv, then 2x2 average pooling."""
 
     def __init__(self, spec: DenseBackboneSpec, seed: int = 0):
         self.spec = spec
         rng = np.random.default_rng(seed)
         self.blocks = []
         self.transitions = []
-        self.pool_convs = []
         c_in = spec.input_channels
         for b in range(1, spec.n_blocks + 1):
             k = spec.growth.rate(b)
@@ -124,42 +121,30 @@ class DenseBackbone:
             concat_c = c_in + n * k
             c_out = spec.transition_out_channels[b - 1]
             self.transitions.append(ConvBNRelu(rng, concat_c, c_out, 1))
-            if spec.downsample == "strided_conv":
-                self.pool_convs.append(ConvBNRelu(rng, c_out, c_out, 3, stride=2, padding=1))
-            else:
-                self.pool_convs.append(None)
             c_in = c_out
 
     def forward(self, pseudo_image):
         taps = []
         h = pseudo_image
-        for layers, trans, pool_conv in zip(self.blocks, self.transitions, self.pool_convs):
-            h = dense_block_forward(h, layers)
-            h = trans.forward(h)
-            h = pool_conv.forward(h) if pool_conv is not None else T.avg_pool2x2(h)
+        for layers, trans in zip(self.blocks, self.transitions):
+            h = T.avg_pool2x2(trans.forward(dense_block_forward(h, layers)))
             taps.append(h)
         return taps
 
     def named_params(self, prefix="backbone"):
         out = {}
-        for b, (layers, trans, pool_conv) in enumerate(
-            zip(self.blocks, self.transitions, self.pool_convs), start=1
-        ):
+        for b, (layers, trans) in enumerate(zip(self.blocks, self.transitions), start=1):
             for i, layer in enumerate(layers, start=1):
                 out.update(layer.named_params(f"{prefix}.block{b}.layer{i}"))
             out.update(trans.named_params(f"{prefix}.block{b}.transition"))
-            if pool_conv is not None:
-                out.update(pool_conv.named_params(f"{prefix}.block{b}.downsample"))
         return out
 
     def bn_list(self):
         bns = []
-        for layers, trans, pool_conv in zip(self.blocks, self.transitions, self.pool_convs):
+        for layers, trans in zip(self.blocks, self.transitions):
             for layer in layers:
                 bns.extend(layer.bn_list())
             bns.extend(trans.bn_list())
-            if pool_conv is not None:
-                bns.extend(pool_conv.bn_list())
         return bns
 
 
@@ -201,13 +186,9 @@ class BaselineBackbone:
         return [bn for layers in self.blocks for layer in layers for bn in layer.bn_list()]
 
 
-def build_backbone(kind: str, seed: int = 0, growth: GrowthSchedule | None = None,
-                   downsample: str = "avg_pool"):
+def build_backbone(kind: str, seed: int = 0, growth: GrowthSchedule | None = None):
     if kind == "dense":
-        spec = DenseBackboneSpec(
-            growth=growth or GrowthSchedule(), downsample=downsample
-        )
-        return DenseBackbone(spec, seed=seed)
+        return DenseBackbone(DenseBackboneSpec(growth=growth or GrowthSchedule()), seed=seed)
     if kind == "baseline":
         return BaselineBackbone(BaselineBackboneSpec(), seed=seed)
     raise ConfigurationError(f"unknown backbone {kind!r}")

@@ -6,7 +6,6 @@ import argparse
 import glob
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -82,9 +81,9 @@ def _load_config(args) -> RunConfig:
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     grid = cfg.grid_spec()
-    dense_spec = DenseBackboneSpec(growth=cfg.growth_schedule(),
-                                   downsample=cfg["architecture.downsample"])
-    dense, base, ratios = comparison_report(grid, dense_spec, BaselineBackboneSpec())
+    dense, base, ratios = comparison_report(
+        grid, DenseBackboneSpec(growth=cfg.growth_schedule()), BaselineBackboneSpec()
+    )
     print(f"input pseudo-image: {grid.feature_channels}x{grid.height}x{grid.width}\n")
     print("baseline backbone pipeline")
     print(base.render_table())
@@ -109,7 +108,7 @@ def cmd_analyze(args) -> int:
         ("table-matched", GrowthSchedule("table_matched")),
         ("doubling k0=32", GrowthSchedule("doubling", 32)),
     ):
-        c = dense_backbone_cost(replace(dense_spec, growth=growth), grid.height, grid.width)
+        c = dense_backbone_cost(DenseBackboneSpec(growth=growth), grid.height, grid.width)
         print(f"{name:<20}{c.params:>12,}{c.macs / 1e9:>10.2f}")
     return EXIT_OK
 

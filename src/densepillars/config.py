@@ -28,7 +28,6 @@ def _in_unit(x):
 SCHEMA = {
     "run.seed": (int, 0, _non_negative),
     "architecture.backbone": (str, "dense", ("dense", "baseline")),
-    "architecture.downsample": (str, "avg_pool", ("avg_pool", "strided_conv")),
     "growth.mode": (str, "table_matched", ("fixed", "doubling", "table_matched")),
     "growth.k": (int, 32, _positive),
     "grid.x_min": (float, 0.0, None),
@@ -112,12 +111,18 @@ class RunConfig:
 
     @staticmethod
     def from_json(text: str) -> "RunConfig":
+        """The config `to_json` wrote: every schema key, and no other."""
         values = json.loads(text)
         if not isinstance(values, dict):
             raise ValueError(f"expected a JSON object, got {type(values).__name__}")
+        for key in values:
+            if key not in SCHEMA:
+                raise ConfigurationError(f"unknown key {key!r}")
         cfg = RunConfig()
-        for key, (_, default, _) in SCHEMA.items():
-            cfg.values[key] = _convert(key, values[key]) if key in values else default
+        for key in SCHEMA:
+            if key not in values:
+                raise ConfigurationError(f"missing key {key!r}")
+            cfg.values[key] = _convert(key, values[key])
             cfg.provenance[key] = "checkpoint"
         return cfg
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbones import BaselineBackboneSpec, DenseBackboneSpec
-from .detector import NeckSpec
+from .detector import AnchorConfig, NeckSpec
 from .encoder import GridSpec
 from .pointcloud import CLASSES
 from .tensor import ConfigurationError
@@ -99,14 +99,7 @@ def dense_backbone_cost(spec: DenseBackboneSpec, h: int, w: int) -> ComponentCos
         macs += m
         elem += be + c_out * h * w
         h, w = h // 2, w // 2
-        if spec.downsample == "strided_conv":
-            p, m = _conv(c_out, c_out, 3, h, w)
-            bp, be = _bn(c_out, h, w)
-            params += p + bp
-            macs += m
-            elem += be + c_out * h * w
-        else:
-            elem += c_out * h * w * 4  # average pooling reads
+        elem += c_out * h * w * 4  # average pooling reads
         c_in = c_out
     return ComponentCost("backbone", params, macs, elem)
 
@@ -156,14 +149,14 @@ def head_cost(in_channels: int, anchors_per_cell: int, h: int, w: int) -> Compon
     return ComponentCost("head", params, macs, 0)
 
 
-def backbone_tap_sizes(h: int, w: int, n_blocks: int = 3):
-    return [(h >> (b + 1), w >> (b + 1)) for b in range(n_blocks)]
+def backbone_tap_sizes(h: int, w: int):
+    """Sizes of the three taps every backbone emits, at strides 2, 4 and 8."""
+    return [(h >> b, w >> b) for b in (1, 2, 3)]
 
 
-def pipeline_report(grid: GridSpec, backbone_spec, neck: NeckSpec | None = None,
-                    anchors_per_cell: int = 6) -> CostReport:
+def pipeline_report(grid: GridSpec, backbone_spec) -> CostReport:
     """Four-row report for one backbone choice at the grid's input shape."""
-    neck = neck or NeckSpec()
+    neck = NeckSpec()
     h, w = grid.height, grid.width
     if isinstance(backbone_spec, DenseBackboneSpec):
         backbone = dense_backbone_cost(backbone_spec, h, w)
@@ -176,7 +169,7 @@ def pipeline_report(grid: GridSpec, backbone_spec, neck: NeckSpec | None = None,
         encoder_cost(grid),
         backbone,
         neck_cost(neck, taps),
-        head_cost(sum(neck.out_channels), anchors_per_cell, h // 2, w // 2),
+        head_cost(sum(neck.out_channels), AnchorConfig().anchors_per_cell, h // 2, w // 2),
     ]
     return CostReport(rows)
 

@@ -24,14 +24,12 @@ from .tensor import InvariantViolation
 
 class DetectionPipeline:
     def __init__(self, grid: GridSpec | None = None, backbone: str = "dense",
-                 growth: GrowthSchedule | None = None, downsample: str = "avg_pool",
-                 seed: int = 0):
+                 growth: GrowthSchedule | None = None, seed: int = 0):
         self.grid = grid or GridSpec()
         self.backbone_kind = backbone
         rng = np.random.default_rng(seed)
         self.pfn = PFNWeights.create(self.grid, rng)
-        self.backbone = build_backbone(backbone, seed=seed + 1, growth=growth,
-                                       downsample=downsample)
+        self.backbone = build_backbone(backbone, seed=seed + 1, growth=growth)
         self.neck = FPN(NeckSpec(), seed=seed + 2)
         self.anchor_cfg = AnchorConfig()
         self.head = AnchorHead(sum(self.neck.spec.out_channels), self.anchor_cfg,

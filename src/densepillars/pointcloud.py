@@ -23,6 +23,11 @@ CLASS_SIZES = {
 
 GROUND_Z = -1.73
 
+# synthetic scenes: the class of each box is drawn with these weights, and
+# each box carries this many surface points
+SYNTH_CLASS_MIX = {"Car": 0.5, "Pedestrian": 0.25, "Cyclist": 0.25}
+SYNTH_POINTS_PER_BOX = 120
+
 LABEL_HEADER = "class,cx,cy,cz,w,l,h,yaw"
 PREDICTION_HEADER = LABEL_HEADER + ",score"
 
@@ -148,16 +153,19 @@ def _parse_box_line(line, lineno, path, n_fields):
     return cls, vals
 
 
-def read_labels(path):
-    boxes = []
+def _read_box_csv(path, header):
+    """(class, values) for each data line of a box CSV that starts with
+    `header`; a missing header or a bad line is a FormatError at `path:line`."""
     with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or lines[0] != LABEL_HEADER:
-        raise FormatError(f"{path}:1: missing header {LABEL_HEADER!r}")
-    for i, ln in enumerate(lines[1:], start=2):
-        cls, v = _parse_box_line(ln, i, path, 8)
-        boxes.append((Box3D(*v), cls))
-    return boxes
+        lines = [(i, ln.strip()) for i, ln in enumerate(f, start=1) if ln.strip()]
+    if not lines or lines[0][1] != header:
+        raise FormatError(f"{path}:1: missing header {header!r}")
+    n_fields = len(header.split(","))
+    return [_parse_box_line(ln, i, path, n_fields) for i, ln in lines[1:]]
+
+
+def read_labels(path):
+    return [(Box3D(*v), cls) for cls, v in _read_box_csv(path, LABEL_HEADER)]
 
 
 def write_predictions(path, dets) -> None:
@@ -172,15 +180,8 @@ def write_predictions(path, dets) -> None:
 
 
 def read_predictions(path):
-    dets = []
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or lines[0] != PREDICTION_HEADER:
-        raise FormatError(f"{path}:1: missing header {PREDICTION_HEADER!r}")
-    for i, ln in enumerate(lines[1:], start=2):
-        cls, v = _parse_box_line(ln, i, path, 9)
-        dets.append(Detection(Box3D(*v[:7]), v[7], cls))
-    return dets
+    return [Detection(Box3D(*v[:7]), v[7], cls)
+            for cls, v in _read_box_csv(path, PREDICTION_HEADER)]
 
 
 # ---------------------------------------------------------------------------
@@ -217,26 +218,22 @@ def _sample_on_box_surface(rng, box: Box3D, n: int) -> np.ndarray:
 def synth_scene(
     seed: int,
     n_boxes: int,
-    class_mix=None,
     noise: float = 0.01,
     x_range=(0.0, 69.12),
     y_range=(-39.68, 39.68),
-    points_per_box: int = 120,
     n_ground: int = 2000,
     n_clutter: int = 300,
 ) -> LabeledScene:
     """Deterministic labeled scene: ground plane, clutter, boxes with surface hits.
 
     Boxes (including their rotated footprints) stay fully inside the x/y
-    range; every box carries at least 30 surface points.
+    range; every box carries SYNTH_POINTS_PER_BOX surface points.
     """
     if n_boxes < 0:
         raise ValueError("n_boxes must be >= 0")
-    if class_mix is None:
-        class_mix = {"Car": 0.5, "Pedestrian": 0.25, "Cyclist": 0.25}
     rng = np.random.default_rng(seed)
-    names = sorted(class_mix)
-    probs = np.array([class_mix[c] for c in names], dtype=float)
+    names = sorted(SYNTH_CLASS_MIX)
+    probs = np.array([SYNTH_CLASS_MIX[c] for c in names], dtype=float)
     probs /= probs.sum()
 
     boxes = []
@@ -272,9 +269,8 @@ def synth_scene(
         uy = rng.uniform(y_range[0], y_range[1], size=n_clutter)
         uz = rng.uniform(GROUND_Z, 0.5, size=n_clutter)
         chunks.append(np.stack([ux, uy, uz], axis=1))
-    n_obj = max(30, points_per_box)
     for box, _ in boxes:
-        xyz = _sample_on_box_surface(rng, box, n_obj)
+        xyz = _sample_on_box_surface(rng, box, SYNTH_POINTS_PER_BOX)
         xyz += rng.uniform(-noise, noise, size=xyz.shape)
         chunks.append(xyz)
 

@@ -23,7 +23,6 @@ def build_pipeline(cfg: RunConfig) -> DetectionPipeline:
         grid=cfg.grid_spec(),
         backbone=cfg["architecture.backbone"],
         growth=cfg.growth_schedule(),
-        downsample=cfg["architecture.downsample"],
         seed=cfg["run.seed"],
     )
 

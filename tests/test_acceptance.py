@@ -134,7 +134,6 @@ def test_criterion_4_analyzer_runtime_agreement():
                 transition_out_channels=tuple(
                     int(rng.integers(16, 257)) for _ in range(n_blocks)
                 ),
-                downsample=["avg_pool", "strided_conv"][int(rng.integers(0, 2))],
             )
             net = DenseBackbone(spec, seed=0)
             analytic = dense_backbone_cost(spec, 64, 64).params

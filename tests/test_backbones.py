@@ -88,17 +88,6 @@ class TestDenseBackbone:
             (1, 256, 4, 3),
         ]
 
-    def test_strided_conv_variant_same_shapes(self):
-        bb = build_backbone("dense", seed=0, downsample="strided_conv")
-        set_eval(bb)
-        x = Tensor(np.random.default_rng(0).normal(size=(1, 64, 16, 16)).astype(np.float32))
-        taps = bb.forward(x)
-        assert [t.shape for t in taps] == [
-            (1, 64, 8, 8),
-            (1, 128, 4, 4),
-            (1, 256, 2, 2),
-        ]
-
     def test_deterministic_init(self):
         a = DenseBackbone(DenseBackboneSpec(), seed=5)
         b = DenseBackbone(DenseBackboneSpec(), seed=5)
@@ -116,8 +105,6 @@ class TestDenseBackbone:
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
             DenseBackboneSpec(layers_per_block=(3, 5), transition_out_channels=(64, 128, 256))
-        with pytest.raises(ConfigurationError):
-            DenseBackboneSpec(downsample="max_pool")
 
     def test_gradients_reach_first_layer(self):
         bb = DenseBackbone(DenseBackboneSpec(), seed=0)

@@ -253,6 +253,14 @@ class TestTrainInferEvalRoundtrip:
         ("meta/config", lambda a: np.frombuffer(b"[1, 2]", dtype=np.uint8)),
         ("meta/config", lambda a: np.frombuffer(json.dumps(
             {**json.loads(bytes(a)), "grid.pillar_size": "abc"}).encode(), dtype=np.uint8)),
+        ("meta/config", lambda a: np.frombuffer(json.dumps(
+            {**json.loads(bytes(a)), "grid.pilar_size": 0.2}).encode(), dtype=np.uint8)),
+        ("meta/config", lambda a: np.frombuffer(json.dumps(
+            {k: v for k, v in json.loads(bytes(a)).items() if k != "grid.max_pillars"}
+        ).encode(), dtype=np.uint8)),
+        ("meta/config", lambda a: np.frombuffer(json.dumps(
+            {**json.loads(bytes(a)), "architecture.downsample": "avg_pool"}).encode(),
+            dtype=np.uint8)),
         ("meta/step", lambda a: np.array([3, 4])),
         ("opt_v/head.cls.weight", None),
         ("param/bogus", lambda a: np.zeros(3, dtype=np.float32)),

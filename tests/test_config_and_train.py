@@ -1,3 +1,4 @@
+import json
 import weakref
 
 import numpy as np
@@ -55,9 +56,13 @@ class TestParseConfig:
         assert cfg["train.steps"] == 7
         assert cfg.provenance["train.steps"] == "flag"
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "[train]\nmomentum = 0.9\n",
+        "[architecture]\ndownsample = avg_pool\n",
+    ], ids=["momentum", "downsample"])
+    def test_unknown_key_rejected(self, tmp_path, text):
         p = tmp_path / "run.cfg"
-        p.write_text("[train]\nmomentum = 0.9\n")
+        p.write_text(text)
         with pytest.raises(ConfigurationError):
             parse_config(str(p))
 
@@ -110,6 +115,14 @@ class TestParseConfig:
         back = RunConfig.from_json(cfg.to_json())
         assert back.values == cfg.values
         assert set(back.values) == set(SCHEMA)
+
+    def test_json_names_an_unknown_or_missing_key(self):
+        values = tiny_config().values
+        with pytest.raises(ConfigurationError, match="unknown key 'grid.pilar_size'"):
+            RunConfig.from_json(json.dumps({**values, "grid.pilar_size": 0.2}))
+        del values["grid.max_pillars"]
+        with pytest.raises(ConfigurationError, match="missing key 'grid.max_pillars'"):
+            RunConfig.from_json(json.dumps(values))
 
 
 class TestTraining:

@@ -100,14 +100,6 @@ class TestBackboneTableValues:
         assert 8.5 <= ratios["param_ratio"] <= 9.5
         assert 1.45 <= ratios["mac_ratio"] <= 1.6
 
-    def test_strided_conv_downsample_costs_more(self):
-        plain = dense_backbone_cost(DenseBackboneSpec(), 496, 432)
-        strided = dense_backbone_cost(
-            DenseBackboneSpec(downsample="strided_conv"), 496, 432
-        )
-        assert strided.params > plain.params
-        assert strided.macs > plain.macs
-
 
 class TestGrowthScheduleOrdering:
     def _params(self, growth):
@@ -163,11 +155,7 @@ class TestRuntimeAgreement:
     def test_random_dense_variants(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            growth = GrowthSchedule("fixed", int(rng.integers(4, 48)))
-            spec = DenseBackboneSpec(
-                growth=growth,
-                downsample=["avg_pool", "strided_conv"][int(rng.integers(0, 2))],
-            )
+            spec = DenseBackboneSpec(growth=GrowthSchedule("fixed", int(rng.integers(4, 48))))
             bb = DenseBackbone(spec, seed=0)
             assert runtime_param_count(bb.named_params()) == dense_backbone_cost(
                 spec, 496, 432

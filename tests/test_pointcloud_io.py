@@ -155,6 +155,12 @@ class TestLabelIO:
         with pytest.raises(FormatError, match=r"l\.csv:3: non-finite"):
             read_labels(path)
 
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("class,cx,cy,cz,w,l,h,yaw\n\nCar,1,2,3,1,1,1,0\nCar,nan,2,3,1,1,1,0\n")
+        with pytest.raises(FormatError, match=r"l\.csv:4: non-finite"):
+            read_labels(path)
+
     def test_zero_width_rejected(self, tmp_path):
         path = tmp_path / "l.csv"
         path.write_text("class,cx,cy,cz,w,l,h,yaw\nCar,1,2,3,0,1,1,0\n")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from densepillars import tensor as T
+from densepillars.optim import OptimizerState, adamw_step
 from densepillars.tensor import ConfigurationError, Tensor, grad_check
 
 rng = np.random.default_rng(12345)
@@ -476,9 +477,13 @@ class TestInvariants:
             assert err <= 1e-5
 
     def test_overflow_in_an_op_fails_the_suite(self):
-        # pyproject.toml turns RuntimeWarnings raised in the engine into errors
+        # pyproject.toml turns RuntimeWarnings raised in the package into errors
         with pytest.raises(RuntimeWarning):
             T.scale(Tensor([1e308]), 1e308)
+        p = Tensor(np.ones(2))
+        p.grad = np.full(2, 1e200)
+        with pytest.raises(RuntimeWarning, match="overflow encountered in multiply"):
+            adamw_step({"p": p}, OptimizerState())
 
 
 def reference_batch_norm(x: Tensor, p: T.BatchNormParams) -> Tensor:
