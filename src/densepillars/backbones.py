@@ -31,6 +31,10 @@ class GrowthSchedule:
         if self.mode == "doubling":
             return self.k * (2 ** (block - 1))
         if self.mode == "table_matched":
+            if block > len(self.TABLE_MATCHED):
+                raise ConfigurationError(
+                    f"table-matched growth has rates for {len(self.TABLE_MATCHED)} blocks, "
+                    f"not block {block}")
             return self.TABLE_MATCHED[block - 1]
         raise ConfigurationError(f"unknown growth mode {self.mode!r}")
 
@@ -45,6 +49,8 @@ class DenseBackboneSpec:
     def __post_init__(self):
         if len(self.layers_per_block) != len(self.transition_out_channels):
             raise ConfigurationError("layers_per_block / transition channels mismatch")
+        for b in range(1, self.n_blocks + 1):
+            self.growth.rate(b)  # an unknown mode or a block past the table raises here
 
     @property
     def n_blocks(self):
@@ -108,7 +114,6 @@ class DenseBackbone:
     transition is DenseNet's: a 1x1 conv, then 2x2 average pooling."""
 
     def __init__(self, spec: DenseBackboneSpec, seed: int = 0):
-        self.spec = spec
         rng = np.random.default_rng(seed)
         self.blocks = []
         self.transitions = []
@@ -152,7 +157,6 @@ class BaselineBackbone:
     """Stride-2 entry conv + same-resolution conv stack per block."""
 
     def __init__(self, spec: BaselineBackboneSpec, seed: int = 0):
-        self.spec = spec
         rng = np.random.default_rng(seed)
         self.blocks = []
         c_in = spec.input_channels

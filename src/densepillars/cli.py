@@ -236,7 +236,7 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     cfg = _load_config(args)
-    pipeline, _, _ckpt_cfg = load_checkpoint(args.checkpoint)
+    pipeline, _ = load_checkpoint(args.checkpoint)
     pipeline.set_mode("eval")
     paths = sorted(glob.glob(os.path.join(cfg["paths.data_dir"], "*.bin")))
     if not paths:
@@ -257,6 +257,8 @@ def cmd_infer(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
+    if not os.path.isdir(args.pred_dir):
+        raise NotADirectoryError(f"--pred-dir {args.pred_dir} is not a directory")
     label_paths = sorted(
         p for p in glob.glob(os.path.join(cfg["paths.data_dir"], "*.csv"))
         if not p.endswith(".pred.csv")
@@ -267,7 +269,7 @@ def cmd_eval(args) -> int:
     for lp in label_paths:
         stem = os.path.splitext(os.path.basename(lp))[0]
         pp = os.path.join(args.pred_dir, stem + ".pred.csv")
-        dets = read_predictions(pp) if os.path.exists(pp) else []
+        dets = read_predictions(pp) if os.path.exists(pp) else []  # no file: no detections
         frames.append((dets, read_labels(lp)))
     result = evaluate_set(frames, cfg.eval_config())
     for cls, ap in sorted(result.per_class_ap.items()):

@@ -83,8 +83,7 @@ class AnchorHead:
     """Three parallel 1x1 convs with bias: class, box residual, direction."""
 
     def __init__(self, in_channels: int = 384, cfg: AnchorConfig | None = None, seed: int = 0):
-        self.cfg = cfg or AnchorConfig()
-        a = self.cfg.anchors_per_cell
+        a = (cfg or AnchorConfig()).anchors_per_cell
         rng = np.random.default_rng(seed)
 
         def head_conv(c_out, bias_init=0.0):

@@ -26,7 +26,6 @@ class DetectionPipeline:
     def __init__(self, grid: GridSpec | None = None, backbone: str = "dense",
                  growth: GrowthSchedule | None = None, seed: int = 0):
         self.grid = grid or GridSpec()
-        self.backbone_kind = backbone
         rng = np.random.default_rng(seed)
         self.pfn = PFNWeights.create(self.grid, rng)
         self.backbone = build_backbone(backbone, seed=seed + 1, growth=growth)

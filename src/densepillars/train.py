@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import zipfile
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from .optim import OptimizerState, adamw_step, cosine_lr
 from .pointcloud import FormatError, synth_scene
 from .tensor import InvariantViolation
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 RECALL_IOU = 0.5  # BEV IoU at which `training_recall` counts a box as found
 
 
@@ -27,43 +28,37 @@ def build_pipeline(cfg: RunConfig) -> DetectionPipeline:
     )
 
 
-def save_checkpoint(path, pipeline: DetectionPipeline, opt: OptimizerState,
-                    cfg: RunConfig) -> None:
+def save_checkpoint(path, pipeline: DetectionPipeline, cfg: RunConfig) -> None:
+    """What `infer` reads: parameters, BN running stats, version and config."""
     state = pipeline.state_arrays()
-    for k, v in opt.m.items():
-        state[f"opt_m/{k}"] = v
-    for k, v in opt.v.items():
-        state[f"opt_v/{k}"] = v
     state["meta/version"] = np.array(CHECKPOINT_VERSION)
-    state["meta/step"] = np.array(opt.t)
     state["meta/config"] = np.frombuffer(cfg.to_json().encode("utf-8"), dtype=np.uint8)
     np.savez(path, **state)
 
 
 def load_checkpoint(path):
-    """Pipeline, optimizer state and config from a checkpoint. A missing,
-    mis-shaped, undecodable or unknown array is a FormatError naming `path`
-    and the key; a checkpoint of another version is an InvariantViolation."""
-    with np.load(path, allow_pickle=False) as z:
-        state = {k: z[k] for k in z.files}
+    """Pipeline and config from a checkpoint. An unreadable file, a checkpoint
+    of another version, and a missing, mis-shaped, undecodable or unknown
+    array are each a FormatError naming `path` and, where there is one, the key."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            state = {k: z[k] for k in z.files}
+    except (ValueError, EOFError, zipfile.BadZipFile) as e:
+        raise FormatError(f"{path}: not a readable checkpoint: {e}") from None
     try:
         return _restore(state)
     except FormatError as e:
         raise FormatError(f"{path}: {e}") from None
 
 
-def _meta_int(state, key):
-    arr = state_array(state, key, ())
-    if arr.dtype.kind not in "iu":
-        raise FormatError(f"checkpoint array {key!r} has dtype {arr.dtype}, expected an integer")
-    return int(arr)
-
-
 def _restore(state):
-    version = _meta_int(state, "meta/version")
-    if version != CHECKPOINT_VERSION:
-        raise InvariantViolation(f"unsupported checkpoint version {version}")
-    step = _meta_int(state, "meta/step")
+    version = state_array(state, "meta/version", ())
+    if version.dtype.kind not in "iu":
+        raise FormatError(
+            f"checkpoint array 'meta/version' has dtype {version.dtype}, expected an integer")
+    if int(version) != CHECKPOINT_VERSION:
+        raise FormatError(f"checkpoint array 'meta/version' is {int(version)}, "
+                          f"expected {CHECKPOINT_VERSION}")
     raw = bytes(state_array(state, "meta/config"))
     try:
         cfg = RunConfig.from_json(raw.decode("utf-8"))
@@ -71,19 +66,10 @@ def _restore(state):
         raise FormatError(f"checkpoint array 'meta/config' is not a valid config: {e}") from None
     pipeline = build_pipeline(cfg)
     pipeline.load_state_arrays(state)
-    params = pipeline.named_params()
-    opt = OptimizerState(lr=cfg["train.lr"], weight_decay=cfg["train.weight_decay"], t=step)
-    for k, p in params.items():
-        mk, vk = f"opt_m/{k}", f"opt_v/{k}"
-        if mk in state or vk in state:
-            opt.m[k] = state_array(state, mk, p.shape).copy()
-            opt.v[k] = state_array(state, vk, p.shape).copy()
-    known = {"meta/version", "meta/step", "meta/config", *pipeline.state_arrays()}
-    known.update(f"opt_{s}/{k}" for k in params for s in "mv")
-    unknown = sorted(set(state) - known)
+    unknown = sorted(set(state) - {"meta/version", "meta/config", *pipeline.state_arrays()})
     if unknown:
         raise FormatError(f"checkpoint has unknown array {unknown[0]!r}")
-    return pipeline, opt, cfg
+    return pipeline, cfg
 
 
 def make_training_scenes(cfg: RunConfig):
@@ -145,7 +131,7 @@ def train(cfg: RunConfig, out_dir: str, scenes=None, log=print):
 
     with open(os.path.join(out_dir, "loss.csv"), "w", encoding="utf-8") as f:
         f.write("\n".join(rows) + "\n")
-    save_checkpoint(os.path.join(out_dir, "checkpoint.npz"), pipeline, opt, cfg)
+    save_checkpoint(os.path.join(out_dir, "checkpoint.npz"), pipeline, cfg)
     return pipeline, history
 
 

@@ -105,6 +105,10 @@ class TestDenseBackbone:
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
             DenseBackboneSpec(layers_per_block=(3, 5), transition_out_channels=(64, 128, 256))
+        with pytest.raises(ConfigurationError, match="table-matched growth"):
+            DenseBackboneSpec(layers_per_block=(1, 1, 1, 1), transition_out_channels=(8,) * 4)
+        with pytest.raises(ConfigurationError, match="unknown growth mode"):
+            DenseBackboneSpec(growth=GrowthSchedule("bogus"))
 
     def test_gradients_reach_first_layer(self):
         bb = DenseBackbone(DenseBackboneSpec(), seed=0)

@@ -245,9 +245,9 @@ class TestTrainInferEvalRoundtrip:
     @pytest.mark.parametrize("key, edit", [
         ("param/head.cls.weight", None),
         ("bnstat/0/mean", lambda a: a[:-1]),
-        ("meta/step", None),
         ("meta/config", None),
         ("meta/version", None),
+        ("meta/version", lambda a: np.array(1)),
         ("meta/config", lambda a: np.frombuffer(b'{"run.seed": ', dtype=np.uint8)),
         ("meta/config", lambda a: np.frombuffer(b"\xff\xfe", dtype=np.uint8)),
         ("meta/config", lambda a: np.frombuffer(b"[1, 2]", dtype=np.uint8)),
@@ -261,8 +261,8 @@ class TestTrainInferEvalRoundtrip:
         ("meta/config", lambda a: np.frombuffer(json.dumps(
             {**json.loads(bytes(a)), "architecture.downsample": "avg_pool"}).encode(),
             dtype=np.uint8)),
-        ("meta/step", lambda a: np.array([3, 4])),
-        ("opt_v/head.cls.weight", None),
+        ("meta/step", lambda a: np.array(3)),
+        ("opt_m/head.cls.weight", lambda a: np.zeros((18, 384, 1, 1), dtype=np.float32)),
         ("param/bogus", lambda a: np.zeros(3, dtype=np.float32)),
     ])
     def test_infer_damaged_checkpoint_is_io_error(self, tmp_path, tiny_cfg, capsys,
@@ -283,6 +283,22 @@ class TestTrainInferEvalRoundtrip:
         err = capsys.readouterr().err
         assert "damaged.npz: checkpoint" in err and repr(key) in err
 
+    @pytest.mark.parametrize("unreadable", [
+        lambda ckpt: b"class,cx,cy\n",
+        lambda ckpt: ckpt[:100_000],
+        lambda ckpt: b"",
+    ], ids=["text", "truncated", "empty"])
+    def test_infer_unreadable_checkpoint_is_io_error(self, tmp_path, tiny_cfg, capsys,
+                                                     unreadable):
+        run = tmp_path / "run"
+        main(["train", "--config", tiny_cfg, "--out-dir", str(run)])
+        bad = run / "bad.npz"
+        bad.write_bytes(unreadable((run / "checkpoint.npz").read_bytes()))
+        rc = main(["infer", "--config", tiny_cfg, "--data-dir", str(tmp_path),
+                   "--out-dir", str(tmp_path / "p"), "--checkpoint", str(bad)])
+        assert rc == EXIT_IO
+        assert f"{bad}: not a readable checkpoint" in capsys.readouterr().err
+
     def test_infer_missing_checkpoint_is_io_error(self, tmp_path, tiny_cfg):
         rc = main(["infer", "--config", tiny_cfg, "--data-dir", str(tmp_path),
                    "--out-dir", str(tmp_path / "p"),
@@ -294,6 +310,24 @@ class TestTrainInferEvalRoundtrip:
                    "--data-dir", str(tmp_path / "nowhere"),
                    "--pred-dir", str(tmp_path)])
         assert rc == EXIT_IO
+
+    def test_eval_missing_pred_dir_is_io_error(self, tmp_path, tiny_cfg, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "scene_0000.csv").write_text(
+            "class,cx,cy,cz,w,l,h,yaw\nCar,1,0,-1,1.6,3.9,1.56,0\n"
+        )
+        nowhere = tmp_path / "nowhere"
+        rc = main(["eval", "--config", tiny_cfg, "--data-dir", str(data),
+                   "--pred-dir", str(nowhere)])
+        assert rc == EXIT_IO
+        assert f"--pred-dir {nowhere} is not a directory" in capsys.readouterr().err
+        # a frame file missing from an existing directory is a frame with no detections
+        nowhere.mkdir()
+        rc = main(["eval", "--config", tiny_cfg, "--data-dir", str(data),
+                   "--pred-dir", str(nowhere)])
+        assert rc == EXIT_OK
+        assert re.search(r"^Car +AP\(R40\) = 0\.0000$", capsys.readouterr().out, re.M)
 
     def test_eval_corrupt_prediction_file_is_io_error(self, tmp_path, tiny_cfg):
         data = tmp_path / "data"
@@ -340,8 +374,8 @@ class TestLossCsvDeterminism:
 
         run = str(tmp_path / "run")
         main(["train", "--config", tiny_cfg, "--out-dir", run])
-        p1, _, cfg = load_checkpoint(os.path.join(run, "checkpoint.npz"))
-        p2, _, _ = load_checkpoint(os.path.join(run, "checkpoint.npz"))
+        p1, cfg = load_checkpoint(os.path.join(run, "checkpoint.npz"))
+        p2, _ = load_checkpoint(os.path.join(run, "checkpoint.npz"))
         p1.set_mode("eval")
         p2.set_mode("eval")
         scene = make_training_scenes(cfg)[0]

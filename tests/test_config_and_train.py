@@ -6,7 +6,7 @@ import pytest
 
 from densepillars.config import SCHEMA, RunConfig, parse_config
 from densepillars.model import DetectionPipeline
-from densepillars.optim import OptimizerState
+from densepillars.pointcloud import FormatError
 from densepillars.tensor import ConfigurationError, InvariantViolation
 from densepillars.train import (
     build_pipeline,
@@ -180,10 +180,9 @@ class TestCheckpoint:
         cfg = tiny_config()
         pipeline, _ = train(cfg, str(tmp_path), log=None)
         pipeline.set_mode("eval")
-        loaded, opt, ckpt_cfg = load_checkpoint(str(tmp_path / "checkpoint.npz"))
+        loaded, ckpt_cfg = load_checkpoint(str(tmp_path / "checkpoint.npz"))
         loaded.set_mode("eval")
         assert ckpt_cfg.values == cfg.values
-        assert opt.t == 3
 
         scene = make_training_scenes(cfg)[0]
         batch = pipeline.encode(scene.cloud, seed=0)
@@ -192,29 +191,30 @@ class TestCheckpoint:
         for ta, tb in zip(a, b):
             np.testing.assert_array_equal(ta.data, tb.data)
 
-    def test_optimizer_state_restored(self, tmp_path):
-        cfg = tiny_config()
-        train(cfg, str(tmp_path), log=None)
-        _, opt, _ = load_checkpoint(str(tmp_path / "checkpoint.npz"))
-        assert opt.m and opt.v
-        assert any(np.abs(v).max() > 0 for v in opt.m.values())
+    def test_holds_only_what_infer_reads(self, tmp_path):
+        pipeline, _ = train(tiny_config(), str(tmp_path), log=None)
+        with np.load(tmp_path / "checkpoint.npz") as z:
+            names = set(z.files)
+        state = pipeline.state_arrays()
+        assert all(k.startswith(("param/", "bnstat/")) for k in state)
+        assert names == {"meta/version", "meta/config", *state}
 
     def test_version_mismatch_rejected(self, tmp_path):
         cfg = tiny_config()
         pipeline = build_pipeline(cfg)
         path = tmp_path / "ck.npz"
-        save_checkpoint(str(path), pipeline, OptimizerState(), cfg)
+        save_checkpoint(str(path), pipeline, cfg)
         with np.load(str(path)) as z:
             state = {k: z[k] for k in z.files}
         state["meta/version"] = np.array(99)
         np.savez(str(path), **state)
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(FormatError, match=r"ck\.npz: .*'meta/version' is 99, expected 2"):
             load_checkpoint(str(path))
 
     def test_fresh_pipeline_differs_from_trained(self, tmp_path):
         cfg = tiny_config()
         train(cfg, str(tmp_path), log=None)
-        loaded, _, _ = load_checkpoint(str(tmp_path / "checkpoint.npz"))
+        loaded, _ = load_checkpoint(str(tmp_path / "checkpoint.npz"))
         fresh = build_pipeline(cfg)
         trained_w = loaded.named_params()["head.cls.weight"].data
         fresh_w = fresh.named_params()["head.cls.weight"].data
