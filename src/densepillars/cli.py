@@ -132,9 +132,6 @@ def gradcheck_cases(rng):
     def eval_stats():
         return rng.normal(size=3), rng.uniform(0.5, 2.0, 3)
 
-    def max_mask():  # the last group all masked
-        return (rng.uniform(size=(3, 5)) < 0.6) & [[True], [True], [False]]
-
     grid = GridSpec(x_range=(0.0, 6.4), y_range=(-3.2, 3.2), pillar_size=(0.4, 0.4))
     anchor_cfg = AnchorConfig()
     anchors, anchor_cls = generate_anchors(grid, anchor_cfg)
@@ -163,9 +160,11 @@ def gradcheck_cases(rng):
              lambda x, g, b, s: T.batch_norm(x, _bn(g, b, s), relu=True), bn_shapes, eval_stats),
         case("relu", 1e-6, T.relu, [(3, 4)]),
         case("avg_pool2x2", 1e-6, T.avg_pool2x2, [(1, 2, 4, 4)]),
-        case("max_over_axis", 1e-6, lambda x: T.max_over_axis(x, 1), [(3, 5)]),
-        case("max_over_axis_masked", 1e-5, lambda x, m: T.max_over_axis(x, 1, mask=m),
-             [(3, 5)], max_mask),
+        # the PFN's tail: 5 point rows of 3 pillars among 3 x 4 slots
+        case("segment_max_padded_bn", 1e-5,
+             lambda x, g, b: T.segment_max(
+                 T.batch_norm(x, _bn(g, b), relu=True, padded=(12, [0, 1, 4, 8, 9])), [0, 2, 3]),
+             [(5, 3, 1, 1), (3,), (3,)]),
         case("conv_bn_relu", 1e-4,
              lambda x, w, g, b: T.batch_norm(
                  T.conv2d(x, T.Conv2dParams(w, None, 1, 1)), _bn(g, b), relu=True),

@@ -1,5 +1,11 @@
 """Pillarization, feature decoration, the pillar feature network, and the
-scatter step that builds the 2D pseudo-image."""
+scatter step that builds the 2D pseudo-image.
+
+`pillarize` groups points into the paper's fixed [P, S, 4] pillar tensor
+(S = `max_points_per_pillar` slots, zero past each pillar's count).
+`decorate` keeps only the filled slots, as [N, 9] rows grouped by pillar
+(dynamic voxelization, Zhou et al., arXiv 1910.06528), and the PFN runs on
+those rows; only its train-mode batch norm still counts the P·S slots."""
 
 from __future__ import annotations
 
@@ -44,9 +50,26 @@ class GridSpec:
 
 @dataclass
 class PillarBatch:
-    features: np.ndarray  # [P, max_points, C] (C=4 raw, C=9 decorated)
+    features: np.ndarray  # [P, max_points, 4] raw xyzr slots, zero past `counts`
     coords: np.ndarray  # [P, 2] int (row = y index, col = x index)
     counts: np.ndarray  # [P]
+
+
+@dataclass
+class PillarRows:
+    """The kept points of a PillarBatch as rows grouped by pillar, in slot
+    order: pillar i's rows are starts[i] : starts[i] + counts[i]."""
+
+    features: np.ndarray  # [N, 9] decorated
+    coords: np.ndarray  # [P, 2]
+    counts: np.ndarray  # [P], each at least 1
+    starts: np.ndarray  # [P]
+    max_points: int  # S, the slots per pillar of the padded layout
+
+    def slot_index(self) -> np.ndarray:
+        """[N] position of each row among the P·S slots of the padded layout."""
+        offset = np.arange(self.counts.shape[0]) * self.max_points - self.starts
+        return np.arange(self.features.shape[0]) + np.repeat(offset, self.counts)
 
 
 def pillarize(cloud: PointCloud, g: GridSpec, seed: int = 0, cap: bool = True) -> PillarBatch:
@@ -105,31 +128,27 @@ def pillarize(cloud: PointCloud, g: GridSpec, seed: int = 0, cap: bool = True) -
     return PillarBatch(features, coords, counts)
 
 
-def decorate(batch: PillarBatch, g: GridSpec) -> PillarBatch:
-    """Expand raw xyzr slots into the 9-channel decorated features."""
-    p, s, c = batch.features.shape
-    if c != 4:
-        raise ConfigurationError("decorate expects raw 4-channel pillar features")
-    out = np.zeros((p, s, 9), dtype=np.float32)
-    if p == 0:
-        return PillarBatch(out, batch.coords, batch.counts)
-    feats = batch.features.astype(np.float64)
-    mask = np.arange(s)[None, :] < batch.counts[:, None]  # [P, S]
-    out[:, :, :4] = batch.features
-
-    cnt = np.maximum(batch.counts, 1).astype(np.float64)[:, None]
-    mean = (feats[:, :, :3] * mask[:, :, None]).sum(axis=1) / cnt  # [P, 3]
-    out[:, :, 4:7] = np.where(
-        mask[:, :, None], feats[:, :, :3] - mean[:, None, :], 0.0
-    ).astype(np.float32)
-
-    cell_x = g.x_range[0] + (batch.coords[:, 1] + 0.5) * g.pillar_size[0]
-    cell_y = g.y_range[0] + (batch.coords[:, 0] + 0.5) * g.pillar_size[1]
-    center = np.stack([cell_x, cell_y], axis=1)  # [P, 2]
-    out[:, :, 7:9] = np.where(
-        mask[:, :, None], feats[:, :, :2] - center[:, None, :], 0.0
-    ).astype(np.float32)
-    return PillarBatch(out, batch.coords, batch.counts)
+def decorate(batch: PillarBatch, g: GridSpec) -> PillarRows:
+    """The 9 decorated channels of each kept point: raw xyzr, the offset
+    from its pillar's point mean, and the x/y offset from its cell centre.
+    Empty slots are dropped, not decorated."""
+    if batch.features.ndim != 3 or batch.features.shape[2] != 4:
+        raise ConfigurationError("decorate expects raw [P, S, 4] pillar features")
+    s = batch.features.shape[1]
+    counts = batch.counts
+    starts = np.cumsum(counts) - counts
+    raw = batch.features[np.arange(s)[None, :] < counts[:, None]]  # [N, 4]
+    out = np.empty((raw.shape[0], 9), dtype=np.float32)
+    out[:, :4] = raw
+    if raw.shape[0]:
+        xyz = raw[:, :3].astype(np.float64)
+        mean = np.add.reduceat(xyz, starts, axis=0) / counts[:, None]  # [P, 3]
+        out[:, 4:7] = xyz - np.repeat(mean, counts, axis=0)
+        cell_x = g.x_range[0] + (batch.coords[:, 1] + 0.5) * g.pillar_size[0]
+        cell_y = g.y_range[0] + (batch.coords[:, 0] + 0.5) * g.pillar_size[1]
+        center = np.stack([cell_x, cell_y], axis=1)  # [P, 2]
+        out[:, 7:9] = xyz[:, :2] - np.repeat(center, counts, axis=0)
+    return PillarRows(out, batch.coords, counts, starts, s)
 
 
 @dataclass
@@ -152,18 +171,20 @@ class PFNWeights:
         }
 
 
-def pfn_forward(batch: PillarBatch, weights: PFNWeights) -> Tensor:
-    """Per-point linear + BN + ReLU, then masked max over the point slots.
+def pfn_forward(batch: PillarRows, weights: PFNWeights) -> Tensor:
+    """Per-point linear + BN + ReLU, then the max over each pillar's rows
+    (PointNet's symmetric function, Qi et al., arXiv 1612.00593).
 
-    Stays in the [P, S, C_f] layout of the linear map: BN sees it as
-    [P*S, C_f, 1, 1] and the max reduces the slot axis, so no step copies
-    a transposed array."""
-    p, s = batch.features.shape[:2]
+    Only the kept points are rows. An empty slot of the padded layout would
+    map to an exact zero row (the linear map has no bias) that the max never
+    reads, so it matters only to the train-mode batch norm, which is told
+    the P·S slot positions and normalises over all of them."""
+    n = batch.features.shape[0]
     cf = weights.weight.shape[1]
-    h = T.linear_map(Tensor(batch.features), weights.weight)  # [P, S, C_f]
-    h = T.batch_norm(T.reshape(h, (p * s, cf, 1, 1)), weights.bn, relu=True)
-    mask = np.arange(s)[None, :] < batch.counts[:, None]  # [P, S]
-    return T.max_over_axis(T.reshape(h, (p, s, cf)), axis=1, mask=mask[:, :, None])
+    slots = (batch.counts.shape[0] * batch.max_points, batch.slot_index())
+    h = T.linear_map(Tensor(batch.features), weights.weight)  # [N, C_f]
+    h = T.batch_norm(T.reshape(h, (n, cf, 1, 1)), weights.bn, relu=True, padded=slots)
+    return T.segment_max(T.reshape(h, (n, cf)), batch.starts)
 
 
 def scatter_to_pseudo_image(features: Tensor, coords: np.ndarray, g: GridSpec) -> Tensor:

@@ -2,9 +2,10 @@
 
 Implements exactly the operations the detection pipeline needs: conv2d,
 transposed conv, batch norm, relu, 2x2 average pooling, channel concat,
-affine maps, masked max reduction, plus a handful of glue ops (add, scale,
-reshape, transpose). Data lives in numpy arrays; float32 is the working
-precision, float64 is used by the finite-difference checker.
+affine maps, the max over each group of consecutive rows (the PFN's
+per-pillar max), plus a handful of glue ops (add, scale, reshape,
+transpose). Data lives in numpy arrays; float32 is the working precision,
+float64 is used by the finite-difference checker.
 
 Each op is a vector-Jacobian product: `make(out, parents, backward)` records
 it, and `backward(g)` returns one gradient per parent (None for a parent
@@ -370,9 +371,44 @@ def avg_pool2x2(x: Tensor) -> Tensor:
     return make(out, (x,), backward)
 
 
-def batch_norm(x: Tensor, p: BatchNormParams, relu: bool = False) -> Tensor:
+def _train_stats(x, count, padded):
+    """Per-channel train-mode mean and variance of x [N, C, H, W], bit for
+    bit those of numpy's `mean` and `var` (sum, divide, centre, square,
+    sum, divide), with the mean computed once.
+
+    With `padded` = (total, at), the statistics are those of a batch of
+    `total` rows whose rows `at` are x's and whose other rows are exact
+    zeros. A zero row adds nothing to the sum but mean² to the squared
+    deviations, so a scratch [total, C] buffer replays those in row order."""
+    div = np.intp(count)
+    if padded is None:
+        mean = np.add.reduce(x, axis=(0, 2, 3), keepdims=True)
+        np.true_divide(mean, div, out=mean, casting="unsafe")
+        sq = np.subtract(x, mean)
+        np.square(sq, out=sq)
+        axes = (0, 2, 3)
+    else:
+        rows = x.reshape(x.shape[:2])
+        mean = np.add.reduce(rows, axis=0)
+        np.true_divide(mean, div, out=mean, casting="unsafe")
+        sq = np.empty((count, rows.shape[1]), dtype=x.dtype)
+        sq[:] = np.square(mean)
+        dev = np.subtract(rows, mean)
+        sq[padded[1]] = np.square(dev, out=dev)
+        axes = 0
+    var = np.add.reduce(sq, axis=axes)
+    np.true_divide(var, div, out=var, casting="unsafe")
+    return mean.reshape(-1), var
+
+
+def batch_norm(x: Tensor, p: BatchNormParams, relu: bool = False, padded=None) -> Tensor:
     """Per-channel batch norm of [N, C, H, W]; with `relu` the output is
     clamped at 0 in place, so BN+ReLU is one op and one output buffer.
+
+    `padded` = (total, at) normalises x [N, C, 1, 1] as rows `at` of a
+    batch of `total` rows whose other rows are zero (the PFN's point rows
+    among its P·S slots): train mode uses that batch's count and
+    statistics. The zero rows have no output here, so they get no gradient.
 
     Backward never rebuilds x_hat: with Σg and Σg·x per channel,
     Σg·x_hat = (Σg·x - mean·Σg)·inv_std, and dx is g·a - x·k2 + k3 with
@@ -380,13 +416,14 @@ def batch_norm(x: Tensor, p: BatchNormParams, relu: bool = False) -> Tensor:
     n, c, h, w = x.shape
     if c != p.gamma.shape[0]:
         raise ConfigurationError("batch_norm: channel mismatch")
-    count = n * h * w
+    if padded is not None and ((h, w) != (1, 1) or len(padded[1]) != n):
+        raise ConfigurationError("batch_norm: padded rows must be [N, C, 1, 1], one index each")
+    count = n * h * w if padded is None else padded[0]
     train = p.mode == "train"
     if train:
         if count < 2:
             raise ConfigurationError("batch_norm: degenerate batch in train mode")
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        mean, var = _train_stats(x.data, count, padded)
         p.running_mean += p.momentum * (mean.astype(p.running_mean.dtype) - p.running_mean)
         p.running_var += p.momentum * (var.astype(p.running_var.dtype) - p.running_var)
     elif p.mode == "eval":
@@ -419,25 +456,36 @@ def batch_norm(x: Tensor, p: BatchNormParams, relu: bool = False) -> Tensor:
     return make(out, (x, p.gamma, p.beta), backward)
 
 
-def max_over_axis(x: Tensor, axis: int, mask=None) -> Tensor:
-    """Max reduction; masked-out slots are excluded, empty groups yield 0.
+def segment_max(x: Tensor, starts) -> Tensor:
+    """Max over consecutive row groups: group i is rows starts[i] up to the
+    next start (or the end), and every group must hold a row.
 
-    No pass builds a masked copy of x: forward reduces with `where=`, and
-    backward routes each gradient to the first kept slot equal to the max."""
-    axis = axis % x.data.ndim
-    keep = True if mask is None else np.asarray(mask, dtype=bool)
-    out = x.data.max(axis=axis, where=keep, initial=-np.inf)
-    empty = ~np.isfinite(out)
-    out = np.where(empty, 0.0, out).astype(x.dtype)
+    Most groups are one or two rows (a pillar of a KITTI frame holds 1.1
+    points on average), so the max takes one vectorised step per rank k,
+    folding in the k-th row of every group longer than k.
+    `np.maximum.reduceat` pays per group and channel instead: 27 ms against
+    2 ms on a KITTI frame's [16700, 64] PFN rows. Backward sends each
+    gradient to the group's first row equal to the max."""
+    n = x.shape[0]
+    starts = np.asarray(starts, dtype=np.intp)
+    sizes = np.diff(starts, append=n)
+    if starts.shape[0] == 0 or starts[0] != 0 or np.any(sizes < 1):
+        raise ConfigurationError("segment_max: groups must split the rows, none empty")
+    longer = [np.flatnonzero(sizes > k) for k in range(sizes.max())]  # [0] is every group
+    out = x.data[starts]
+    for k in range(1, len(longer)):
+        grp = longer[k]
+        out[grp] = np.maximum(out[grp], x.data[starts[grp] + k])
 
     def backward(g):
-        hit = x.data == np.expand_dims(out, axis)
-        if mask is not None:
-            hit &= keep
-        arg = hit.argmax(axis=axis)  # ties resolve to lowest index
+        first = np.empty(out.shape, dtype=np.intp)  # the row of each max
+        for k in reversed(range(len(longer))):  # the lowest row equal to the max wins
+            grp = longer[k]
+            rows = starts[grp] + k
+            hit = x.data[rows] == out[grp]
+            first[grp] = np.where(hit, rows.reshape(-1, *(1,) * (out.ndim - 1)), first[grp])
         dx = np.zeros_like(x.data)
-        np.put_along_axis(dx, np.expand_dims(arg, axis),
-                          np.expand_dims(np.where(empty, 0.0, g), axis), axis)
+        np.put_along_axis(dx, first, g, axis=0)
         return (dx,)
 
     return make(out, (x,), backward)

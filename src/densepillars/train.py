@@ -37,11 +37,15 @@ def save_checkpoint(path, pipeline: DetectionPipeline, cfg: RunConfig) -> None:
 
 
 def load_checkpoint(path):
-    """Pipeline and config from a checkpoint. An unreadable file, a checkpoint
-    of another version, and a missing, mis-shaped, undecodable or unknown
-    array are each a FormatError naming `path` and, where there is one, the key."""
+    """Pipeline and config from a checkpoint. An unreadable file, a bare
+    `.npy` array, a checkpoint of another version, and a missing, mis-shaped,
+    undecodable or unknown array are each a FormatError naming `path` and,
+    where there is one, the key."""
     try:
-        with np.load(path, allow_pickle=False) as z:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):  # a bare .npy array
+            raise ValueError("an array, not an npz archive")
+        with archive as z:
             state = {k: z[k] for k in z.files}
     except (ValueError, EOFError, zipfile.BadZipFile) as e:
         raise FormatError(f"{path}: not a readable checkpoint: {e}") from None

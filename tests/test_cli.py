@@ -97,9 +97,8 @@ class TestGradcheck:
         assert names == {
             "linear_map", "conv2d", "conv2d_stride2", "conv2d_1x1_bias", "conv2d_batch2",
             "conv_transpose2d", "batch_norm", "batch_norm_eval", "batch_norm_relu",
-            "batch_norm_relu_eval", "relu", "avg_pool2x2", "max_over_axis",
-            "max_over_axis_masked", "conv_bn_relu", "focal", "smooth_l1_sine", "softmax_ce",
-            "detection_loss",
+            "batch_norm_relu_eval", "relu", "avg_pool2x2", "segment_max_padded_bn",
+            "conv_bn_relu", "focal", "smooth_l1_sine", "softmax_ce", "detection_loss",
         }
 
 
@@ -298,6 +297,14 @@ class TestTrainInferEvalRoundtrip:
                    "--out-dir", str(tmp_path / "p"), "--checkpoint", str(bad)])
         assert rc == EXIT_IO
         assert f"{bad}: not a readable checkpoint" in capsys.readouterr().err
+
+    def test_infer_bare_npy_checkpoint_is_io_error(self, tmp_path, tiny_cfg, capsys):
+        bare = tmp_path / "a.npy"
+        np.save(bare, np.zeros(3, dtype=np.float32))
+        rc = main(["infer", "--config", tiny_cfg, "--data-dir", str(tmp_path),
+                   "--out-dir", str(tmp_path / "p"), "--checkpoint", str(bare)])
+        assert rc == EXIT_IO
+        assert f"{bare}: not a readable checkpoint" in capsys.readouterr().err
 
     def test_infer_missing_checkpoint_is_io_error(self, tmp_path, tiny_cfg):
         rc = main(["infer", "--config", tiny_cfg, "--data-dir", str(tmp_path),

@@ -8,13 +8,15 @@ from densepillars.encoder import (
     GridSpec,
     PFNWeights,
     PillarBatch,
+    PillarRows,
     decorate,
     pfn_forward,
     pillarize,
     scatter_to_pseudo_image,
 )
-from densepillars.pointcloud import PointCloud
+from densepillars.pointcloud import PointCloud, synth_scene
 from densepillars.tensor import ConfigurationError, InvariantViolation, Tensor
+from pfn_oracle import padded_decorate, padded_pfn_forward, transposed_pfn_forward
 
 SMALL = GridSpec(
     x_range=(0.0, 3.2),
@@ -216,42 +218,63 @@ class TestPillarizeAgainstLoop:
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def pillar_rows(batch, i):
+    """The decorated rows of pillar i."""
+    return batch.features[batch.starts[i] : batch.starts[i] + batch.counts[i]]
+
+
 class TestDecorate:
     def test_channel_layout(self):
         g = SMALL
         cloud = make_cloud([(0.15, 0.05), (0.05, 0.15)], z=-1.0, r=0.3)
         batch = decorate(pillarize(cloud, g), g)
-        assert batch.features.shape[2] == 9
-        f = batch.features[0]
-        n = batch.counts[0]
-        assert n == 2
+        assert batch.features.shape == (2, 9)
+        f = pillar_rows(batch, 0)
+        assert batch.counts[0] == 2
         # raw slots pass through
-        np.testing.assert_allclose(f[:2, 3], 0.3, rtol=1e-6)
-        # offsets from the arithmetic mean sum to zero over valid slots
-        np.testing.assert_allclose(f[:n, 4:7].sum(axis=0), 0.0, atol=1e-6)
+        np.testing.assert_allclose(f[:, 3], 0.3, rtol=1e-6)
+        # offsets from the arithmetic mean sum to zero over the pillar's points
+        np.testing.assert_allclose(f[:, 4:7].sum(axis=0), 0.0, atol=1e-6)
         # offsets from the cell center: cell (row 8, col 0) is centered at (0.1, 0.1)
-        np.testing.assert_allclose(f[:n, 7], f[:n, 0] - 0.1, atol=1e-6)
-        np.testing.assert_allclose(f[:n, 8], f[:n, 1] - 0.1, atol=1e-6)
+        np.testing.assert_allclose(f[:, 7], f[:, 0] - 0.1, atol=1e-6)
+        np.testing.assert_allclose(f[:, 8], f[:, 1] - 0.1, atol=1e-6)
 
     def test_mean_offset_values(self):
         g = SMALL
         cloud = make_cloud([(0.05, 0.05), (0.15, 0.15)])
         batch = decorate(pillarize(cloud, g), g)
-        f = batch.features[0]
-        np.testing.assert_allclose(np.abs(f[:2, 4]), 0.05, atol=1e-6)
-        np.testing.assert_allclose(np.abs(f[:2, 5]), 0.05, atol=1e-6)
-        np.testing.assert_allclose(f[:2, 6], 0.0, atol=1e-6)
+        f = pillar_rows(batch, 0)
+        np.testing.assert_allclose(np.abs(f[:, 4]), 0.05, atol=1e-6)
+        np.testing.assert_allclose(np.abs(f[:, 5]), 0.05, atol=1e-6)
+        np.testing.assert_allclose(f[:, 6], 0.0, atol=1e-6)
 
     def test_padded_slots_stay_zero(self):
+        """An empty slot gets no row; in the padded oracle it stays zero."""
         g = SMALL
-        batch = decorate(pillarize(make_cloud([(0.1, 0.1)]), g), g)
-        np.testing.assert_array_equal(batch.features[0, 1:], 0.0)
+        raw = pillarize(make_cloud([(0.1, 0.1), (0.9, 0.3), (0.95, 0.35)]), g)
+        batch = decorate(raw, g)
+        assert batch.features.shape == (3, 9)
+        np.testing.assert_array_equal(batch.starts, [0, 1])
+        np.testing.assert_array_equal(padded_decorate(raw, g).features[0, 1:], 0.0)
 
     def test_rejects_already_decorated(self):
         g = SMALL
         batch = decorate(pillarize(make_cloud([(0.1, 0.1)]), g), g)
         with pytest.raises(ConfigurationError):
             decorate(batch, g)
+
+    def test_empty_batch(self):
+        batch = decorate(pillarize(PointCloud(np.zeros((0, 4), np.float32)), SMALL), SMALL)
+        assert batch.features.shape == (0, 9) and batch.starts.shape == (0,)
+
+    @pytest.mark.parametrize("kind", ["sparse", "overfull", "over_cap"])
+    def test_matches_padded_decorate(self, kind):
+        raw = pillarize(_scene(kind, 2), SMALL, seed=2)
+        got, want = decorate(raw, SMALL), padded_decorate(raw, SMALL)
+        mask = np.arange(SMALL.max_points_per_pillar)[None, :] < raw.counts[:, None]
+        np.testing.assert_array_equal(got.features, want.features[mask])
+        np.testing.assert_array_equal(got.slot_index(), np.flatnonzero(mask))
+        assert got.features.dtype == np.float32 and got.max_points == SMALL.max_points_per_pillar
 
 
 class TestPFN:
@@ -277,23 +300,28 @@ class TestPFN:
         out = pfn_forward(batch, w).data
 
         perm = np.array([2, 0, 1])
-        shuffled = PillarBatch(
-            batch.features.copy(), batch.coords.copy(), batch.counts.copy()
-        )
-        n = batch.counts[0]
-        shuffled.features[0, :n] = batch.features[0, perm]
+        shuffled = PillarRows(batch.features[perm], batch.coords, batch.counts,
+                              batch.starts, batch.max_points)
         out2 = pfn_forward(shuffled, w).data
         np.testing.assert_array_equal(out, out2)
 
-    def test_padding_does_not_leak(self):
-        """Adding garbage in padded slots must not change the output."""
+    def _assert_padding_does_not_leak(self, mode):
+        """Garbage in the raw batch's empty slots must not change the output."""
         g = SMALL
-        batch = decorate(pillarize(make_cloud([(0.1, 0.1)]), g), g)
+        raw = pillarize(make_cloud([(0.1, 0.1), (0.9, 0.3)]), g)
         w = self._eval_weights(g)
-        out = pfn_forward(batch, w).data
-        dirty = PillarBatch(batch.features.copy(), batch.coords, batch.counts)
-        dirty.features[0, 1:] = 99.0
-        np.testing.assert_array_equal(out, pfn_forward(dirty, w).data)
+        w.bn.mode = mode
+        out = pfn_forward(decorate(raw, g), w).data
+        dirty = PillarBatch(raw.features.copy(), raw.coords, raw.counts)
+        dirty.features[:, 1:] = 99.0
+        np.testing.assert_array_equal(out, pfn_forward(decorate(dirty, g), w).data)
+
+    def test_padding_does_not_leak(self):
+        self._assert_padding_does_not_leak("eval")
+
+    def test_padding_does_not_leak_train_mode(self):
+        """Train-mode batch statistics see no empty slot either."""
+        self._assert_padding_does_not_leak("train")
 
     def test_gradient_flows_to_weight(self):
         g = SMALL
@@ -309,29 +337,16 @@ class TestPFN:
         assert err <= 1e-4
 
 
-def transposed_pfn_forward(batch: PillarBatch, weights: PFNWeights) -> Tensor:
-    """The earlier PFN, kept as the oracle: it transposes the linear map's
-    [P, S, C_f] output to [1, C_f, P, S], normalises and clamps it there,
-    takes the masked max over the last axis and transposes back."""
-    p, s, _ = batch.features.shape
-    cf = weights.weight.shape[1]
-    h = T.linear_map(Tensor(batch.features), weights.weight)
-    h = T.reshape(T.transpose(h, (2, 0, 1)), (1, cf, p, s))
-    h = T.relu(T.batch_norm(h, weights.bn))
-    mask = np.arange(s)[None, :] < batch.counts[:, None]
-    h = T.max_over_axis(h, axis=3, mask=mask[None, None, :, :])
-    return T.transpose(T.reshape(h, (cf, p)), (1, 0))
-
-
 class TestPFNOracle:
-    """`pfn_forward` in the [P, S, C_f] layout against the transposed one on
-    a scene with an overfull pillar, a partly filled one, a one-point pillar and
-    a pillar whose first two points are the same point."""
+    """`pfn_forward` on the kept rows against the padded and the transposed
+    [P, S] oracles (`tests/pfn_oracle.py`) on a scene with an overfull
+    pillar, a partly filled one, a one-point pillar and a pillar whose first
+    two points are the same point."""
 
     DUP = (1.31, 0.52)
 
     @classmethod
-    def _batch(cls):
+    def _raw(cls):
         xy = [(0.05, 0.05), (0.11, 0.13), (0.17, 0.02), (0.08, 0.19), (0.12, 0.07),  # overfull
               (0.71, -0.33), (0.75, -0.21), (0.62, -0.38),  # three of four slots
               (2.5, 1.1),  # one point
@@ -339,13 +354,13 @@ class TestPFNOracle:
         pts = np.array([[x, y, -1.0 + 0.1 * i, 0.1 * (i % 5)] for i, (x, y) in enumerate(xy)],
                        dtype=np.float32)
         pts[10, 2:] = pts[9, 2:]
-        return decorate(pillarize(PointCloud(pts), SMALL, seed=3), SMALL)
+        return pillarize(PointCloud(pts), SMALL, seed=3)
 
     @staticmethod
-    def _weights(mode, dtype):
-        w = PFNWeights.create(SMALL, np.random.default_rng(7))
+    def _weights(mode, dtype, grid=SMALL):
+        w = PFNWeights.create(grid, np.random.default_rng(7))
         r = np.random.default_rng(8)
-        c = SMALL.feature_channels
+        c = grid.feature_channels
         w.weight = Tensor(w.weight.data.astype(dtype), requires_grad=True)
         w.bn = T.BatchNormParams(Tensor(r.uniform(0.5, 1.5, c).astype(dtype), requires_grad=True),
                                  Tensor(r.normal(0.0, 0.3, c).astype(dtype), requires_grad=True),
@@ -353,52 +368,86 @@ class TestPFNOracle:
                                  r.uniform(0.5, 2.0, c).astype(dtype), mode=mode)
         return w
 
-    def _run(self, forward, mode, dtype):
-        batch = self._batch()
-        w = self._weights(mode, dtype)
-        out = forward(batch, w)
+    @classmethod
+    def _run(cls, path, mode, dtype, raw=None, grid=SMALL):
+        """Output, weight/gamma/beta gradients, upstream gradient and running
+        statistics of `pfn_forward` ("rows") or an oracle on the raw batch."""
+        raw = cls._raw() if raw is None else raw
+        w = cls._weights(mode, dtype, grid)
+        if path == "rows":
+            out = pfn_forward(decorate(raw, grid), w)
+        else:
+            forward = {"padded": padded_pfn_forward, "transposed": transposed_pfn_forward}[path]
+            out = forward(padded_decorate(raw, grid), w)
         g = np.random.default_rng(9).normal(size=out.shape).astype(dtype)
         out.backward(g)
-        return out.data, (w.weight.grad, w.bn.gamma.grad, w.bn.beta.grad), g
+        grads = (w.weight.grad, w.bn.gamma.grad, w.bn.beta.grad)
+        return out.data, grads, g, (w.bn.running_mean, w.bn.running_var)
+
+    @staticmethod
+    def _assert_close(got, want, rtol, dtype):
+        for name, a, e in zip(("out", "weight", "gamma", "beta"), got, want):
+            assert a.shape == e.shape and a.dtype == dtype, name
+            err = np.max(np.abs(a - e)) / np.max(np.abs(e))
+            assert err <= rtol, f"{name}: relative error {err:.2e} > {rtol:.0e}"
 
     def test_scene_has_every_pillar_kind(self):
-        counts = sorted(self._batch().counts.tolist())
+        counts = sorted(self._raw().counts.tolist())
         assert counts == [1, 3, 3, 4]
 
     @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_matches_transposed_layout(self, mode, dtype, rtol):
-        out, grads, _ = self._run(pfn_forward, mode, dtype)
-        want_out, want_grads, _ = self._run(transposed_pfn_forward, mode, dtype)
-        assert out.shape == want_out.shape and out.dtype == dtype
-        err = np.max(np.abs(out - want_out)) / np.max(np.abs(want_out))
-        assert err <= rtol, f"out: relative error {err:.2e}"
-        for name, got, want in zip(("weight", "gamma", "beta"), grads, want_grads):
-            assert got.dtype == dtype, name
-            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
-            assert err <= rtol, f"{name}: relative error {err:.2e} > {rtol:.0e}"
+        out, grads, _, _ = self._run("rows", mode, dtype)
+        want_out, want_grads, _, _ = self._run("transposed", mode, dtype)
+        self._assert_close((out, *grads), (want_out, *want_grads), rtol, dtype)
+
+    @pytest.mark.parametrize("scene", ["small", "desk"])
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_matches_padded_layout(self, mode, dtype, rtol, scene):
+        """The float32 forward and running statistics are bit-identical to the
+        padded PFN's; the gradients sum fewer zeros and agree to `rtol`."""
+        raw, grid = None, SMALL
+        if scene == "desk":
+            # the desk config's grid with fewer slots, so that pillars overflow
+            grid = GridSpec(x_range=(0.0, 20.48), y_range=(-10.24, 10.24),
+                            pillar_size=(0.32, 0.32), max_points_per_pillar=16)
+            cloud = synth_scene(seed=0, n_boxes=3, x_range=grid.x_range, y_range=grid.y_range).cloud
+            raw = pillarize(cloud, grid)
+            assert raw.counts.max() == grid.max_points_per_pillar and raw.counts.min() == 1
+        out, grads, _, stats = self._run("rows", mode, dtype, raw, grid)
+        want_out, want_grads, _, want_stats = self._run("padded", mode, dtype, raw, grid)
+        if dtype == np.float32:
+            np.testing.assert_array_equal(out, want_out)
+        for got, want in zip(stats, want_stats):
+            np.testing.assert_array_equal(got, want)
+        self._assert_close((out, *grads), (want_out, *want_grads), rtol, dtype)
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_duplicate_point_gradient_reaches_lowest_slot(self, monkeypatch, mode):
+        """Of two equal rows in a pillar, the max's gradient reaches the first."""
         seen = []
-        max_over_axis = T.max_over_axis
+        segment_max = T.segment_max
 
         def recording(x, *args, **kwargs):
             seen.append(x)
-            return max_over_axis(x, *args, **kwargs)
+            return segment_max(x, *args, **kwargs)
 
-        monkeypatch.setattr(T, "max_over_axis", recording)
-        out, _, g = self._run(pfn_forward, mode, np.float64)
-        batch = self._batch()
+        monkeypatch.setattr(T, "segment_max", recording)
+        out, _, g, _ = self._run("rows", mode, np.float64)
+        batch = decorate(self._raw(), SMALL)
         (h,) = seen
-        dup = int(np.flatnonzero(np.all(batch.features[:, 0] == batch.features[:, 1], axis=1))[0])
-        np.testing.assert_array_equal(h.data[dup, 0], h.data[dup, 1])
-        np.testing.assert_array_equal(h.grad[dup, 1], 0.0)
-        np.testing.assert_array_equal(h.grad[dup, 3:], 0.0)  # empty slot
-        np.testing.assert_array_equal(h.grad[dup].sum(axis=0), g[dup])
-        ties = h.data[dup, 0] == out[dup]
+        assert h.shape[0] == batch.counts.sum()  # no row for an empty slot
+        f, first = batch.features, batch.starts[batch.counts >= 2]
+        r = int(first[np.all(f[first] == f[first + 1], axis=1)][0])
+        dup = int(np.flatnonzero(batch.starts == r)[0])
+        np.testing.assert_array_equal(h.data[r], h.data[r + 1])
+        np.testing.assert_array_equal(h.grad[r + 1], 0.0)
+        np.testing.assert_array_equal(h.grad[r : r + batch.counts[dup]].sum(axis=0), g[dup])
+        ties = h.data[r] == out[dup]
         assert ties.any()
-        np.testing.assert_array_equal(h.grad[dup, 0, ties], g[dup, ties])
+        np.testing.assert_array_equal(h.grad[r, ties], g[dup, ties])
 
 
 class TestScatter:

@@ -10,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from densepillars import tensor as T
 from densepillars.optim import OptimizerState, adamw_step
 from densepillars.tensor import ConfigurationError, Tensor, grad_check
+from pfn_oracle import max_over_axis
 
 rng = np.random.default_rng(12345)
 
@@ -243,39 +244,87 @@ class TestSimpleOps:
         assert err <= 1e-7
 
     def test_max_over_axis_examples(self):
-        out = T.max_over_axis(Tensor(np.array([[1.0, 5.0, 3.0]])), axis=1)
+        out = max_over_axis(Tensor(np.array([[1.0, 5.0, 3.0]])), axis=1)
         assert out.data.item() == 5.0
 
     def test_max_fully_masked_is_zero(self):
         x = Tensor(np.array([[1.0, 5.0], [2.0, 4.0]]))
         mask = np.array([[True, True], [False, False]])
-        out = T.max_over_axis(x, axis=1, mask=mask)
+        out = max_over_axis(x, axis=1, mask=mask)
         np.testing.assert_array_equal(out.data, [5.0, 0.0])
 
     def test_max_gradient_one_hot(self):
         x = Tensor(np.array([[1.0, 5.0, 3.0]]), requires_grad=True)
-        out = T.max_over_axis(x, axis=1)
+        out = max_over_axis(x, axis=1)
         out.backward(np.array([2.0]))
         np.testing.assert_array_equal(x.grad, [[0.0, 2.0, 0.0]])
         err = grad_check(
-            lambda v: T.max_over_axis(v[0], 1),
+            lambda v: max_over_axis(v[0], 1),
             [Tensor(np.array([[0.3, 2.0, -1.0], [4.0, 1.0, 0.0]]))],
         )
         assert err <= 1e-6
 
     def test_max_tie_lowest_index(self):
         x = Tensor(np.array([[2.0, 2.0]]), requires_grad=True)
-        out = T.max_over_axis(x, axis=1)
+        out = max_over_axis(x, axis=1)
         out.backward(np.array([1.0]))
         np.testing.assert_array_equal(x.grad, [[1.0, 0.0]])
 
     def test_max_gradient_skips_masked_slot_equal_to_max(self):
         x = Tensor(np.array([[7.0, 3.0, 7.0], [9.0, 9.0, 1.0]]), requires_grad=True)
         mask = np.array([[False, True, True], [False, False, False]])
-        out = T.max_over_axis(x, axis=1, mask=mask)
+        out = max_over_axis(x, axis=1, mask=mask)
         np.testing.assert_array_equal(out.data, [7.0, 0.0])
         out.backward(np.array([2.0, 5.0]))
         np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
+
+
+class TestSegmentMax:
+    """`segment_max` against `max_over_axis` on the same groups laid out as
+    padded slots, and its own edge cases."""
+
+    def test_examples(self):
+        x = Tensor(np.array([[1.0, -4.0], [5.0, -2.0], [3.0, -3.0], [-1.0, 7.0]]))
+        np.testing.assert_array_equal(T.segment_max(x, [0, 3]).data, [[5.0, -2.0], [-1.0, 7.0]])
+
+    def test_gradient_reaches_first_row_equal_to_max(self):
+        x = Tensor(np.array([[2.0], [9.0], [2.0], [4.0], [4.0], [9.0]]), requires_grad=True)
+        out = T.segment_max(x, [0, 3])  # the 9.0 of the second group is not the first's max
+        np.testing.assert_array_equal(out.data, [[9.0], [9.0]])
+        out.backward(np.array([[2.0], [5.0]]))
+        np.testing.assert_array_equal(x.grad, [[0.0], [2.0], [0.0], [0.0], [0.0], [5.0]])
+        x.grad = None
+        T.segment_max(x, [0, 1, 3]).backward(np.array([[1.0], [3.0], [6.0]]))
+        np.testing.assert_array_equal(x.grad, [[1.0], [3.0], [0.0], [0.0], [0.0], [6.0]])
+
+    def test_tie_goes_to_lowest_row(self):
+        x = Tensor(np.array([[1.0, 3.0], [1.0, 3.0], [0.0, 3.0]]), requires_grad=True)
+        T.segment_max(x, [0]).backward(np.array([[4.0, 5.0]]))
+        np.testing.assert_array_equal(x.grad, [[4.0, 5.0], [0.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("starts", [[], [1, 2], [0, 2, 2], [0, 5]])
+    def test_rejects_groups_that_do_not_split_the_rows(self, starts):
+        with pytest.raises(ConfigurationError):
+            T.segment_max(rand_t(4, 2), starts)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=6), st.integers(0, 10_000))
+    def test_matches_masked_max_over_padded_slots(self, counts, seed):
+        r = np.random.default_rng(seed)
+        counts = np.array(counts)
+        rows = r.integers(-3, 4, size=(counts.sum(), 3)).astype(np.float64)  # ties
+        starts = np.cumsum(counts) - counts
+        mask = np.arange(5)[None, :] < counts[:, None]
+        padded = np.full((counts.shape[0], 5, 3), 99.0)
+        padded[mask] = rows
+        g = r.normal(size=(counts.shape[0], 3))
+        x, xp = Tensor(rows, requires_grad=True), Tensor(padded, requires_grad=True)
+        out = T.segment_max(x, starts)
+        want = max_over_axis(xp, axis=1, mask=mask[:, :, None])
+        np.testing.assert_array_equal(out.data, want.data)
+        out.backward(g)
+        want.backward(g)
+        np.testing.assert_array_equal(x.grad, xp.grad[mask])
 
 
 def reference_conv2d(x, weight, bias, stride, pad, g):
@@ -392,7 +441,7 @@ class TestNoGrad:
             T.conv2d(x, T.Conv2dParams(w, rand_t(3), 1, 1)),
             T.batch_norm(x, bn),
             T.relu(x),
-            T.max_over_axis(x, 3, mask=np.ones(4, dtype=bool)),
+            T.segment_max(x, [0]),
             T.add(x, x),
         ]
 
@@ -574,6 +623,36 @@ class TestBatchNormOracle:
         a = 1.0 / np.sqrt(1.0 + p.eps)
         np.testing.assert_array_equal(x.grad, np.array([0.0, 0.0, a, a]).reshape(1, 1, 2, 2))
         assert p.beta.grad[0] == 2.0
+
+    @pytest.mark.parametrize("dtype,rtol", DTYPE_RTOL)
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_padded_rows_match_the_zero_padded_batch(self, mode, dtype, rtol):
+        """`padded=(total, at)` on the rows against the same rows placed among
+        zero rows: the forward and running statistics bit for bit, and the
+        gradients when the zero rows' outputs get no gradient (as under the
+        PFN's max)."""
+        total, c = 40, 6
+        at = np.sort(np.random.default_rng(3).choice(total, size=9, replace=False))
+        x, params, g = self._inputs((total, c, 1, 1), mode, dtype)
+        zero_rows = np.ones(total, dtype=bool)
+        zero_rows[at] = False
+        x[zero_rows] = 0.0
+        g[zero_rows] = 0.0
+        rows = self._run(lambda t, p: T.batch_norm(t, p, relu=True, padded=(total, at)),
+                         x[at], params, g[at], mode)
+        full = self._run(lambda t, p: T.batch_norm(t, p, relu=True), x, params, g, mode)
+        np.testing.assert_array_equal(rows[0], full[0][at])
+        for got, want in zip(rows[1], full[1]):
+            np.testing.assert_array_equal(got, want)
+        for name, got, want in zip(("dx", "dgamma", "dbeta"), rows[2], (full[2][0][at], *full[2][1:])):
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= rtol, f"{name}: relative error {err:.2e} > {rtol:.0e}"
+
+    def test_padded_rows_need_one_index_each(self):
+        p = T.BatchNormParams.create(2)
+        x = Tensor(np.ones((3, 2, 1, 1), dtype=np.float32))
+        with pytest.raises(ConfigurationError):
+            T.batch_norm(x, p, padded=(8, np.array([0, 4])))
 
 
 class TestAccumulate:
