@@ -6,8 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .backbones import BaselineBackboneSpec, DenseBackboneSpec
 from .detector import AnchorConfig, NeckSpec
 from .encoder import GridSpec
@@ -172,11 +170,6 @@ def pipeline_report(grid: GridSpec, backbone_spec) -> CostReport:
         head_cost(sum(neck.out_channels), AnchorConfig().anchors_per_cell, h // 2, w // 2),
     ]
     return CostReport(rows)
-
-
-def runtime_param_count(named_params: dict) -> int:
-    """Trainable values actually allocated by an executing network."""
-    return int(sum(np.prod(t.shape, dtype=np.int64) for t in named_params.values()))
 
 
 def comparison_report(grid: GridSpec, dense_spec: DenseBackboneSpec,

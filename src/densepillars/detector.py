@@ -207,26 +207,28 @@ def assign_targets(anchors, anchor_cls, gts, cfg: AnchorConfig) -> TargetAssignm
     gt_index = np.full(a, -1, dtype=np.int64)
     reg_targets = np.zeros((a, 7), dtype=np.float64)
     dir_targets = np.zeros(a, dtype=np.int64)
+    rows = box_rows([b for b, _ in gts])
+    gt_cls = np.array([CLASSES.index(c) for _, c in gts], dtype=np.int64)
 
     for ci, cls in enumerate(CLASSES):
         idx = np.nonzero(anchor_cls == ci)[0]
-        cls_gts = [(gi, b) for gi, (b, c) in enumerate(gts) if c == cls]
-        if not cls_gts or idx.size == 0:
+        members = np.flatnonzero(gt_cls == ci)  # this class's ground-truth indices
+        if members.size == 0 or idx.size == 0:
             continue
         match_thr = cfg.match_thresholds[cls]
         unmatch_thr = cfg.unmatch_thresholds[cls]
 
-        iou = iou_matrix(anchors[idx], box_rows([b for _, b in cls_gts]))
+        iou = iou_matrix(anchors[idx], rows[members])
         best_gt = iou.argmax(axis=1)
         best_iou = iou[np.arange(idx.size), best_gt]
         pos = best_iou >= match_thr
         ignore = (best_iou >= unmatch_thr) & ~pos
         labels[idx[pos]] = 1
         labels[idx[ignore]] = -1
-        gt_index[idx[pos]] = [cls_gts[g][0] for g in best_gt[pos]]
+        gt_index[idx[pos]] = members[best_gt[pos]]
 
         # every ground truth claims its best-overlapping anchor
-        for gj, (gi, _) in enumerate(cls_gts):
+        for gj, gi in enumerate(members):
             col = iou[:, gj]
             top = int(col.argmax())
             if col[top] > 0.0:
@@ -235,7 +237,7 @@ def assign_targets(anchors, anchor_cls, gts, cfg: AnchorConfig) -> TargetAssignm
 
     pos_idx = np.nonzero(labels == 1)[0]
     if pos_idx.size:
-        gt_rows = np.stack([gts[gt_index[i]][0].as_array() for i in pos_idx])
+        gt_rows = rows[gt_index[pos_idx]]
         reg_targets[pos_idx] = encode_boxes(gt_rows, anchors[pos_idx])
         dir_targets[pos_idx] = (gt_rows[:, 6] >= 0).astype(np.int64)
     return TargetAssignment(labels, gt_index, reg_targets, dir_targets)

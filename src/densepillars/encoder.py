@@ -29,6 +29,9 @@ class GridSpec:
     feature_channels: int = 64
 
     def __post_init__(self):
+        for axis, (lo, hi) in zip("xyz", (self.x_range, self.y_range, self.z_range)):
+            if not lo < hi:
+                raise ConfigurationError(f"grid {axis}_max {hi} must exceed {axis}_min {lo}")
         px, py = self.pillar_size
         for lo, hi, p in ((*self.x_range, px), (*self.y_range, py)):
             n = (hi - lo) / p

@@ -73,14 +73,6 @@ class Box3D:
             dtype=np.float64,
         )
 
-    def bev_corners(self):
-        """Four BEV corner points, CCW."""
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        hx, hy = self.l / 2.0, self.w / 2.0
-        local = np.array([[hx, hy], [-hx, hy], [-hx, -hy], [hx, -hy]])
-        rot = np.array([[c, -s], [s, c]])
-        return local @ rot.T + np.array([self.cx, self.cy])
-
 
 @dataclass
 class LabeledScene:

@@ -1,17 +1,19 @@
 """Minimal reverse-mode tensor engine.
 
 Implements exactly the operations the detection pipeline needs: conv2d,
-transposed conv, batch norm, relu, 2x2 average pooling, channel concat,
-affine maps, the max over each group of consecutive rows (the PFN's
-per-pillar max), plus a handful of glue ops (add, scale, reshape,
-transpose). Data lives in numpy arrays; float32 is the working precision,
-float64 is used by the finite-difference checker.
+transposed conv, batch norm with an optional fused relu, 2x2 average
+pooling, channel concat, linear maps, the max over each group of
+consecutive rows (the PFN's per-pillar max), plus a handful of glue ops
+(add, scale, reshape, transpose). Data lives in numpy arrays; float32 is
+the working precision, float64 is used by the finite-difference checker.
 
 Each op is a vector-Jacobian product: `make(out, parents, backward)` records
 it, and `backward(g)` returns one gradient per parent (None for a parent
 that gets none) without touching any tensor's `.grad`. `Tensor.backward` is
-the one place gradients are accumulated, and only into tensors with
-`requires_grad`.
+the one place gradients are summed, and only for tensors with
+`requires_grad`. Only leaves (tensors no op made) keep `.grad`: an
+intermediate gradient lives only inside the sweep. An op's backward must
+not write into the gradient it receives, since that array may be shared.
 """
 
 from __future__ import annotations
@@ -54,33 +56,35 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def _accumulate(self, g):
-        if self.grad is None:
-            # A copy, never `g` itself: an op may hand one array to several
-            # parents (add), and each grad is summed into in place later.
-            self.grad = np.array(g, dtype=self.data.dtype)
-        else:
-            self.grad += g
-
     def zero_grad(self):
         self.grad = None
 
     def backward(self, grad=None):
-        """Reverse-mode sweep from this tensor through its graph."""
+        """Reverse-mode sweep from this tensor through its graph. Gradients
+        are summed out of place in a map local to the sweep, so an array an
+        op hands to two parents (add) is never written; only leaves keep one."""
         if grad is None:
             if self.data.size != 1:
                 raise ConfigurationError("backward() without grad requires a scalar")
             grad = np.ones_like(self.data)
-        self._accumulate(np.broadcast_to(np.asarray(grad, dtype=self.dtype), self.shape))
+        grads = {id(self): np.broadcast_to(np.asarray(grad, dtype=self.dtype), self.shape)}
 
         order = []
         _visit(self, set(), order)
         for t in reversed(order):
-            if t._backward is None or t.grad is None:
+            g = grads.pop(id(t), None)
+            if g is None:
                 continue
-            for p, g in zip(t._parents, t._backward(t.grad), strict=True):
-                if g is not None and p.requires_grad:
-                    p._accumulate(g)
+            if t._backward is not None:
+                for p, gp in zip(t._parents, t._backward(g), strict=True):
+                    if gp is not None and p.requires_grad:
+                        gp = gp.astype(p.dtype, copy=False)
+                        prev = grads.get(id(p))
+                        grads[id(p)] = gp if prev is None else prev + gp
+            elif t.grad is None:
+                t.grad = np.array(g)  # a leaf's own copy: g may be shared
+            else:
+                t.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -211,13 +215,6 @@ def transpose(a: Tensor, axes) -> Tensor:
     return make(np.transpose(a.data, axes), (a,), backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    def backward(g):
-        return (g * (a.data > 0),)  # subgradient at 0 is 0
-
-    return make(np.maximum(a.data, 0), (a,), backward)
-
-
 def channel_concat(inputs) -> Tensor:
     inputs = list(inputs)
     base = inputs[0].shape
@@ -232,27 +229,21 @@ def channel_concat(inputs) -> Tensor:
     return make(np.concatenate([t.data for t in inputs], axis=1), inputs, backward)
 
 
-def linear_map(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def linear_map(x: Tensor, weight: Tensor) -> Tensor:
     if x.shape[-1] != weight.shape[0]:
         raise ConfigurationError(
             f"linear_map: inner dims {x.shape[-1]} vs {weight.shape[0]}"
         )
     lead = x.shape[:-1]
     x2 = x.data.reshape(-1, x.shape[-1])
-    out = x2 @ weight.data
-    if bias is not None:
-        out = out + bias.data
 
     def backward(g):
         g2 = g.reshape(-1, weight.shape[1])
         # no input gradient for a constant input (the PFN features)
         dx = (g2 @ weight.data.T).reshape(x.shape) if x.requires_grad else None
-        if bias is None:
-            return dx, x2.T @ g2
-        return dx, x2.T @ g2, g2.sum(axis=0)
+        return dx, x2.T @ g2
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return make(out.reshape(*lead, weight.shape[1]), parents, backward)
+    return make((x2 @ weight.data).reshape(*lead, weight.shape[1]), (x, weight), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,22 @@
 """Rotated-box oracles shared by the tests, independent of the batched kernel
-in `densepillars.bev`: a scalar Sutherland-Hodgman IoU on lists of tuples,
-one pair at a time, a Monte-Carlo IoU estimate, and a greedy-NMS replay."""
+in `densepillars.bev`: a box's BEV corners, a scalar Sutherland-Hodgman IoU
+on lists of tuples, one pair at a time, a Monte-Carlo IoU estimate, and a
+greedy-NMS replay."""
 
 import math
 
 import numpy as np
 
 AREA_EPS = 1e-9
+
+
+def bev_corners(box):
+    """A `Box3D`'s four BEV corner points, CCW."""
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    hx, hy = box.l / 2.0, box.w / 2.0
+    local = np.array([[hx, hy], [-hx, hy], [-hx, -hy], [hx, -hy]])
+    rot = np.array([[c, -s], [s, c]])
+    return local @ rot.T + np.array([box.cx, box.cy])
 
 
 def _polygon_area(poly) -> float:
@@ -49,7 +59,7 @@ def _clip_polygon(subject, clip) -> list:
 
 def _oracle_inter(a, b):
     return _polygon_area(
-        _clip_polygon([tuple(p) for p in a.bev_corners()], [tuple(p) for p in b.bev_corners()])
+        _clip_polygon([tuple(p) for p in bev_corners(a)], [tuple(p) for p in bev_corners(b)])
     )
 
 
@@ -94,7 +104,7 @@ def monte_carlo_iou(a, b, n, rng):
         ly = -s * dx + c * dy
         return (np.abs(lx) <= box.l / 2) & (np.abs(ly) <= box.w / 2)
 
-    corners = np.concatenate([a.bev_corners(), b.bev_corners()])
+    corners = np.concatenate([bev_corners(a), bev_corners(b)])
     lo, hi = corners.min(axis=0), corners.max(axis=0)
     px = rng.uniform(lo[0], hi[0], n)
     py = rng.uniform(lo[1], hi[1], n)

@@ -6,7 +6,8 @@ whole [P, S, C] pillar tensor, normalise all P·S slots in train mode and
 take a masked max over the slot axis. `transposed_pfn_forward` is the
 older PFN that normalised a transposed [1, C_f, P, S] copy instead.
 `max_over_axis` is their masked max; the product's max is
-`tensor.segment_max`.
+`tensor.segment_max`. `relu` is the standalone clamp the transposed PFN
+applies after batch norm; the product fuses it into `tensor.batch_norm`.
 """
 
 import numpy as np
@@ -14,6 +15,13 @@ import numpy as np
 from densepillars import tensor as T
 from densepillars.encoder import PillarBatch
 from densepillars.tensor import Tensor
+
+
+def relu(a: Tensor) -> Tensor:
+    def backward(g):
+        return (g * (a.data > 0),)  # subgradient at 0 is 0
+
+    return T.make(np.maximum(a.data, 0), (a,), backward)
 
 
 def max_over_axis(x: Tensor, axis: int, mask=None) -> Tensor:
@@ -83,7 +91,7 @@ def transposed_pfn_forward(batch: PillarBatch, weights) -> Tensor:
     cf = weights.weight.shape[1]
     h = T.linear_map(Tensor(batch.features), weights.weight)
     h = T.reshape(T.transpose(h, (2, 0, 1)), (1, cf, p, s))
-    h = T.relu(T.batch_norm(h, weights.bn))
+    h = relu(T.batch_norm(h, weights.bn))
     mask = np.arange(s)[None, :] < batch.counts[:, None]
     h = max_over_axis(h, axis=3, mask=mask[None, None, :, :])
     return T.transpose(T.reshape(h, (cf, p)), (1, 0))

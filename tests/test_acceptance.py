@@ -26,7 +26,6 @@ from densepillars.cost import (
     comparison_report,
     dense_backbone_cost,
     pipeline_report,
-    runtime_param_count,
 )
 from densepillars.detector import (
     FPN,
@@ -40,6 +39,7 @@ from densepillars.encoder import GridSpec
 from densepillars.pointcloud import CLASSES, Box3D, Detection
 from densepillars.tensor import Tensor
 from densepillars.train import RECALL_IOU, make_training_scenes, train, training_recall
+from cost_oracle import runtime_param_count
 from iou_oracle import brute_nms, monte_carlo_iou, oracle_iou_bev
 
 KITTI = GridSpec()  # 64-channel pseudo-image at 496 x 432

