@@ -1,8 +1,12 @@
 """The dense-connectivity backbone and the baseline stride-2 conv backbone.
 
-Both emit three multi-scale taps with identical shapes (strides 2, 4, 8
-relative to the pseudo-image), so one can replace the other without touching
-the encoder, neck, or head.
+Both read the pillar features at their grid cells and emit three
+multi-scale taps with identical shapes (strides 2, 4, 8 relative to the
+pillar grid), so one can replace the other without touching the encoder,
+neck, or head. The layers that read the pillars (the dense block-1 first
+conv and the pillar channels of its transition, the baseline's first entry
+conv) run as `tensor.sparse_conv2d`, which equals the conv of the scattered
+pseudo-image without building it.
 """
 
 from __future__ import annotations
@@ -88,6 +92,11 @@ class ConvBNRelu:
     def forward(self, x):
         return T.batch_norm(T.conv2d(x, self.conv), self.bn, relu=True)
 
+    def forward_sparse(self, features, coords, size):
+        """`forward` of the pseudo-image holding the pillar features [P, C]
+        at `coords` in a grid of `size`."""
+        return T.batch_norm(T.sparse_conv2d(features, coords, size, self.conv), self.bn, relu=True)
+
     def named_params(self, prefix):
         return {
             f"{prefix}.conv.weight": self.conv.weight,
@@ -128,13 +137,34 @@ class DenseBackbone:
             self.transitions.append(ConvBNRelu(rng, concat_c, c_out, 1))
             c_in = c_out
 
-    def forward(self, pseudo_image):
-        taps = []
-        h = pseudo_image
-        for layers, trans in zip(self.blocks, self.transitions):
+    def forward(self, features, coords, size):
+        """Taps from the pillar features [P, C] at grid cells `coords` of a
+        grid of `size` = (H, W)."""
+        h = T.avg_pool2x2(self._first_block(features, coords, size))
+        taps = [h]
+        for layers, trans in zip(self.blocks[1:], self.transitions[1:]):
             h = T.avg_pool2x2(trans.forward(dense_block_forward(h, layers)))
             taps.append(h)
         return taps
+
+    def _first_block(self, features, coords, size):
+        """Block 1 and its transition conv, read from the pillars. The 1x1
+        transition over [x; h1; ...] is a GEMM over the stage outputs plus
+        the sparse 1x1 product of the pillar channels of its weight, so the
+        concat holds the stage outputs only."""
+        layers, trans = self.blocks[0], self.transitions[0]
+        h = layers[0].forward_sparse(features, coords, size)
+        feats = [h]
+        for layer in layers[1:]:
+            h = layer.forward(h)
+            feats.append(h)
+        w = trans.conv.weight
+        c_in = features.shape[1]
+        mixed = T.conv2d(T.channel_concat(feats),
+                         T.Conv2dParams(T.channel_slice(w, c_in, w.shape[1])))
+        mixed = T.sparse_conv2d(features, coords, size,
+                                T.Conv2dParams(T.channel_slice(w, 0, c_in)), onto=mixed)
+        return T.batch_norm(mixed, trans.bn, relu=True)
 
     def named_params(self, prefix="backbone"):
         out = {}
@@ -169,10 +199,12 @@ class BaselineBackbone:
             self.blocks.append(layers)
             c_in = c
 
-    def forward(self, pseudo_image):
+    def forward(self, features, coords, size):
+        """Taps from the pillar features [P, C] at grid cells `coords` of a
+        grid of `size` = (H, W)."""
+        h = self.blocks[0][0].forward_sparse(features, coords, size)
         taps = []
-        h = pseudo_image
-        for layers in self.blocks:
+        for layers in (self.blocks[0][1:], *self.blocks[1:]):
             for layer in layers:
                 h = layer.forward(h)
             taps.append(h)

@@ -1,5 +1,8 @@
-"""Pillarization, feature decoration, the pillar feature network, and the
-scatter step that builds the 2D pseudo-image.
+"""Pillarization, feature decoration and the pillar feature network.
+
+The backbones read the pillar features at their cells (`coords`) through
+`tensor.sparse_conv2d`, so no pseudo-image is built;
+`scatter_to_pseudo_image` stays as the tests' oracle input.
 
 `pillarize` groups points into the paper's fixed [P, S, 4] pillar tensor
 (S = `max_points_per_pillar` slots, zero past each pillar's count).
@@ -190,6 +193,9 @@ def pfn_forward(batch: PillarRows, weights: PFNWeights) -> Tensor:
     return T.segment_max(T.reshape(h, (n, cf)), batch.starts)
 
 
+# not called by the pipeline: the tests build the oracle's pseudo-image with
+# it, and perfbench/spans.py wraps encoder.scatter_to_pseudo_image by name,
+# so tracing fails without the attribute
 def scatter_to_pseudo_image(features: Tensor, coords: np.ndarray, g: GridSpec) -> Tensor:
     """Place per-pillar feature vectors at their grid cells; empty cells stay 0."""
     p, c = features.shape

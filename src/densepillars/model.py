@@ -67,8 +67,8 @@ class DetectionPipeline:
         if batch.features.shape[0] == 0:
             raise InvariantViolation("no points fall inside the detection range")
         pillar_feats = enc.pfn_forward(batch, self.pfn)
-        pseudo = enc.scatter_to_pseudo_image(pillar_feats, batch.coords, self.grid)
-        taps = self.backbone.forward(pseudo)
+        taps = self.backbone.forward(pillar_feats, batch.coords,
+                                     (self.grid.height, self.grid.width))
         fused = self.neck.forward(taps)
         return self.head.forward(fused)
 

@@ -1,10 +1,11 @@
 """Minimal reverse-mode tensor engine.
 
 Implements exactly the operations the detection pipeline needs: conv2d,
+the conv of a pillar image computed from its pillars (sparse_conv2d),
 transposed conv, batch norm with an optional fused relu, 2x2 average
 pooling, channel concat, linear maps, the max over each group of
 consecutive rows (the PFN's per-pillar max), plus a handful of glue ops
-(add, scale, reshape, transpose). Data lives in numpy arrays; float32 is
+(add, scale, reshape, transpose, channel_slice). Data lives in numpy arrays; float32 is
 the working precision, float64 is used by the finite-difference checker.
 
 Each op is a vector-Jacobian product: `make(out, parents, backward)` records
@@ -229,6 +230,18 @@ def channel_concat(inputs) -> Tensor:
     return make(np.concatenate([t.data for t in inputs], axis=1), inputs, backward)
 
 
+def channel_slice(a: Tensor, lo: int, hi: int) -> Tensor:
+    """a[:, lo:hi], for example the input channels lo..hi of a conv weight;
+    backward zero-pads the gradient back to a's shape."""
+
+    def backward(g):
+        da = np.zeros(a.shape, dtype=g.dtype)
+        da[:, lo:hi] = g
+        return (da,)
+
+    return make(a.data[:, lo:hi], (a,), backward)
+
+
 def linear_map(x: Tensor, weight: Tensor) -> Tensor:
     if x.shape[-1] != weight.shape[0]:
         raise ConfigurationError(
@@ -324,6 +337,91 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
 
     parents = (x, p.weight) if p.bias is None else (x, p.weight, p.bias)
     return make(out, parents, backward)
+
+
+def _offset_cells(coords, size, k, s, pad):
+    """Per kernel offset (i, j): the pillars whose cell it maps onto an
+    output cell, and those output cells as flat indices. A pillar at (r, c)
+    feeds output (r + pad - i) / s, (c + pad - j) / s when both divide."""
+    rows, cols = coords[:, 0], coords[:, 1]
+    h_out = (size[0] + 2 * pad - k) // s + 1
+    w_out = (size[1] + 2 * pad - k) // s + 1
+    col_parts = []
+    for j in range(k):
+        co, rem = np.divmod(cols + pad - j, s)
+        col_parts.append((co, (rem == 0) & (co >= 0) & (co < w_out)))
+    offsets = []
+    for i in range(k):
+        ro, rem = np.divmod(rows + pad - i, s)
+        row_ok = (rem == 0) & (ro >= 0) & (ro < h_out)
+        for j, (co, col_ok) in enumerate(col_parts):
+            sel = np.flatnonzero(row_ok & col_ok)
+            offsets.append((i, j, sel, ro[sel] * w_out + co[sel]))
+    return h_out, w_out, offsets
+
+
+def sparse_conv2d(features: Tensor, coords, size, p: Conv2dParams,
+                  onto: Tensor | None = None) -> Tensor:
+    """conv2d of the [1, C_in, H, W] image that holds row i of `features`
+    [P, C_in] at cell coords[i] = (row, col) of a grid of `size` = (H, W)
+    and zeros elsewhere, computed from the P pillars without building it.
+
+    Each kernel offset is one GEMM over the pillars that land on an output
+    cell. One offset's cells are distinct, since pillar cells are, so a
+    1x1 conv adds its products with a plain fancy-index add; with several
+    offsets, one `np.bincount` per output channel sums them all (a fancy
+    add per offset and channel took three times as long on a KITTI frame).
+    Backward is the matching gather; it never builds the image's gradient.
+
+    With `onto` [1, C_out, H_out, W_out], the conv is added into onto's
+    array in place and onto gets the output's gradient: pass an op output
+    that nothing else reads."""
+    n_p, c_in = features.shape
+    c_out, c_in_w, k, _ = p.weight.shape
+    if c_in != c_in_w:
+        raise ConfigurationError(f"sparse_conv2d: input channels {c_in} != weight {c_in_w}")
+    if p.bias is not None:
+        raise ConfigurationError("sparse_conv2d takes no bias")
+    coords = np.asarray(coords, dtype=np.intp).reshape(n_p, 2)
+    if n_p and (coords.min() < 0 or np.any(coords.max(axis=0) >= size)):
+        raise ConfigurationError("sparse_conv2d: pillar coordinates outside the grid")
+    if np.unique(coords[:, 0] * size[1] + coords[:, 1]).shape[0] != n_p:
+        raise InvariantViolation("duplicate pillar coordinates in sparse_conv2d")
+    h_out, w_out, offsets = _offset_cells(coords, size, k, p.stride, p.padding)
+    if h_out < 1 or w_out < 1:
+        raise ConfigurationError("sparse_conv2d: non-positive output size")
+    shape = (1, c_out, h_out, w_out)
+    if onto is not None and onto.shape != shape:
+        raise ConfigurationError(f"sparse_conv2d: onto {onto.shape} != output {shape}")
+
+    f, wt = features.data, p.weight.data
+    bounds = np.cumsum([0] + [len(sel) for _, _, sel, _ in offsets])
+    spans = list(zip(bounds[:-1], bounds[1:]))  # each offset's columns of y
+    cells = np.concatenate([t for _, _, _, t in offsets])
+    y = np.empty((c_out, bounds[-1]), dtype=np.result_type(wt, f))
+    for (i, j, sel, _), (a, b) in zip(offsets, spans):
+        np.matmul(wt[:, :, i, j], f[sel].T, out=y[:, a:b])
+    hw = h_out * w_out
+    out = np.zeros((c_out, hw), dtype=y.dtype) if onto is None else onto.data.reshape(c_out, hw)
+    for o in range(c_out):
+        if len(offsets) == 1:
+            out[o][cells] += y[o]
+        else:
+            out[o] += np.bincount(cells, y[o], minlength=hw)
+
+    def backward(g):
+        g2 = g.reshape(c_out, hw)
+        gy = np.take(g2, cells, axis=1)
+        dw = np.zeros(wt.shape, dtype=np.result_type(wt, g2))
+        df = np.zeros(f.shape, dtype=dw.dtype) if features.requires_grad else None
+        for (i, j, sel, _), (a, b) in zip(offsets, spans):
+            dw[:, :, i, j] = gy[:, a:b] @ f[sel]
+            if df is not None:
+                df[sel] += gy[:, a:b].T @ wt[:, :, i, j]
+        return (df, dw) if onto is None else (df, dw, g)
+
+    parents = (features, p.weight) if onto is None else (features, p.weight, onto)
+    return make(out.reshape(shape), parents, backward)
 
 
 def conv_transpose2d(x: Tensor, weight: Tensor, stride: int) -> Tensor:

@@ -39,6 +39,7 @@ from densepillars.encoder import GridSpec
 from densepillars.pointcloud import CLASSES, Box3D, Detection
 from densepillars.tensor import Tensor
 from densepillars.train import RECALL_IOU, make_training_scenes, train, training_recall
+from backbone_oracle import pillar_image
 from cost_oracle import runtime_param_count
 from iou_oracle import brute_nms, monte_carlo_iou, oracle_iou_bev
 
@@ -104,7 +105,7 @@ def test_criterion_3_plug_and_play():
     ):
         for bn in bb.bn_list():
             bn.mode = "eval"
-        taps = bb.forward(x)
+        taps = bb.forward(*pillar_image(x))
         fused = neck.forward(taps)  # the very same neck/head instances
         outs = head.forward(fused)
         shapes[kind] = [t.shape for t in taps] + [fused.shape] + [o.shape for o in outs]

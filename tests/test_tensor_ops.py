@@ -1,5 +1,6 @@
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from densepillars import tensor as T
+from densepillars.encoder import scatter_to_pseudo_image
 from densepillars.optim import OptimizerState, adamw_step
 from densepillars.tensor import ConfigurationError, Tensor, grad_check
 from pfn_oracle import max_over_axis, relu
@@ -399,6 +401,105 @@ class TestConv2dRowTiles:
         row_bytes = n * c_in * k * k * w_out * np.dtype(dtype).itemsize
         monkeypatch.setattr(T, "_TILE_BYTES", rows * row_bytes)
         _conv_against_reference(n, c_in, 4, h, w, k, stride, pad, True, dtype, rtol)
+
+
+def _pillars(h, w, occupancy, seed, border):
+    """Pillar cells of an h x w grid, each cell occupied with probability
+    `occupancy`, every border cell too with `border`; in shuffled order."""
+    r = np.random.default_rng(seed)
+    occ = r.uniform(size=(h, w)) < occupancy
+    if border:
+        occ[[0, -1], :] = True
+        occ[:, [0, -1]] = True
+    coords = np.argwhere(occ)
+    return coords[r.permutation(len(coords))]
+
+
+def _sparse_against_dense(coords, h, w, k, stride, pad, dtype, rtol, seed=0):
+    """`sparse_conv2d` against `conv2d` of `scatter_to_pseudo_image`: out,
+    dF and dW for the same upstream gradient."""
+    r = np.random.default_rng(seed)
+    c_in, c_out = 3, 4
+    f = Tensor(r.normal(size=(len(coords), c_in)).astype(dtype), requires_grad=True)
+    wt = Tensor(r.normal(size=(c_out, c_in, k, k)).astype(dtype), requires_grad=True)
+    p = T.Conv2dParams(wt, None, stride, pad)
+    out = T.sparse_conv2d(f, coords, (h, w), p)
+    g = r.normal(size=out.shape).astype(dtype)
+    out.backward(g)
+    got = [out.data, f.grad, wt.grad]
+    f.zero_grad()
+    wt.zero_grad()
+    want = T.conv2d(scatter_to_pseudo_image(f, coords, SimpleNamespace(height=h, width=w)), p)
+    want.backward(g)
+    for name, a, e in zip(("out", "dF", "dW"), got, [want.data, f.grad, wt.grad]):
+        assert a.shape == e.shape and a.dtype == dtype, name
+        err = np.max(np.abs(a - e), initial=0.0)
+        assert err <= rtol * np.max(np.abs(e), initial=0.0), f"{name}: error {err:.2e}"
+    return out
+
+
+SPARSE_CASES = [(3, 1, 1), (3, 2, 1), (1, 1, 0)]  # (k, stride, pad) of the backbones
+
+
+class TestSparseConv2dOracle:
+    @pytest.mark.parametrize("dtype,rtol", DTYPE_RTOL)
+    @pytest.mark.parametrize("h,w", [(8, 8), (7, 10)])
+    @pytest.mark.parametrize("k,stride,pad", SPARSE_CASES)
+    def test_border_pillars(self, k, stride, pad, h, w, dtype, rtol):
+        """Every border cell holds a pillar, at odd and even coordinates."""
+        coords = _pillars(h, w, 0.3, seed=h * w, border=True)
+        _sparse_against_dense(coords, h, w, k, stride, pad, dtype, rtol)
+
+    @pytest.mark.parametrize("k,stride,pad", SPARSE_CASES)
+    def test_no_pillars(self, k, stride, pad):
+        coords = np.zeros((0, 2), dtype=np.int64)
+        out = _sparse_against_dense(coords, 6, 6, k, stride, pad, np.float64, 0.0)
+        assert not out.data.any()
+
+    @settings(max_examples=30, deadline=None)
+    @given(occupancy=st.floats(0.0, 1.0), seed=st.integers(0, 2**16),
+           case=st.sampled_from(SPARSE_CASES), h=st.integers(1, 9), w=st.integers(1, 9))
+    def test_random_occupancy(self, occupancy, seed, case, h, w):
+        k, stride, pad = case
+        if (h + 2 * pad - k) < 0 or (w + 2 * pad - k) < 0:
+            return
+        coords = _pillars(h, w, occupancy, seed, border=False)
+        _sparse_against_dense(coords, h, w, k, stride, pad, np.float64, 1e-12, seed)
+
+    def test_adds_onto(self):
+        """`onto` receives the conv in place and the output's gradient."""
+        coords = _pillars(6, 6, 0.5, seed=1, border=True)
+        f = rand_t(len(coords), 3)
+        p = T.Conv2dParams(rand_t(4, 3, 1, 1))
+        base = rand_t(1, 4, 6, 6)
+        onto = T.scale(base, 1.0)
+        alone = T.sparse_conv2d(f, coords, (6, 6), p).data
+        out = T.sparse_conv2d(f, coords, (6, 6), p, onto=onto)
+        np.testing.assert_allclose(out.data, base.data + alone, rtol=1e-13)
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        np.testing.assert_array_equal(base.grad, g)
+
+    def test_duplicate_coordinates_raise(self):
+        coords = np.array([[0, 1], [2, 2], [0, 1]])
+        with pytest.raises(T.InvariantViolation, match="duplicate"):
+            T.sparse_conv2d(rand_t(3, 2), coords, (4, 4), T.Conv2dParams(rand_t(2, 2, 3, 3)))
+
+    @pytest.mark.parametrize("cell", [[4, 0], [0, 4], [-1, 0]])
+    def test_coordinates_outside_the_grid_raise(self, cell):
+        coords = np.array([[1, 1], cell])
+        with pytest.raises(ConfigurationError, match="outside the grid"):
+            T.sparse_conv2d(rand_t(2, 2), coords, (4, 4), T.Conv2dParams(rand_t(2, 2, 1, 1)))
+
+    def test_channel_slice_backward_zero_pads(self):
+        w = rand_t(3, 5, 1, 1)
+        part = T.channel_slice(w, 1, 4)
+        np.testing.assert_array_equal(part.data, w.data[:, 1:4])
+        g = rng.normal(size=part.shape)
+        part.backward(g)
+        want = np.zeros(w.shape)
+        want[:, 1:4] = g
+        np.testing.assert_array_equal(w.grad, want)
 
 
 def mean_pool(x):
