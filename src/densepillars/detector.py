@@ -59,13 +59,30 @@ class FPN:
             )
 
     def forward(self, taps):
+        """In eval mode with no graph recorded, batch norm is folded into
+        each transposed conv, which writes its channel slice of the fused
+        map, so no batch norm pass or concat copy runs."""
         if len(taps) != len(self.branches):
             raise ConfigurationError("neck expects one tap per branch")
-        outs = []
+        if any(bn.mode != "eval" or T.recording(tap, w, bn.gamma, bn.beta)
+               for tap, (w, bn, _) in zip(taps, self.branches)):
+            outs = []
+            for tap, (w, bn, stride) in zip(taps, self.branches):
+                h = T.conv_transpose2d(tap, w, stride)
+                outs.append(T.batch_norm(h, bn, relu=True))
+            return T.channel_concat(outs)
+        n, _, rows, cols = taps[0].shape
+        s0 = self.branches[0][2]
+        fused = np.empty((n, sum(self.spec.out_channels), rows * s0, cols * s0),
+                         dtype=taps[0].dtype)
+        lo = 0
         for tap, (w, bn, stride) in zip(taps, self.branches):
-            h = T.conv_transpose2d(tap, w, stride)
-            outs.append(T.batch_norm(h, bn, relu=True))
-        return T.channel_concat(outs)
+            a, b = bn.fold()
+            hi = lo + w.shape[1]
+            T.conv_transpose2d(tap, Tensor(w.data * a[None, :, None, None]), stride, bias=b,
+                               relu=True, out=fused[:, lo:hi])
+            lo = hi
+        return Tensor(fused)
 
     def named_params(self, prefix="neck"):
         out = {}
@@ -100,11 +117,17 @@ class AnchorHead:
         self.dir_conv = head_conv(a * 2)
 
     def forward(self, fused):
-        return (
-            T.conv2d(fused, self.cls_conv),
-            T.conv2d(fused, self.box_conv),
-            T.conv2d(fused, self.dir_conv),
-        )
+        """Class, box and direction maps. With no graph recorded, the three
+        convs run as one GEMM over the stacked [72, C] weight, split by
+        rows, so the fused map is read once."""
+        convs = (self.cls_conv, self.box_conv, self.dir_conv)
+        if T.recording(fused, *(t for c in convs for t in (c.weight, c.bias))):
+            return tuple(T.conv2d(fused, c) for c in convs)
+        stacked = T.Conv2dParams(Tensor(np.concatenate([c.weight.data for c in convs])),
+                                 Tensor(np.concatenate([c.bias.data for c in convs])))
+        maps = T.conv2d(fused, stacked).data
+        bounds = np.cumsum([0] + [c.weight.shape[0] for c in convs])
+        return tuple(Tensor(maps[:, a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
 
     def named_params(self, prefix="head"):
         out = {}

@@ -103,13 +103,27 @@ class DetectionPipeline:
         return state
 
     def load_state_arrays(self, state):
-        """Copy parameters and BN running stats from `state`; a missing or
-        mis-shaped array is a FormatError naming its key."""
+        """Copy parameters and BN running stats from `state`; a missing,
+        mis-shaped or non-finite array, or a negative running variance, is
+        a FormatError naming its key: eval mode folds these values into the
+        convs, and one NaN there would make every score NaN and `infer`
+        report no detections."""
         for k, v in self.named_params().items():
-            v.data = state_array(state, f"param/{k}", v.data.shape).astype(v.data.dtype).copy()
+            v.data = _finite_array(state, f"param/{k}", v.data.shape, v.data.dtype)
         for i, bn in enumerate(self.bn_list()):
-            bn.running_mean = state_array(state, f"bnstat/{i}/mean", bn.running_mean.shape).copy()
-            bn.running_var = state_array(state, f"bnstat/{i}/var", bn.running_var.shape).copy()
+            bn.running_mean = _finite_array(state, f"bnstat/{i}/mean", bn.running_mean.shape)
+            bn.running_var = _finite_array(state, f"bnstat/{i}/var", bn.running_var.shape)
+            if np.any(bn.running_var < 0):
+                raise FormatError(f"checkpoint array 'bnstat/{i}/var' has a negative variance")
+
+
+def _finite_array(state, key, shape, dtype=None):
+    """A copy of `state[key]` (cast to `dtype` if given), checked as in
+    `state_array` and for non-finite values."""
+    arr = np.array(state_array(state, key, shape), dtype=dtype)
+    if not np.all(np.isfinite(arr)):
+        raise FormatError(f"checkpoint array {key!r} has a non-finite value")
+    return arr
 
 
 def state_array(state, key, shape=None):

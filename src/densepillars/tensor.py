@@ -15,6 +15,9 @@ the one place gradients are summed, and only for tensors with
 `requires_grad`. Only leaves (tensors no op made) keep `.grad`: an
 intermediate gradient lives only inside the sweep. An op's backward must
 not write into the gradient it receives, since that array may be shared.
+
+For inference, the conv ops also take a bias+ReLU epilogue and an `out=`
+array to write into; both raise when the op would record a graph.
 """
 
 from __future__ import annotations
@@ -119,13 +122,18 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
+def recording(*tensors) -> bool:
+    """Whether an op on these tensors would record the graph: recording is
+    on and one of them (None counts as absent) requires grad."""
+    return _grad_enabled.get() and any(t is not None and t.requires_grad for t in tensors)
+
+
 def make(out_data, parents, backward):
     """Wrap an op result in a Tensor. `backward(g)` receives the output's
     gradient and returns one gradient per parent, or None for a parent that
-    gets none; the graph is wired only when recording is on and a parent
-    requires grad."""
+    gets none; the graph is wired only when `recording(*parents)`."""
     out = Tensor(out_data)
-    if _grad_enabled.get() and any(p.requires_grad for p in parents):
+    if recording(*parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -175,6 +183,16 @@ class BatchNormParams:
             eps=eps,
             momentum=momentum,
         )
+
+    def fold(self):
+        """Eval-mode batch norm as the per-channel map x·a + b, from the
+        current running statistics: a = γ/√(σ²+ε) and b = β − μ·a. A conv
+        followed by it equals the conv with weight·a and bias b. Both are in
+        γ's dtype, whatever the statistics' (a checkpoint may hold float64
+        ones), as `batch_norm` casts them to its input's."""
+        a = self.gamma.data / np.sqrt(self.running_var + self.eps)
+        b = self.beta.data - self.running_mean * a
+        return a.astype(self.gamma.dtype, copy=False), b.astype(self.gamma.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -270,26 +288,99 @@ def linear_map(x: Tensor, weight: Tensor) -> Tensor:
 _TILE_BYTES = 2 << 20
 
 
-def _im2col(xp, k, s, r0, r1, w_out):
-    """Padded [N, C, Hp, Wp] -> contiguous [N, C*k*k, (r1-r0)*W_out]: the
-    columns of output rows [r0, r1), rows in weight order."""
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, k, k, r1 - r0, w_out), dtype=xp.dtype)
+def _span(off, s, lo, hi, n_in):
+    """The output indices r of [lo, hi) whose input index off + s·r lies in
+    [0, n_in), as a range [a, b) with a <= b."""
+    a = max(lo, -(off // s))
+    return a, max(a, min(hi, (n_in - 1 - off) // s + 1))
+
+
+def _taps(shape, k, s, pad, r0, r1, w_out):
+    """Per kernel tap (i, j) of a conv's output rows [r0, r1): the tile rows
+    [a, b) and output columns [ca, cb) that read inside the unpadded input
+    of `shape`, and the input (rows, cols) slices they read, or None when
+    none do. The other positions read the zero padding."""
+    h, w = shape[2:]
+    col_spans = [_span(j - pad, s, 0, w_out, w) for j in range(k)]
     for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i + s * r0 : i + s * r1 : s, j : j + s * w_out : s]
+        ra, rb = _span(i - pad, s, r0, r1, h)
+        for j, (ca, cb) in enumerate(col_spans):
+            src = None
+            if rb > ra and cb > ca:
+                src = (slice(i - pad + s * ra, i - pad + s * (rb - 1) + 1, s),
+                       slice(j - pad + s * ca, j - pad + s * (cb - 1) + 1, s))
+            yield i, j, (ra - r0, rb - r0), (ca, cb), src
+
+
+def _im2col(x, k, s, pad, r0, r1, w_out):
+    """[N, C, H, W] -> [N, C*k*k, (r1-r0)*W_out]: the columns of output rows
+    [r0, r1) of a k x k conv with stride s and zero padding `pad`, rows in
+    weight order. It reads x unpadded and zero-fills the taps that fall on
+    the padding, so no padded copy of x is made. The columns of a 1x1
+    stride-1 conv without padding are a view of x."""
+    n, c, h, w = x.shape
+    if k == 1 and s == 1 and pad == 0:
+        return x.reshape(n, c, h * w)[:, :, r0 * w : r1 * w]
+    cols = np.empty((n, c, k, k, r1 - r0, w_out), dtype=x.dtype)
+    for i, j, (a, b), (ca, cb), src in _taps(x.shape, k, s, pad, r0, r1, w_out):
+        dst = cols[:, :, i, j]
+        if a > 0:
+            dst[:, :, :a] = 0
+        if b < r1 - r0:
+            dst[:, :, b:] = 0
+        if ca > 0:
+            dst[:, :, a:b, :ca] = 0
+        if cb < w_out:
+            dst[:, :, a:b, cb:] = 0
+        if src is not None:
+            dst[:, :, a:b, ca:cb] = x[:, :, src[0], src[1]]
     return cols.reshape(n, c * k * k, (r1 - r0) * w_out)
 
 
-def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
-    """A 1x1 stride-1 conv is one plain matmul. Any other conv runs one GEMM
-    per tile of output rows over that tile's im2col columns, writing into
-    its slice of the output; backward rebuilds each tile rather than
-    holding the columns."""
+def _epilogue_check(op, fused, *tensors):
+    """A bias the op cannot differentiate, `relu` and `out` serve inference
+    only: with any of them set (`fused`), recording a graph is an error."""
+    if fused and recording(*tensors):
+        raise ConfigurationError(f"{op}: bias, relu and out= run only without a graph")
+
+
+def _out_rows(out, shape, dtype, op):
+    """The op's output: `out` when given, which must have the output's
+    shape and dtype (a channel slice of a preallocated buffer, say), else a
+    new array; returned with its [N, C, H*W] view."""
+    if out is None:
+        out = np.empty(shape, dtype=dtype)
+    elif out.shape != shape or out.dtype != dtype:
+        raise ConfigurationError(f"{op}: out is {out.shape} {out.dtype}, expected {shape} {dtype}")
+    rows = out.reshape(*shape[:2], -1)
+    if not np.may_share_memory(rows, out):
+        raise ConfigurationError(f"{op}: out must have a [N, C, H*W] view")
+    return out, rows
+
+
+def _bias_relu(seg, bias, relu):
+    """The epilogue on a slice [N, C, L] of an output, in place."""
+    if bias is not None:
+        seg += bias[:, None]
+    if relu:
+        np.maximum(seg, 0, out=seg)
+
+
+def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False, out=None) -> Tensor:
+    """One GEMM per tile of output rows over that tile's im2col columns (a
+    view of x for a 1x1 stride-1 conv), written into the tile's slice of the
+    output. The bias is added to the slice, and with `relu` it is clamped
+    at 0, while the slice is still in cache. Backward rebuilds each tile
+    rather than holding the columns.
+
+    `relu` and `out` (an array of the output's shape and dtype that
+    receives it) serve the eval-mode fused path and raise when the op would
+    record a graph."""
     n, c_in, h, w = x.shape
     c_out, c_in_w, k, _ = p.weight.shape
     if c_in != c_in_w:
         raise ConfigurationError(f"conv2d: input channels {c_in} != weight {c_in_w}")
+    _epilogue_check("conv2d", relu or out is not None, x, p.weight, p.bias)
     s, pad = p.stride, p.padding
     h_out = (h + 2 * pad - k) // s + 1
     w_out = (w + 2 * pad - k) // s + 1
@@ -297,22 +388,15 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         raise ConfigurationError("conv2d: non-positive output size")
     w2 = p.weight.data.reshape(c_out, -1)
 
-    def padded():
-        return np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-
     pointwise = k == 1 and s == 1 and pad == 0
     step = max(1, _TILE_BYTES // (n * w2.shape[1] * w_out * x.data.itemsize))
     tiles = [(r0, min(r0 + step, h_out)) for r0 in range(0, h_out, step)]
-    if pointwise:
-        out = w2 @ x.data.reshape(n, c_in, h * w)
-    else:
-        xp = padded()
-        out = np.empty((n, c_out, h_out * w_out), dtype=np.result_type(w2, x.data))
-        for r0, r1 in tiles:
-            out[:, :, r0 * w_out : r1 * w_out] = w2 @ _im2col(xp, k, s, r0, r1, w_out)
-    if p.bias is not None:
-        out += p.bias.data[None, :, None]
-    out = out.reshape(n, c_out, h_out, w_out)
+    out, rows = _out_rows(out, (n, c_out, h_out, w_out), np.result_type(w2, x.data), "conv2d")
+    bias = None if p.bias is None else p.bias.data
+    for r0, r1 in tiles:
+        seg = rows[:, :, r0 * w_out : r1 * w_out]
+        np.matmul(w2, _im2col(x.data, k, s, pad, r0, r1, w_out), out=seg)
+        _bias_relu(seg, bias, relu)
 
     def backward(g):
         g2 = g.reshape(n, c_out, h_out * w_out)
@@ -321,19 +405,18 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         if pointwise:
             dw = np.tensordot(g2, x.data.reshape(n, c_in, h * w), axes=([0, 2], [0, 2]))
             return ((w2.T @ g2).reshape(x.shape), dw.reshape(p.weight.shape), *db)
-        xp = padded()
         dw = np.zeros(w2.shape, dtype=np.result_type(w2, g2))
-        dxp = np.zeros(xp.shape, dtype=dw.dtype)
+        dx = np.zeros(x.shape, dtype=dw.dtype)
         for r0, r1 in tiles:
             g_t = g2[:, :, r0 * w_out : r1 * w_out]
-            dw += np.tensordot(g_t, _im2col(xp, k, s, r0, r1, w_out), axes=([0, 2], [0, 2]))
+            dw += np.tensordot(g_t, _im2col(x.data, k, s, pad, r0, r1, w_out),
+                               axes=([0, 2], [0, 2]))
             dcols = (w2.T @ g_t).reshape(n, c_in, k, k, r1 - r0, w_out)
-            for i in range(k):
-                for j in range(k):
-                    dxp[:, :, i + s * r0 : i + s * r1 : s, j : j + s * w_out : s] += (
-                        dcols[:, :, i, j]
-                    )
-        return (dxp[:, :, pad : pad + h, pad : pad + w], dw.reshape(p.weight.shape), *db)
+            # col2im over the same clipped ranges: the padding gets no gradient
+            for i, j, (a, b), (ca, cb), src in _taps(x.shape, k, s, pad, r0, r1, w_out):
+                if src is not None:
+                    dx[:, :, src[0], src[1]] += dcols[:, :, i, j, a:b, ca:cb]
+        return (dx, dw.reshape(p.weight.shape), *db)
 
     parents = (x, p.weight) if p.bias is None else (x, p.weight, p.bias)
     return make(out, parents, backward)
@@ -361,7 +444,7 @@ def _offset_cells(coords, size, k, s, pad):
 
 
 def sparse_conv2d(features: Tensor, coords, size, p: Conv2dParams,
-                  onto: Tensor | None = None) -> Tensor:
+                  onto: Tensor | None = None, relu: bool = False, out=None) -> Tensor:
     """conv2d of the [1, C_in, H, W] image that holds row i of `features`
     [P, C_in] at cell coords[i] = (row, col) of a grid of `size` = (H, W)
     and zeros elsewhere, computed from the P pillars without building it.
@@ -375,13 +458,17 @@ def sparse_conv2d(features: Tensor, coords, size, p: Conv2dParams,
 
     With `onto` [1, C_out, H_out, W_out], the conv is added into onto's
     array in place and onto gets the output's gradient: pass an op output
-    that nothing else reads."""
+    that nothing else reads. A bias (added after the sum), `relu` and `out`
+    work as in conv2d: only when no graph is recorded. The bias and the
+    clamp run on each channel's row as soon as it is summed."""
     n_p, c_in = features.shape
     c_out, c_in_w, k, _ = p.weight.shape
     if c_in != c_in_w:
         raise ConfigurationError(f"sparse_conv2d: input channels {c_in} != weight {c_in_w}")
-    if p.bias is not None:
-        raise ConfigurationError("sparse_conv2d takes no bias")
+    _epilogue_check("sparse_conv2d", p.bias is not None or relu or out is not None,
+                    features, p.weight, onto)
+    if onto is not None and out is not None:
+        raise ConfigurationError("sparse_conv2d: give onto or out, not both")
     coords = np.asarray(coords, dtype=np.intp).reshape(n_p, 2)
     if n_p and (coords.min() < 0 or np.any(coords.max(axis=0) >= size)):
         raise ConfigurationError("sparse_conv2d: pillar coordinates outside the grid")
@@ -402,12 +489,22 @@ def sparse_conv2d(features: Tensor, coords, size, p: Conv2dParams,
     for (i, j, sel, _), (a, b) in zip(offsets, spans):
         np.matmul(wt[:, :, i, j], f[sel].T, out=y[:, a:b])
     hw = h_out * w_out
-    out = np.zeros((c_out, hw), dtype=y.dtype) if onto is None else onto.data.reshape(c_out, hw)
-    for o in range(c_out):
+    if onto is None:
+        out, acc = _out_rows(out, shape, y.dtype, "sparse_conv2d")
         if len(offsets) == 1:
-            out[o][cells] += y[o]
+            acc[...] = 0
+    else:
+        out, acc = onto.data, onto.data.reshape(1, c_out, hw)
+    bias = None if p.bias is None else p.bias.data
+    for o in range(c_out):
+        row = acc[:, o]  # [1, H_out·W_out]
+        if len(offsets) == 1:
+            row[0, cells] += y[o]
+        elif onto is None:
+            row[...] = np.bincount(cells, y[o], minlength=hw)
         else:
-            out[o] += np.bincount(cells, y[o], minlength=hw)
+            row += np.bincount(cells, y[o], minlength=hw)
+        _bias_relu(row, None if bias is None else bias[o : o + 1], relu)
 
     def backward(g):
         g2 = g.reshape(c_out, hw)
@@ -421,11 +518,16 @@ def sparse_conv2d(features: Tensor, coords, size, p: Conv2dParams,
         return (df, dw) if onto is None else (df, dw, g)
 
     parents = (features, p.weight) if onto is None else (features, p.weight, onto)
-    return make(out.reshape(shape), parents, backward)
+    return make(out, parents, backward)
 
 
-def conv_transpose2d(x: Tensor, weight: Tensor, stride: int) -> Tensor:
-    """Adjoint of a stride-s conv; kernel size must equal the stride."""
+def conv_transpose2d(x: Tensor, weight: Tensor, stride: int, bias=None, relu: bool = False,
+                     out=None) -> Tensor:
+    """Adjoint of a stride-s conv; kernel size must equal the stride, so
+    each input pixel feeds its own s x s block of outputs. Forward is one
+    GEMM [C_out·s·s, C_in] @ [C_in, pixels] per tile of input rows,
+    interleaved into the tile's output rows. `bias` (an array [C_out]),
+    `relu` and `out` work as in conv2d: only when no graph is recorded."""
     n, c_in, h, w = x.shape
     c_in_w, c_out, k, kw = weight.shape
     if k != kw or k != stride:
@@ -434,12 +536,23 @@ def conv_transpose2d(x: Tensor, weight: Tensor, stride: int) -> Tensor:
         raise ConfigurationError("conv_transpose2d stride must be 1, 2 or 4")
     if c_in != c_in_w:
         raise ConfigurationError("conv_transpose2d: channel mismatch")
+    _epilogue_check("conv_transpose2d", bias is not None or relu or out is not None, x, weight)
 
-    out = np.einsum("nchw,coij->nohiwj", x.data, weight.data, optimize=True)
-    out = np.ascontiguousarray(out.reshape(n, c_out, h * stride, w * stride))
+    s = stride
+    out, rows = _out_rows(out, (n, c_out, h * s, w * s), np.result_type(x.data, weight.data),
+                          "conv_transpose2d")
+    blocks = out.reshape(n, c_out, h, s, w, s)
+    wt = weight.data.transpose(1, 2, 3, 0).reshape(c_out * s * s, c_in)
+    x3 = x.data.reshape(n, c_in, h * w)
+    step = max(1, _TILE_BYTES // (n * c_in * w * x.data.itemsize))
+    for r0 in range(0, h, step):
+        r1 = min(r0 + step, h)
+        y = (wt @ x3[:, :, r0 * w : r1 * w]).reshape(n, c_out, s, s, r1 - r0, w)
+        blocks[:, :, r0:r1] = y.transpose(0, 1, 4, 2, 5, 3)
+        _bias_relu(rows[:, :, r0 * s * s * w : r1 * s * s * w], bias, relu)
 
     def backward(g):
-        gr = g.reshape(n, c_out, h, stride, w, stride)
+        gr = g.reshape(n, c_out, h, s, w, s)
         return (np.einsum("nohiwj,coij->nchw", gr, weight.data, optimize=True),
                 np.einsum("nohiwj,nchw->coij", gr, x.data, optimize=True))
 

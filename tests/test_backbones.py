@@ -239,6 +239,24 @@ class TestSparseFirstLayerOracle:
             _assert_close(param.grad, want_grads[name].grad, name)
 
 
+    @pytest.mark.parametrize("kind", ["dense", "baseline"])
+    def test_fused_eval_path_matches_pseudo_image_path(self, kind):
+        """Under `no_grad` in eval mode, batch norm is folded into the convs
+        and the blocks and neck write into shared buffers; the oracle runs
+        the graph ops."""
+        scene = synth_scene(seed=4, n_boxes=2, x_range=SMALL.x_range, y_range=SMALL.y_range,
+                            n_ground=300)
+        cloud = PointCloud(np.concatenate([scene.cloud.points, BORDER_POINTS]))
+        product, oracle = _float64_pipeline(kind, "eval"), _float64_pipeline(kind, "eval")
+        batch = product.encode(cloud)
+        with T.no_grad():
+            got = product.forward_encoded(batch)
+        want = pipeline_forward(oracle, batch)
+        for name, a, b in zip(("cls", "box", "dir"), got, want, strict=True):
+            assert a.dtype == np.float64, name
+            _assert_close(a.data, b.data, f"{name} map")
+
+
 class TestNoPseudoImage:
     @pytest.mark.parametrize("kind", ["dense", "baseline"])
     def test_predict_and_training_step_skip_the_scatter(self, monkeypatch, kind):

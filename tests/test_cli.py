@@ -291,6 +291,33 @@ class TestTrainInferEvalRoundtrip:
         err = capsys.readouterr().err
         assert "damaged.npz: checkpoint" in err and repr(key) in err
 
+    @pytest.mark.parametrize("key, value, problem", [
+        ("bnstat/3/var", np.nan, "non-finite value"),
+        ("bnstat/3/var", -1.0, "negative variance"),
+        ("param/backbone.block1.layer1.conv.weight", np.inf, "non-finite value"),
+    ], ids=["nan-variance", "negative-variance", "inf-weight"])
+    def test_infer_malformed_checkpoint_value_is_io_error(self, tmp_path, tiny_cfg, capsys,
+                                                          key, value, problem):
+        """Values the eval-mode fold reads; before they were checked, each
+        case gave "0 detections" and exit 0."""
+        run = tmp_path / "run"
+        data = tmp_path / "data"
+        data.mkdir()
+        main(["train", "--config", tiny_cfg, "--out-dir", str(run)])
+        cfg = parse_config(tiny_cfg)
+        write_kitti_bin(str(data / "frame.bin"), make_training_scenes(cfg)[0].cloud)
+        with np.load(run / "checkpoint.npz") as z:
+            state = {k: z[k] for k in z.files}
+        state[key] = state[key].copy()
+        state[key].flat[1] = value
+        np.savez(run / "damaged.npz", **state)
+        rc = main(["infer", "--config", tiny_cfg, "--data-dir", str(data),
+                   "--out-dir", str(tmp_path / "p"),
+                   "--checkpoint", str(run / "damaged.npz")])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"damaged.npz: checkpoint array {key!r} has a {problem}" in err
+
     @pytest.mark.parametrize("unreadable", [
         lambda ckpt: b"class,cx,cy\n",
         lambda ckpt: ckpt[:100_000],

@@ -437,18 +437,98 @@ class TestPredict:
                             n_ground=400)
         return pipeline, scene
 
-    def test_head_maps_match_graph_forward(self, monkeypatch):
-        pipeline, scene = self._pipeline_and_scene()
+    @staticmethod
+    def _eval_pipeline(kind, grid=GRID, dtype=np.float32):
+        """A pipeline in eval mode with random BN running statistics, γ and
+        β, so that folding batch norm into the convs is far from the
+        identity; its parameters and statistics are cast to `dtype`."""
+        pipeline = DetectionPipeline(grid, backbone=kind, seed=0)
+        r = np.random.default_rng(11)
+        for v in pipeline.named_params().values():
+            v.data = v.data.astype(dtype)
+        for bn in pipeline.bn_list():
+            c = bn.running_mean.shape
+            bn.running_mean = r.normal(0.0, 0.5, c).astype(dtype)
+            bn.running_var = r.uniform(0.25, 4.0, c).astype(dtype)
+            bn.gamma.data = r.uniform(0.5, 2.0, c).astype(dtype)
+            bn.beta.data = r.normal(0.0, 0.5, c).astype(dtype)
         pipeline.set_mode("eval")
+        return pipeline
+
+    @staticmethod
+    def _assert_predict_matches_graph(pipeline, cloud, monkeypatch, dtype):
+        """The maps `predict` hands to `postprocess` (the fused path, under
+        `no_grad`) against `forward` with the graph on (batch norm, concat
+        and three head convs as in training)."""
         seen = []
         monkeypatch.setattr(model, "postprocess", lambda *a, **k: seen.append(a[:3]) or [])
-        assert pipeline.predict(scene.cloud) == []
-        want = pipeline.forward(scene.cloud, cap=False)
+        assert pipeline.predict(cloud) == []
+        want = pipeline.forward(cloud, cap=False)
         (got,) = seen
-        for g, e in zip(got, want):
+        tol = 1e-5 if dtype == np.float32 else 1e-12  # of each map's largest value
+        for g, e in zip(got, want, strict=True):
             assert g._parents == () and g._backward is None
             assert e._backward is not None
-            np.testing.assert_allclose(g.data, e.data, rtol=1e-5, atol=1e-5 * np.abs(e.data).max())
+            assert g.dtype == e.dtype == dtype
+            np.testing.assert_allclose(g.data, e.data, rtol=0, atol=tol * np.abs(e.data).max())
+
+    def test_head_maps_match_graph_forward(self, monkeypatch):
+        _, scene = self._pipeline_and_scene()
+        for kind in ("dense", "baseline"):
+            for dtype in (np.float32, np.float64):
+                pipeline = self._eval_pipeline(kind, dtype=dtype)
+                self._assert_predict_matches_graph(pipeline, scene.cloud, monkeypatch, dtype)
+
+    @pytest.mark.parametrize("kind", ["dense", "baseline"])
+    def test_float64_statistics_in_a_float32_pipeline(self, monkeypatch, kind):
+        """A checkpoint may hold float64 running statistics; the fused path
+        keeps the pipeline's float32, as `batch_norm` does."""
+        _, scene = self._pipeline_and_scene()
+        pipeline = self._eval_pipeline(kind)
+        for bn in pipeline.bn_list():
+            bn.running_mean = bn.running_mean.astype(np.float64)
+            bn.running_var = bn.running_var.astype(np.float64)
+        self._assert_predict_matches_graph(pipeline, scene.cloud, monkeypatch, np.float32)
+
+    @pytest.mark.parametrize("kind", ["dense", "baseline"])
+    def test_head_maps_match_graph_forward_on_kitti_grid(self, monkeypatch, kind):
+        grid = GridSpec()
+        scene = synth_scene(seed=3000, n_boxes=4, x_range=grid.x_range, y_range=grid.y_range,
+                            n_ground=4000)
+        pipeline = self._eval_pipeline(kind, grid=grid)
+        self._assert_predict_matches_graph(pipeline, scene.cloud, monkeypatch, np.float32)
+
+    @pytest.mark.parametrize("kind", ["dense", "baseline"])
+    def test_predict_changes_no_state(self, kind):
+        _, scene = self._pipeline_and_scene()
+        pipeline = self._eval_pipeline(kind)
+        before = {k: v.copy() for k, v in pipeline.state_arrays().items()}
+        pipeline.predict(scene.cloud)
+        after = pipeline.state_arrays()
+        assert before.keys() == after.keys()
+        for k in before:
+            np.testing.assert_array_equal(after[k], before[k], err_msg=k)
+        assert {bn.mode for bn in pipeline.bn_list()} == {"eval"}
+
+    @pytest.mark.parametrize("kind", ["dense", "baseline"])
+    def test_batch_norm_is_folded_only_in_eval_mode_without_a_graph(self, monkeypatch, kind):
+        _, scene = self._pipeline_and_scene()
+        pipeline = self._eval_pipeline(kind)
+        calls = []
+        batch_norm = T.batch_norm
+        monkeypatch.setattr(T, "batch_norm", lambda x, p, *a, **k: calls.append(p) or
+                            batch_norm(x, p, *a, **k))
+        every = [id(bn) for bn in pipeline.bn_list()]
+        pipeline.predict(scene.cloud)
+        assert [id(p) for p in calls] == [id(pipeline.pfn.bn)]  # the PFN's is not folded
+        calls.clear()
+        pipeline.forward(scene.cloud, cap=False)
+        assert sorted(id(p) for p in calls) == sorted(every)
+        calls.clear()
+        pipeline.set_mode("train")
+        with T.no_grad():
+            pipeline.forward(scene.cloud, cap=False)
+        assert sorted(id(p) for p in calls) == sorted(every)
 
     def test_backward_after_predict_unchanged(self):
         pipeline, scene = self._pipeline_and_scene()

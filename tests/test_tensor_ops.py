@@ -502,6 +502,158 @@ class TestSparseConv2dOracle:
         np.testing.assert_array_equal(w.grad, want)
 
 
+def padded_im2col(x, k, s, pad, r0, r1, w_out):
+    """The columns of output rows [r0, r1) read from an `np.pad` copy of x:
+    the engine's earlier im2col, kept as the oracle of the pad-free one."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    n, c = x.shape[:2]
+    cols = np.empty((n, c, k, k, r1 - r0, w_out), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i + s * r0 : i + s * r1 : s, j : j + s * w_out : s]
+    return cols.reshape(n, c * k * k, (r1 - r0) * w_out)
+
+
+class TestIm2colBorder:
+    """`_im2col` reads the unpadded input and zero-fills the border taps."""
+
+    @pytest.mark.parametrize("h,w", [(7, 6), (6, 7), (5, 5), (8, 8), (2, 3)])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_padded_columns(self, monkeypatch, k, stride, pad, h, w):
+        empty = np.empty
+
+        def nan_empty(*args, **kwargs):  # a tap left unfilled shows as NaN
+            arr = empty(*args, **kwargs)
+            arr.fill(np.nan)
+            return arr
+
+        monkeypatch.setattr(np, "empty", nan_empty)
+        h_out = (h + 2 * pad - k) // stride + 1
+        w_out = (w + 2 * pad - k) // stride + 1
+        x = rng.normal(size=(2, 3, h, w))
+        tiles = {(0, h_out)} | {(r0, min(r0 + 2, h_out)) for r0 in range(1, h_out)}
+        for r0, r1 in sorted(tiles):
+            got = T._im2col(x, k, stride, pad, r0, r1, w_out)
+            np.testing.assert_array_equal(got, padded_im2col(x, k, stride, pad, r0, r1, w_out),
+                                          err_msg=f"rows {r0}:{r1}")
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv_makes_no_padded_copy(self, monkeypatch, stride):
+        x = rand_t(1, 2, 7, 6)
+        p = T.Conv2dParams(rand_t(3, 2, 3, 3), None, stride, 1)
+
+        def no_pad(*args, **kwargs):
+            raise AssertionError("np.pad was called")
+
+        monkeypatch.setattr(np, "pad", no_pad)
+        out = T.conv2d(x, p)
+        out.backward(np.ones(out.shape))
+        assert x.grad is not None
+
+
+def _buffer(shape, lo, hi, dtype):
+    """A [N, C, H, W] buffer of NaNs and its channel slice [lo, hi)."""
+    buf = np.full(shape, np.nan, dtype=dtype)
+    return buf, buf[:, lo:hi]
+
+
+class TestFusedEpilogue:
+    """The inference-only bias, relu and `out` of the conv ops equal the
+    graph ops followed by a bias add and a clamp, written into a slice."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, 1), (1, 1, 0)])
+    def test_conv2d(self, monkeypatch, k, stride, pad, dtype):
+        monkeypatch.setattr(T, "_TILE_BYTES", 1)  # one output row per tile
+        x = Tensor(rng.normal(size=(1, 3, 7, 6)).astype(dtype))
+        w = Tensor(rng.normal(size=(4, 3, k, k)).astype(dtype))
+        b = Tensor(rng.normal(size=4).astype(dtype))
+        want = np.maximum(T.conv2d(x, T.Conv2dParams(w, b, stride, pad)).data, 0)
+        buf, view = _buffer((1, 9) + want.shape[2:], 2, 6, dtype)
+        with T.no_grad():
+            got = T.conv2d(x, T.Conv2dParams(w, b, stride, pad), relu=True, out=view)
+        assert np.shares_memory(got.data, buf)
+        np.testing.assert_array_equal(buf[:, 2:6], want)
+        assert np.isnan(buf[:, :2]).all() and np.isnan(buf[:, 6:]).all()
+
+    @pytest.mark.parametrize("k,stride,pad", SPARSE_CASES)
+    def test_sparse_conv2d(self, k, stride, pad):
+        coords = _pillars(7, 6, 0.4, seed=3, border=True)
+        f = Tensor(rng.normal(size=(len(coords), 3)))
+        w = Tensor(rng.normal(size=(4, 3, k, k)))
+        b = rng.normal(size=4)
+        plain = T.sparse_conv2d(f, coords, (7, 6), T.Conv2dParams(w, None, stride, pad)).data
+        want = np.maximum(plain + b[None, :, None, None], 0)
+        buf, view = _buffer((1, 6) + want.shape[2:], 1, 5, np.float64)
+        with T.no_grad():
+            T.sparse_conv2d(f, coords, (7, 6), T.Conv2dParams(w, Tensor(b), stride, pad),
+                            relu=True, out=view)
+            base = rng.normal(size=want.shape)
+            onto = T.sparse_conv2d(f, coords, (7, 6), T.Conv2dParams(w, Tensor(b), stride, pad),
+                                   onto=Tensor(base.copy()), relu=True)
+        np.testing.assert_allclose(buf[:, 1:5], want, rtol=1e-13, atol=1e-13)
+        assert np.isnan(buf[:, :1]).all() and np.isnan(buf[:, 5:]).all()
+        np.testing.assert_allclose(onto.data, np.maximum(plain + base + b[None, :, None, None], 0),
+                                   rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_conv_transpose2d(self, monkeypatch, stride):
+        monkeypatch.setattr(T, "_TILE_BYTES", 1)  # one input row per tile
+        x = rng.normal(size=(1, 3, 5, 4))
+        w = rng.normal(size=(3, 2, stride, stride))
+        b = rng.normal(size=2)
+        plain = np.einsum("nchw,coij->nohiwj", x, w).reshape(1, 2, 5 * stride, 4 * stride)
+        assert np.allclose(T.conv_transpose2d(Tensor(x), Tensor(w), stride).data, plain,
+                           rtol=1e-13, atol=1e-13)
+        buf, view = _buffer((1, 5, 5 * stride, 4 * stride), 3, 5, np.float64)
+        with T.no_grad():
+            T.conv_transpose2d(Tensor(x), Tensor(w), stride, bias=b, relu=True, out=view)
+        np.testing.assert_allclose(buf[:, 3:5], np.maximum(plain + b[None, :, None, None], 0),
+                                   rtol=1e-13, atol=1e-13)
+        assert np.isnan(buf[:, :3]).all()
+
+    def test_raise_when_a_graph_would_be_recorded(self):
+        x, w = rand_t(1, 2, 4, 4), rand_t(3, 2, 3, 3)
+        coords = np.array([[0, 0], [2, 3]])
+        out = np.empty((1, 3, 4, 4))
+        with pytest.raises(ConfigurationError, match="without a graph"):
+            T.conv2d(x, T.Conv2dParams(w, None, 1, 1), relu=True)
+        with pytest.raises(ConfigurationError, match="without a graph"):
+            T.conv2d(x, T.Conv2dParams(w, None, 1, 1), out=out)
+        with pytest.raises(ConfigurationError, match="without a graph"):
+            T.sparse_conv2d(rand_t(2, 2), coords, (4, 4), T.Conv2dParams(w, rand_t(3), 1, 1))
+        with pytest.raises(ConfigurationError, match="without a graph"):
+            T.sparse_conv2d(rand_t(2, 2), coords, (4, 4), T.Conv2dParams(w, None, 1, 1),
+                            relu=True)
+        with pytest.raises(ConfigurationError, match="without a graph"):
+            T.conv_transpose2d(x, rand_t(2, 3, 2, 2), 2, bias=np.zeros(3))
+        with pytest.raises(ConfigurationError, match="without a graph"):
+            T.conv_transpose2d(x, rand_t(2, 3, 1, 1), 1, out=out)
+
+    @pytest.mark.parametrize("shape,dtype", [((1, 3, 4, 5), np.float64),
+                                             ((1, 3, 4, 4), np.float32),
+                                             ((3, 4, 4), np.float64)])
+    def test_out_of_the_wrong_shape_or_dtype_raises(self, shape, dtype):
+        x, w = Tensor(rng.normal(size=(1, 2, 4, 4))), Tensor(rng.normal(size=(3, 2, 3, 3)))
+        coords = np.array([[0, 0], [2, 3]])
+        out = np.empty(shape, dtype=dtype)
+        with T.no_grad():
+            for op in (lambda: T.conv2d(x, T.Conv2dParams(w, None, 1, 1), out=out),
+                       lambda: T.sparse_conv2d(Tensor(np.ones((2, 2))), coords, (4, 4),
+                                               T.Conv2dParams(w, None, 1, 1), out=out),
+                       lambda: T.conv_transpose2d(x, Tensor(np.ones((2, 3, 1, 1))), 1, out=out)):
+                with pytest.raises(ConfigurationError, match="out is"):
+                    op()
+
+    def test_out_whose_rows_do_not_merge_raises(self):
+        x, w = Tensor(rng.normal(size=(1, 2, 4, 4))), Tensor(rng.normal(size=(3, 2, 1, 1)))
+        out = np.empty((1, 3, 4, 5))[..., :4]  # rows 5 apart: no [N, C, H*W] view
+        with T.no_grad(), pytest.raises(ConfigurationError, match="view"):
+            T.conv2d(x, T.Conv2dParams(w), out=out)
+
+
 def mean_pool(x):
     """`avg_pool2x2` as a mean over the 2x2 window axes, kept as the oracle."""
     n, c, h, w = x.shape
