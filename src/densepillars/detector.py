@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .bev import box_rows, iou_matrix, nms_bev
+from .bev import box_rows, nms_bev, pair_iou, pairs_in_reach
 # not called here: re-exported because perfbench/spans.py wraps
 # detector.rotated_iou_bev by name, and tracing fails without the attribute
 from .bev import rotated_iou_bev  # noqa: F401
@@ -38,6 +38,20 @@ class AnchorConfig:
         default_factory=lambda: {"Car": 0.45, "Pedestrian": 0.35, "Cyclist": 0.35}
     )
     feature_stride: int = 2
+
+    def __post_init__(self):
+        for name in ("sizes", "z_centers", "match_thresholds", "unmatch_thresholds"):
+            missing = [c for c in CLASSES if c not in getattr(self, name)]
+            if missing:
+                raise ConfigurationError(f"AnchorConfig.{name} has no entry for {missing}")
+        for cls in CLASSES:
+            # an unscored pair has IoU 0, so an anchor of no pair must be negative
+            match, unmatch = self.match_thresholds[cls], self.unmatch_thresholds[cls]
+            if not 0.0 < unmatch <= match <= 1.0:
+                raise ConfigurationError(
+                    f"AnchorConfig thresholds for {cls} must satisfy "
+                    f"0 < unmatch <= match <= 1, got unmatch {unmatch}, match {match}"
+                )
 
     @property
     def anchors_per_cell(self):
@@ -211,6 +225,14 @@ def decode_boxes(deltas: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _first_of_runs(keys, order):
+    """The entries of `order` that start a run of equal `keys[order]`."""
+    sorted_keys = keys[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return order[first]
+
+
 @dataclass
 class TargetAssignment:
     labels: np.ndarray  # [A] int8: 1 positive, 0 negative, -1 ignore
@@ -224,7 +246,12 @@ class TargetAssignment:
 
 
 def assign_targets(anchors, anchor_cls, gts, cfg: AnchorConfig) -> TargetAssignment:
-    """BEV-IoU threshold matching with per-ground-truth force matching."""
+    """BEV-IoU threshold matching with per-ground-truth force matching.
+
+    Only anchor-ground-truth pairs of one class whose bounding boxes meet
+    are scored; every other pair has IoU 0, which leaves an anchor negative
+    (`AnchorConfig` keeps both thresholds above 0).
+    """
     a = anchors.shape[0]
     labels = np.zeros(a, dtype=np.int8)
     gt_index = np.full(a, -1, dtype=np.int64)
@@ -232,31 +259,28 @@ def assign_targets(anchors, anchor_cls, gts, cfg: AnchorConfig) -> TargetAssignm
     dir_targets = np.zeros(a, dtype=np.int64)
     rows = box_rows([b for b, _ in gts])
     gt_cls = np.array([CLASSES.index(c) for _, c in gts], dtype=np.int64)
+    i, j = pairs_in_reach(anchors, rows, anchor_cls, gt_cls)
+    iou = pair_iou(anchors[i], rows[j])
 
-    for ci, cls in enumerate(CLASSES):
-        idx = np.nonzero(anchor_cls == ci)[0]
-        members = np.flatnonzero(gt_cls == ci)  # this class's ground-truth indices
-        if members.size == 0 or idx.size == 0:
-            continue
-        match_thr = cfg.match_thresholds[cls]
-        unmatch_thr = cfg.unmatch_thresholds[cls]
+    # each anchor's best ground truth: highest IoU, ties to the lowest index
+    best = _first_of_runs(i, np.lexsort((j, -iou, i)))
+    ai, best_iou = i[best], iou[best]
+    match = np.array([cfg.match_thresholds[c] for c in CLASSES])[anchor_cls[ai]]
+    unmatch = np.array([cfg.unmatch_thresholds[c] for c in CLASSES])[anchor_cls[ai]]
+    pos = best_iou >= match
+    ignore = (best_iou >= unmatch) & ~pos
+    labels[ai[pos]] = 1
+    labels[ai[ignore]] = -1
+    gt_index[ai[pos]] = j[best[pos]]
 
-        iou = iou_matrix(anchors[idx], rows[members])
-        best_gt = iou.argmax(axis=1)
-        best_iou = iou[np.arange(idx.size), best_gt]
-        pos = best_iou >= match_thr
-        ignore = (best_iou >= unmatch_thr) & ~pos
-        labels[idx[pos]] = 1
-        labels[idx[ignore]] = -1
-        gt_index[idx[pos]] = members[best_gt[pos]]
-
-        # every ground truth claims its best-overlapping anchor
-        for gj, gi in enumerate(members):
-            col = iou[:, gj]
-            top = int(col.argmax())
-            if col[top] > 0.0:
-                labels[idx[top]] = 1
-                gt_index[idx[top]] = gi
+    # every ground truth claims its best-overlapping anchor (ties to the
+    # lowest anchor index); where two claim one anchor, the later one holds it
+    top = _first_of_runs(j, np.lexsort((i, -iou, j)))
+    top = top[iou[top] > 0.0]
+    anchor, gt = i[top], j[top]
+    last = _first_of_runs(anchor, np.lexsort((-gt, anchor)))
+    labels[anchor[last]] = 1
+    gt_index[anchor[last]] = gt[last]
 
     pos_idx = np.nonzero(labels == 1)[0]
     if pos_idx.size:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,12 +16,13 @@ from densepillars.bev import (
     iou_matrix,
     nms_bev,
     pair_iou,
+    pairs_in_reach,
     r40_from_scored,
     recall_at_iou,
     rotated_iou_bev,
 )
 from densepillars.pointcloud import Box3D, Detection
-from iou_oracle import brute_nms, monte_carlo_iou, oracle_iou_3d, oracle_iou_bev
+from iou_oracle import bev_corners, brute_nms, monte_carlo_iou, oracle_iou_3d, oracle_iou_bev
 
 
 def bev_box(cx, cy, w, l, yaw=0.0, cz=0.0, h=1.0):
@@ -56,6 +58,23 @@ _yaw = st.floats(-math.pi, math.pi, allow_nan=False)
 _boxes = st.builds(
     Box3D, _coord, _coord, st.floats(-1.0, 1.0), _size, _size, _size, _yaw
 )
+
+
+@st.composite
+def _touching_pairs(draw):
+    """Two boxes whose axis-aligned bounding boxes meet along x or y, or miss
+    each other or overlap by a gap from 1e-15 to 1e-6."""
+    p, q = draw(_boxes), draw(_boxes)
+    axis = draw(st.sampled_from([0, 1]))
+    gap = draw(st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 3e-9, 1e-6]))
+    p_lo, p_hi = bev_corners(p).min(axis=0), bev_corners(p).max(axis=0)
+    q_lo, q_hi = bev_corners(q).min(axis=0), bev_corners(q).max(axis=0)
+    if draw(st.booleans()):
+        shift = p_hi[axis] + gap - q_lo[axis]
+    else:
+        shift = p_lo[axis] - gap - q_hi[axis]
+    moved = {"cx": q.cx + shift} if axis == 0 else {"cy": q.cy + shift}
+    return p, dataclasses.replace(q, **moved)
 
 
 def axis_aligned_iou(a, b):
@@ -155,6 +174,10 @@ class TestBatchedKernel:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     CASES = {
+        "touching_corner": (bev_box(0, 0, 1, 1), bev_box(1, 1, 1, 1), 0.0),
+        "touching_vertex_rotated": (
+            bev_box(0, 0, 1, 1), bev_box(0.5 + math.sqrt(0.5), 0, 1, 1, math.pi / 4), 0.0
+        ),
         "identical": (bev_box(3.0, -2.0, 1.6, 3.9, 0.7), bev_box(3.0, -2.0, 1.6, 3.9, 0.7), 1.0),
         "shared_edge": (bev_box(0, 0, 1, 1), bev_box(1, 0, 1, 1), 0.0),
         "shared_edge_rotated": (
@@ -182,6 +205,18 @@ class TestBatchedKernel:
             assert got == pytest.approx(oracle(a, b), abs=1e-9)
             assert iou_matrix(rows_a, rows_b, mode)[0, 0] == pytest.approx(want, abs=1e-9)
 
+    TOUCHING = ("shared_edge", "shared_edge_rotated", "touching_corner", "touching_vertex_rotated")
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_pair_finder_keeps_overlapping_and_touching_pairs(self, case):
+        a, b, _ = self.CASES[case]
+        rows_a, rows_b = box_rows([a]), box_rows([b])
+        kept = pairs_in_reach(rows_a, rows_b)[0].size == 1
+        if case in self.TOUCHING or _intersection_area(rows_a, rows_b)[0] > 0.0:
+            assert kept
+        if case in ("disjoint_in_reach", "fails_reach_test"):  # bounding boxes apart
+            assert not kept
+
     def test_parallel_edge_crossing_is_dropped(self):
         """Rounding puts the ends of the shared edge on both sides of the clip
         line although the edge is parallel to it: the 1e-15 denominator guard
@@ -200,6 +235,53 @@ class TestBatchedKernel:
         assert pair_iou(box_rows([]), box_rows([])).shape == (0,)
         assert iou_matrix(box_rows([]), box_rows([bev_box(0, 0, 1, 1)])).shape == (0, 1)
         assert iou_matrix(box_rows([bev_box(0, 0, 1, 1)]), box_rows([])).shape == (1, 0)
+
+
+def _pair_list(i, j):
+    return sorted(zip(i.tolist(), j.tolist()))
+
+
+class TestPairFinder:
+    """`pairs_in_reach`: exact, independent of the input order, keyed like a
+    filter applied afterwards, and ordered by the second index."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_boxes, max_size=10), st.lists(_boxes, max_size=10),
+           st.lists(_touching_pairs(), max_size=6))
+    def test_dropped_pairs_have_no_intersection(self, left, right, touching):
+        a = box_rows(left + [p for p, _ in touching])
+        b = box_rows(right + [q for _, q in touching])
+        i, j = pairs_in_reach(a, b)
+        assert (np.diff(j) >= 0).all()
+        dropped = np.ones((len(a), len(b)), dtype=bool)
+        dropped[i, j] = False
+        di, dj = np.nonzero(dropped)
+        assert (_intersection_area(a[di], b[dj]) == 0.0).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_boxes, min_size=1, max_size=16), st.lists(_boxes, min_size=1, max_size=8))
+    def test_rows_sorted_by_y_give_the_pairs_of_any_order(self, left, right):
+        a, b = box_rows(left), box_rows(right)
+        by_y = np.argsort(a[:, 1], kind="stable")
+        sorted_i, sorted_j = pairs_in_reach(a[by_y], b)  # no argsort
+        for order in (by_y[::-1], np.arange(len(a))):
+            i, j = pairs_in_reach(a[order], b)
+            assert (np.diff(j) >= 0).all()
+            assert _pair_list(order[i], j) == _pair_list(by_y[sorted_i], sorted_j)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_boxes, st.integers(0, 2)), max_size=16),
+           st.lists(st.tuples(_boxes, st.integers(0, 2)), max_size=8))
+    def test_key_filter_equals_filtering_afterwards(self, left, right):
+        a, b = box_rows([p for p, _ in left]), box_rows([q for q, _ in right])
+        key_a = np.array([k for _, k in left], dtype=np.int64)
+        key_b = np.array([k for _, k in right], dtype=np.int64)
+        i, j = pairs_in_reach(a, b)
+        same = key_a[i] == key_b[j]
+        got_i, got_j = pairs_in_reach(a, b, key_a, key_b)
+        np.testing.assert_array_equal(got_i, i[same])
+        np.testing.assert_array_equal(got_j, j[same])
+        assert (np.diff(got_j) >= 0).all()
 
 
 class TestIoU3D:

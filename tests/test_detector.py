@@ -1,13 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from assign_oracle import dense_assign_targets
 from densepillars import model
 from densepillars import tensor as T
 from densepillars.bev import rotated_iou_bev
+from densepillars.config import parse_config
 from densepillars.detector import (
     FPN,
     AnchorConfig,
@@ -36,7 +39,9 @@ from densepillars.pointcloud import (
     write_predictions,
 )
 from densepillars.tensor import ConfigurationError, InvariantViolation, Tensor
+from densepillars.train import make_training_scenes
 
+REPO = Path(__file__).resolve().parents[1]
 GRID = GridSpec(
     x_range=(0.0, 12.8), y_range=(-6.4, 6.4), pillar_size=(0.4, 0.4)
 )  # 32 x 32 pseudo-image, 16 x 16 anchor grid
@@ -123,6 +128,31 @@ class TestAnchors:
         # anchor 16*6 starts the second row
         assert boxes[16 * 6, 0] == pytest.approx(boxes[0, 0])
         assert boxes[16 * 6, 1] == pytest.approx(boxes[0, 1] + 0.8)
+
+
+class TestAnchorConfig:
+    @pytest.mark.parametrize(
+        "name", ["sizes", "z_centers", "match_thresholds", "unmatch_thresholds"]
+    )
+    def test_rejects_a_class_left_out(self, name):
+        partial = {k: v for k, v in getattr(CFG, name).items() if k != "Cyclist"}
+        with pytest.raises(ConfigurationError, match=f"{name}.*Cyclist"):
+            AnchorConfig(**{name: partial})
+
+    @pytest.mark.parametrize(
+        "unmatch, match",
+        [(0.0, 0.6), (-0.1, 0.6), (0.5, 0.45), (0.45, 1.2), (float("nan"), 0.6)],
+    )
+    def test_rejects_thresholds_out_of_order(self, unmatch, match):
+        with pytest.raises(ConfigurationError, match="Pedestrian"):
+            AnchorConfig(
+                match_thresholds={**CFG.match_thresholds, "Pedestrian": match},
+                unmatch_thresholds={**CFG.unmatch_thresholds, "Pedestrian": unmatch},
+            )
+
+    def test_accepts_equal_thresholds(self):
+        AnchorConfig(match_thresholds={c: 1.0 for c in CLASSES},
+                     unmatch_thresholds={c: 1.0 for c in CLASSES})
 
 
 class TestBoxCodec:
@@ -216,6 +246,103 @@ class TestAssignTargets:
         asn = assign_targets(anchors, anchor_cls, [(gt, "Car")], CFG)
         pos = np.nonzero(asn.labels == 1)[0]
         assert (anchor_cls[pos] == 0).all()
+
+
+KITTI = GridSpec()  # the default 496 x 432 grid: 321,408 anchors
+
+
+@pytest.fixture(scope="module")
+def kitti_anchors():
+    return generate_anchors(KITTI, CFG)
+
+
+def kitti_frame(seed):
+    """Four boxes of each class anywhere in the KITTI range, sizes within
+    15% of the class size, any yaw; boxes may overlap one another."""
+    rng = np.random.default_rng(seed)
+    gts = []
+    for cls in CLASSES:
+        for _ in range(4):
+            w, l, h = np.array(CLASS_SIZES[cls]) * rng.uniform(0.85, 1.15, 3)
+            box = Box3D(rng.uniform(*KITTI.x_range), rng.uniform(*KITTI.y_range),
+                        CFG.z_centers[cls], w, l, h, rng.uniform(-math.pi, math.pi))
+            gts.append((box, cls))
+    return gts
+
+
+def assert_matches_dense_oracle(anchors, anchor_cls, gts):
+    got = assign_targets(anchors, anchor_cls, gts, CFG)
+    want = dense_assign_targets(anchors, anchor_cls, gts, CFG)
+    for name in ("labels", "gt_index", "reg_targets", "dir_targets"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    return got
+
+
+class TestSparseAssignment:
+    """The pair-list assignment equals the dense-matrix oracle bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kitti_frames_with_all_classes(self, kitti_anchors, seed):
+        got = assert_matches_dense_oracle(*kitti_anchors, kitti_frame(seed))
+        assert {CLASSES[c] for c in kitti_anchors[1][got.labels == 1]} == set(CLASSES)
+
+    def test_ground_truth_on_the_range_border(self, kitti_anchors):
+        (x0, x1), (y0, y1) = KITTI.x_range, KITTI.y_range
+        w, l, h = CLASS_SIZES["Car"]
+        gts = [(Box3D(x, y, -1.78, w, l, h, yaw), "Car")
+               for x, y, yaw in [(x0, 0.0, 0.0), (x1, y1, 0.3), (20.0, y0, math.pi / 2),
+                                 (x0, y0, -2.0), (x1 + 0.5, 5.0, 1.0)]]
+        got = assert_matches_dense_oracle(*kitti_anchors, gts)
+        assert set(got.gt_index[got.labels == 1]) == {0, 1, 2, 3, 4}
+
+    def test_two_ground_truths_compete_for_one_anchor(self):
+        anchors, anchor_cls = generate_anchors(GRID, CFG)
+        gt = Box3D(6.0, 0.4, -1.78, 1.6, 3.9, 1.56, 0.0)  # on one yaw-0 anchor
+        got = assert_matches_dense_oracle(anchors, anchor_cls, [(gt, "Car"), (gt, "Car")])
+        pos = np.flatnonzero(got.labels == 1)
+        top = pos[np.argmax([rotated_iou_bev(Box3D(*anchors[i]), gt) for i in pos])]
+        # the threshold pass gives ties to the first ground truth; the
+        # second one claims the shared best anchor last and keeps it
+        assert got.gt_index[top] == 1
+        assert set(got.gt_index[pos[pos != top]]) <= {0}
+
+    def test_class_with_anchors_but_no_ground_truth(self, kitti_anchors):
+        anchors, anchor_cls = kitti_anchors
+        gts = [(b, c) for b, c in kitti_frame(7) if c == "Car"]
+        got = assert_matches_dense_oracle(anchors, anchor_cls, gts)
+        assert (got.labels[anchor_cls != 0] == 0).all()
+        assert (got.gt_index[anchor_cls != 0] == -1).all()
+
+    def test_no_ground_truths(self, kitti_anchors):
+        got = assert_matches_dense_oracle(*kitti_anchors, [])
+        assert (got.labels == 0).all() and (got.gt_index == -1).all()
+
+    def test_desk_training_scenes(self):
+        cfg = parse_config(REPO / "configs" / "desk_overfit.cfg")
+        anchors, anchor_cls = generate_anchors(cfg.grid_spec(), CFG)
+        for scene in make_training_scenes(cfg):
+            assert_matches_dense_oracle(anchors, anchor_cls, scene.boxes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(CLASSES),
+            st.one_of(st.floats(-1.0, 13.8), st.integers(0, 15).map(lambda k: 0.4 + 0.8 * k)),
+            st.one_of(st.floats(-7.4, 7.4), st.integers(0, 15).map(lambda k: -6.0 + 0.8 * k)),
+            st.one_of(st.sampled_from([0.0, math.pi / 2]), st.floats(-math.pi, math.pi)),
+            st.one_of(st.just(1.0), st.floats(0.5, 1.5)),
+        ),
+        max_size=6,
+    ))
+    def test_random_ground_truths_on_a_small_grid(self, drawn):
+        """Boxes partly off the grid, or exactly on an anchor with the
+        anchor's size and yaw, where IoU ties are likely."""
+        anchors, anchor_cls = generate_anchors(GRID, CFG)
+        gts = []
+        for cls, x, y, yaw, scale in drawn:
+            w, l, h = (v * scale for v in CLASS_SIZES[cls])
+            gts.append((Box3D(x, y, CFG.z_centers[cls], w, l, h, yaw), cls))
+        assert_matches_dense_oracle(anchors, anchor_cls, gts)
 
 
 class TestLossOps:
