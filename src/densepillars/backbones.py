@@ -6,10 +6,10 @@ pillar grid), so one can replace the other without touching the encoder,
 neck, or head. The layers that read the pillars (the dense block-1 first
 conv and the pillar channels of its transition, the baseline's first entry
 conv) run as `tensor.sparse_conv2d`, which equals the conv of the scattered
-pseudo-image without building it. In eval mode with no graph recorded,
-each conv + batch norm + relu runs as one conv with batch norm folded in,
-and a dense block's stages write into one shared buffer instead of being
-concatenated.
+pseudo-image without building it. A dense block's stages write into one
+shared buffer that is their concatenation, in training and inference
+alike. Only the batch-norm fold is inference-only: in eval mode with no
+graph recorded, each conv + batch norm + relu runs as one conv.
 """
 
 from __future__ import annotations
@@ -92,12 +92,6 @@ class ConvBNRelu:
         )
         self.bn = T.BatchNormParams.create(c_out)
 
-    def fused(self, x):
-        """Whether conv, batch norm and relu run as one conv: in eval mode,
-        when no graph is recorded (`predict` runs under `tensor.no_grad`)."""
-        return self.bn.mode == "eval" and not T.recording(
-            x, self.conv.weight, self.bn.gamma, self.bn.beta)
-
     def folded(self):
         """The conv with this layer's eval batch norm folded in, from the
         current running statistics; nothing is cached."""
@@ -105,17 +99,19 @@ class ConvBNRelu:
         return T.Conv2dParams(Tensor(self.conv.weight.data * a[:, None, None, None]),
                               Tensor(b), self.conv.stride, self.conv.padding)
 
-    def forward(self, x):
-        if self.fused(x):
-            return T.conv2d(x, self.folded(), relu=True)
-        return T.batch_norm(T.conv2d(x, self.conv), self.bn, relu=True)
+    def forward(self, x, out=None):
+        """The output, into `out` when given; batch norm folded in if it folds."""
+        if self.bn.folds(x, self.conv.weight):
+            return T.conv2d(x, self.folded(), relu=True, out=out)
+        return T.batch_norm(T.conv2d(x, self.conv), self.bn, relu=True, out=out)
 
-    def forward_sparse(self, features, coords, size):
+    def forward_sparse(self, features, coords, size, out=None):
         """`forward` of the pseudo-image holding the pillar features [P, C]
         at `coords` in a grid of `size`."""
-        if self.fused(features):
-            return T.sparse_conv2d(features, coords, size, self.folded(), relu=True)
-        return T.batch_norm(T.sparse_conv2d(features, coords, size, self.conv), self.bn, relu=True)
+        if self.bn.folds(features, self.conv.weight):
+            return T.sparse_conv2d(features, coords, size, self.folded(), relu=True, out=out)
+        return T.batch_norm(T.sparse_conv2d(features, coords, size, self.conv), self.bn,
+                            relu=True, out=out)
 
     def named_params(self, prefix):
         return {
@@ -128,31 +124,26 @@ class ConvBNRelu:
         return [self.bn]
 
 
+def _width(layers):
+    return sum(layer.conv.weight.shape[0] for layer in layers)
+
+
+def _chain(h, layers, buf, lo):
+    """[h, h1, h2, ...]: the layers run as a chain from h, each writing its
+    output into buf's next channels from `lo` on."""
+    feats = [h]
+    for layer in layers:
+        feats.append(layer.forward(feats[-1], out=buf[:, lo : lo + layer.conv.weight.shape[0]]))
+        lo += feats[-1].shape[1]
+    return feats
+
+
 def dense_block_forward(x, layers):
     """Feed-forward conv chain; input and every stage output concatenated
-    once. When every layer is fused, each stage writes its channel slice of
-    one buffer that starts with x, so the concat is never copied."""
-    if not all(layer.fused(x) for layer in layers):
-        feats = [x]
-        h = x
-        for layer in layers:
-            h = layer.forward(h)
-            feats.append(h)
-        return T.channel_concat(feats)
-    widths = [x.shape[1]] + [layer.conv.weight.shape[0] for layer in layers]
-    buf = np.empty((x.shape[0], sum(widths), *x.shape[2:]), dtype=x.dtype)
-    buf[:, : widths[0]] = x.data
-    _stages_into(buf, widths[0], x, layers)
-    return Tensor(buf)
-
-
-def _stages_into(buf, lo, h, layers):
-    """Run the chain of fused stride-1 layers from h, each writing its
-    output into buf's next channels from `lo` on."""
-    for layer in layers:
-        hi = lo + layer.conv.weight.shape[0]
-        h = T.conv2d(h, layer.folded(), relu=True, out=buf[:, lo:hi])
-        lo = hi
+    once. Each stage writes its channel slice of one buffer that the concat
+    returns, so only x is copied."""
+    buf = np.empty((x.shape[0], x.shape[1] + _width(layers), *x.shape[2:]), dtype=x.dtype)
+    return T.channel_concat(_chain(x, layers, buf, x.shape[1]), out=buf)
 
 
 class DenseBackbone:
@@ -190,32 +181,17 @@ class DenseBackbone:
         the sparse 1x1 product of the pillar channels of its weight, so the
         concat holds the stage outputs only."""
         layers, trans = self.blocks[0], self.transitions[0]
-        c_in = features.shape[1]
-        if all(layer.fused(features) for layer in (*layers, trans)):
-            # the stage outputs go into one buffer; batch norm is folded into
-            # the transition, whose sparse pillar part adds its bias and clamps
-            k = layers[0].conv.weight.shape[0]
-            buf = np.empty((1, sum(layer.conv.weight.shape[0] for layer in layers), *size),
-                           dtype=features.dtype)
-            h = T.sparse_conv2d(features, coords, size, layers[0].folded(), relu=True,
-                                out=buf[:, :k])
-            _stages_into(buf, k, h, layers[1:])
-            p = trans.folded()
-            mixed = T.conv2d(Tensor(buf), T.Conv2dParams(Tensor(p.weight.data[:, c_in:])))
-            return T.sparse_conv2d(features, coords, size,
-                                   T.Conv2dParams(Tensor(p.weight.data[:, :c_in]), p.bias),
-                                   onto=mixed, relu=True)
-        h = layers[0].forward_sparse(features, coords, size)
-        feats = [h]
-        for layer in layers[1:]:
-            h = layer.forward(h)
-            feats.append(h)
-        w = trans.conv.weight
-        mixed = T.conv2d(T.channel_concat(feats),
-                         T.Conv2dParams(T.channel_slice(w, c_in, w.shape[1])))
+        c_in, k = features.shape[1], layers[0].conv.weight.shape[0]
+        buf = np.empty((1, _width(layers), *size), dtype=features.dtype)
+        h = layers[0].forward_sparse(features, coords, size, out=buf[:, :k])
+        cat = T.channel_concat(_chain(h, layers[1:], buf, k), out=buf)
+        fold = trans.bn.folds(cat, features, trans.conv.weight)
+        p = trans.folded() if fold else trans.conv
+        mixed = T.conv2d(cat, T.Conv2dParams(T.channel_slice(p.weight, c_in, p.weight.shape[1])))
         mixed = T.sparse_conv2d(features, coords, size,
-                                T.Conv2dParams(T.channel_slice(w, 0, c_in)), onto=mixed)
-        return T.batch_norm(mixed, trans.bn, relu=True)
+                                T.Conv2dParams(T.channel_slice(p.weight, 0, c_in), p.bias),
+                                onto=mixed, relu=fold)
+        return mixed if fold else T.batch_norm(mixed, trans.bn, relu=True)
 
     def named_params(self, prefix="backbone"):
         out = {}

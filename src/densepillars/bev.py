@@ -109,11 +109,14 @@ def pair_iou(a, b, mode: str = "BEV") -> np.ndarray:
     """IoU of the box pairs (a[p], b[p]) in BEV or 3D; a, b are [P, 7] rows.
 
     3D is the BEV intersection times the z overlap. A box with a footprint
-    below `_AREA_EPS`, or a pair whose union is below it, scores 0.
+    below `_AREA_EPS`, a pair whose union is below it, and a pair whose BEV
+    intersection is below it times the smaller footprint (boxes that only
+    touch, up to rounding) score 0.
     """
     area_a = a[:, 3] * a[:, 4]
     area_b = b[:, 3] * b[:, 4]
     inter = _intersection_area(a, b)
+    inter[inter < _AREA_EPS * np.minimum(area_a, area_b)] = 0.0
     if mode == "BEV":
         union = area_a + area_b - inter
     else:

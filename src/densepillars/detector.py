@@ -73,30 +73,26 @@ class FPN:
             )
 
     def forward(self, taps):
-        """In eval mode with no graph recorded, batch norm is folded into
-        each transposed conv, which writes its channel slice of the fused
-        map, so no batch norm pass or concat copy runs."""
+        """Each branch writes its channel slice of the fused map, which the
+        concat returns without a copy. Batch norm is folded into a branch's
+        transposed conv when it folds."""
         if len(taps) != len(self.branches):
             raise ConfigurationError("neck expects one tap per branch")
-        if any(bn.mode != "eval" or T.recording(tap, w, bn.gamma, bn.beta)
-               for tap, (w, bn, _) in zip(taps, self.branches)):
-            outs = []
-            for tap, (w, bn, stride) in zip(taps, self.branches):
-                h = T.conv_transpose2d(tap, w, stride)
-                outs.append(T.batch_norm(h, bn, relu=True))
-            return T.channel_concat(outs)
         n, _, rows, cols = taps[0].shape
         s0 = self.branches[0][2]
-        fused = np.empty((n, sum(self.spec.out_channels), rows * s0, cols * s0),
-                         dtype=taps[0].dtype)
-        lo = 0
-        for tap, (w, bn, stride) in zip(taps, self.branches):
-            a, b = bn.fold()
-            hi = lo + w.shape[1]
-            T.conv_transpose2d(tap, Tensor(w.data * a[None, :, None, None]), stride, bias=b,
-                               relu=True, out=fused[:, lo:hi])
-            lo = hi
-        return Tensor(fused)
+        bounds = np.cumsum([0, *self.spec.out_channels])
+        fused = np.empty((n, bounds[-1], rows * s0, cols * s0), dtype=taps[0].dtype)
+        outs = []
+        for tap, (w, bn, stride), lo, hi in zip(taps, self.branches, bounds[:-1], bounds[1:]):
+            if bn.folds(tap, w):
+                a, b = bn.fold()
+                h = T.conv_transpose2d(tap, Tensor(w.data * a[None, :, None, None]), stride,
+                                       bias=b, relu=True, out=fused[:, lo:hi])
+            else:
+                h = T.batch_norm(T.conv_transpose2d(tap, w, stride), bn, relu=True,
+                                 out=fused[:, lo:hi])
+            outs.append(h)
+        return T.channel_concat(outs, out=fused)
 
     def named_params(self, prefix="neck"):
         out = {}

@@ -16,8 +16,10 @@ the one place gradients are summed, and only for tensors with
 intermediate gradient lives only inside the sweep. An op's backward must
 not write into the gradient it receives, since that array may be shared.
 
-For inference, the conv ops also take a bias+ReLU epilogue and an `out=`
-array to write into; both raise when the op would record a graph.
+Dense blocks and the neck write their parts into one shared buffer in
+training and inference alike (`batch_norm(out=)`, `channel_concat(out=)`).
+Only the batch-norm fold is inference-only: the conv ops' bias+ReLU
+epilogue and `out=` raise when the op would record a graph.
 """
 
 from __future__ import annotations
@@ -194,6 +196,11 @@ class BatchNormParams:
         b = self.beta.data - self.running_mean * a
         return a.astype(self.gamma.dtype, copy=False), b.astype(self.gamma.dtype, copy=False)
 
+    def folds(self, *tensors):
+        """Whether batch norm folds into the op before it, whose inputs are
+        `tensors`: in eval mode, when no graph is recorded (`no_grad`)."""
+        return self.mode == "eval" and not recording(self.gamma, self.beta, *tensors)
+
 
 # ---------------------------------------------------------------------------
 # elementwise / structural ops
@@ -234,18 +241,30 @@ def transpose(a: Tensor, axes) -> Tensor:
     return make(np.transpose(a.data, axes), (a,), backward)
 
 
-def channel_concat(inputs) -> Tensor:
+def channel_concat(inputs, out=None) -> Tensor:
+    """The inputs stacked along channels, into `out` when given: a part that
+    already is its channel slice of `out` (same data pointer and strides,
+    written there through an op's `out=`) is not copied again."""
     inputs = list(inputs)
     base = inputs[0].shape
     for t in inputs[1:]:
         if t.shape[0] != base[0] or t.shape[2:] != base[2:]:
             raise ConfigurationError("channel_concat: batch/spatial mismatch")
-    splits = np.cumsum([t.shape[1] for t in inputs])[:-1]
+    bounds = np.cumsum([0] + [t.shape[1] for t in inputs])
+    if out is None:
+        out = np.concatenate([t.data for t in inputs], axis=1)
+    else:
+        out, _ = _out_rows(out, (base[0], bounds[-1], *base[2:]),
+                           np.result_type(*(t.data for t in inputs)), "channel_concat")
+        for t, lo, hi in zip(inputs, bounds[:-1], bounds[1:]):
+            dst = out[:, lo:hi]
+            if t.data.ctypes.data != dst.ctypes.data or t.data.strides != dst.strides:
+                dst[...] = t.data
 
     def backward(g):
-        return np.split(g, splits, axis=1)
+        return np.split(g, bounds[1:-1], axis=1)
 
-    return make(np.concatenate([t.data for t in inputs], axis=1), inputs, backward)
+    return make(out, inputs, backward)
 
 
 def channel_slice(a: Tensor, lo: int, hi: int) -> Tensor:
@@ -338,8 +357,10 @@ def _im2col(x, k, s, pad, r0, r1, w_out):
 
 
 def _epilogue_check(op, fused, *tensors):
-    """A bias the op cannot differentiate, `relu` and `out` serve inference
-    only: with any of them set (`fused`), recording a graph is an error."""
+    """A conv's bias the op cannot differentiate, `relu` and `out` serve the
+    batch-norm fold, which is inference-only: with any of them set
+    (`fused`), recording a graph is an error. With a graph, a layer writes
+    its shared buffer through `batch_norm(out=)` instead."""
     if fused and recording(*tensors):
         raise ConfigurationError(f"{op}: bias, relu and out= run only without a graph")
 
@@ -603,9 +624,12 @@ def _train_stats(x, count, padded):
     return mean.reshape(-1), var
 
 
-def batch_norm(x: Tensor, p: BatchNormParams, relu: bool = False, padded=None) -> Tensor:
+def batch_norm(x: Tensor, p: BatchNormParams, relu: bool = False, padded=None,
+               out=None) -> Tensor:
     """Per-channel batch norm of [N, C, H, W]; with `relu` the output is
     clamped at 0 in place, so BN+ReLU is one op and one output buffer.
+    `out` (a channel slice of a shared buffer, say) receives the output,
+    with or without a graph; backward reads it, so nothing may write it later.
 
     `padded` = (total, at) normalises x [N, C, 1, 1] as rows `at` of a
     batch of `total` rows whose other rows are zero (the PFN's point rows
@@ -636,7 +660,8 @@ def batch_norm(x: Tensor, p: BatchNormParams, relu: bool = False, padded=None) -
 
     inv_std = 1.0 / np.sqrt(var + np.asarray(p.eps, dtype=x.dtype))
     a = p.gamma.data * inv_std
-    out = x.data * a[None, :, None, None]
+    out, _ = _out_rows(out, x.shape, np.result_type(x.data, a), "batch_norm")
+    np.multiply(x.data, a[None, :, None, None], out=out)
     out += (p.beta.data - mean * a)[None, :, None, None]
     if relu:
         np.maximum(out, 0, out=out)

@@ -1,27 +1,80 @@
-"""The backbones on the pseudo-image, kept as the oracle for the sparse
-first layer.
+"""Oracles for the backbones and the neck.
 
-This is the network as it was before its first layer read the pillars:
-`scatter_to_pseudo_image` builds the [1, C, H, W] pseudo-image, every layer
-is a dense `conv2d`, and dense block 1 concatenates the pseudo-image with
-its stage outputs before the 1x1 transition. It reuses the product's layer
-objects, so both paths share every parameter. `pillar_image` turns a dense
-image into the pillars of a fully occupied grid, every cell a pillar.
+The pseudo-image path is the network as it was before its first layer read
+the pillars: `scatter_to_pseudo_image` builds the [1, C, H, W] pseudo-image,
+every layer is a dense `conv2d`, and dense block 1 concatenates the
+pseudo-image with its stage outputs before the 1x1 transition.
+
+The concat path (`concat_backbone_forward`, `concat_neck_forward`) is the
+graph path as it was before the dense blocks and the neck shared one
+buffer: each keeps a list of its stage outputs and copies them with
+`channel_concat`. Run it with a graph, where no batch norm folds.
+
+Both reuse the product's layer objects, so they share every parameter.
+`pillar_image` turns a dense image into the pillars of a fully occupied
+grid, every cell a pillar.
 """
 
 import numpy as np
 
 from densepillars import tensor as T
-from densepillars.backbones import DenseBackbone, dense_block_forward
+from densepillars.backbones import DenseBackbone
 from densepillars.encoder import pfn_forward, scatter_to_pseudo_image
 from densepillars.tensor import Tensor
+
+
+def dense_block_concat(x, layers):
+    """A dense block: x and the list of its stage outputs, concatenated."""
+    feats = [x]
+    h = x
+    for layer in layers:
+        h = layer.forward(h)
+        feats.append(h)
+    return T.channel_concat(feats)
+
+
+def first_block_concat(bb, features, coords, size):
+    """Dense block 1 read from the pillars, and its transition: a GEMM over
+    the concatenated stage outputs plus the sparse product of the pillar
+    channels of the transition weight, then batch norm."""
+    layers, trans = bb.blocks[0], bb.transitions[0]
+    c_in = features.shape[1]
+    h = layers[0].forward_sparse(features, coords, size)
+    feats = [h]
+    for layer in layers[1:]:
+        h = layer.forward(h)
+        feats.append(h)
+    w = trans.conv.weight
+    mixed = T.conv2d(T.channel_concat(feats),
+                     T.Conv2dParams(T.channel_slice(w, c_in, w.shape[1])))
+    mixed = T.sparse_conv2d(features, coords, size,
+                            T.Conv2dParams(T.channel_slice(w, 0, c_in)), onto=mixed)
+    return T.batch_norm(mixed, trans.bn, relu=True)
+
+
+def concat_backbone_forward(bb, features, coords, size):
+    """`DenseBackbone.forward` on the concat path."""
+    h = T.avg_pool2x2(first_block_concat(bb, features, coords, size))
+    taps = [h]
+    for layers, trans in zip(bb.blocks[1:], bb.transitions[1:]):
+        h = T.avg_pool2x2(trans.forward(dense_block_concat(h, layers)))
+        taps.append(h)
+    return taps
+
+
+def concat_neck_forward(neck, taps):
+    """`FPN.forward` on the concat path: each branch's transposed conv and
+    batch norm, the outputs concatenated."""
+    outs = [T.batch_norm(T.conv_transpose2d(tap, w, stride), bn, relu=True)
+            for tap, (w, bn, stride) in zip(taps, neck.branches, strict=True)]
+    return T.channel_concat(outs)
 
 
 def dense_forward(bb, image):
     taps = []
     h = image
     for layers, trans in zip(bb.blocks, bb.transitions):
-        h = T.avg_pool2x2(trans.forward(dense_block_forward(h, layers)))
+        h = T.avg_pool2x2(trans.forward(dense_block_concat(h, layers)))
         taps.append(h)
     return taps
 

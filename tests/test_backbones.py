@@ -22,7 +22,13 @@ from densepillars.model import DetectionPipeline
 from densepillars.pointcloud import PointCloud, synth_scene
 from densepillars.tensor import ConfigurationError, Tensor
 from densepillars.train import build_pipeline, make_training_scenes
-from backbone_oracle import backbone_forward, pillar_image, pipeline_forward
+from backbone_oracle import (
+    backbone_forward,
+    concat_backbone_forward,
+    concat_neck_forward,
+    pillar_image,
+    pipeline_forward,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 FIRST_CONV = {"dense": "backbone.block1.layer1.conv.weight",
@@ -73,17 +79,30 @@ class TestDenseBlock:
         out = dense_block_forward(x, layers)
         np.testing.assert_array_equal(out.data[:, :8], x.data)
 
-    def test_feed_forward_chain(self):
-        """Each stage sees only the previous stage's output, not the concat."""
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_feed_forward_chain(self, monkeypatch, mode):
+        """Each stage sees only the previous stage's output, not the concat,
+        and writes it into its slice of the block output, which is not
+        copied again."""
         rng = np.random.default_rng(2)
         layers = [
             ConvBNRelu(rng, 8, 4, 3, padding=1),
             ConvBNRelu(rng, 4, 4, 3, padding=1),
         ]
+        stages = []
         for layer in layers:
-            layer.bn.mode = "eval"
+            layer.bn.mode = mode
+
+            def spy(h, out=None, forward=layer.forward):
+                stages.append(forward(h, out=out))
+                return stages[-1]
+
+            monkeypatch.setattr(layer, "forward", spy)
         x = Tensor(rng.normal(size=(1, 8, 6, 6)).astype(np.float32))
         out = dense_block_forward(x, layers)
+        assert len(stages) == 2
+        for stage in stages:
+            assert np.shares_memory(stage.data, out.data)
         h1 = layers[0].forward(x)
         h2 = layers[1].forward(h1)
         np.testing.assert_array_equal(out.data[:, 8:12], h1.data)
@@ -255,6 +274,46 @@ class TestSparseFirstLayerOracle:
         for name, a, b in zip(("cls", "box", "dir"), got, want, strict=True):
             assert a.dtype == np.float64, name
             _assert_close(a.data, b.data, f"{name} map")
+
+
+class TestSharedBufferOracle:
+    """With a graph, the dense blocks and the neck write their stage outputs
+    into one shared buffer; the oracle keeps a list of them and copies them
+    with `channel_concat` (`backbone_oracle.concat_backbone_forward`)."""
+
+    def test_train_mode_matches_the_concat_path_bit_for_bit(self):
+        cfg = parse_config(REPO / "configs" / "desk_overfit.cfg",
+                           {"architecture.backbone": "dense"})
+        scene = make_training_scenes(cfg)[0]
+        product, oracle = build_pipeline(cfg), build_pipeline(cfg)
+        batch = product.encode(scene.cloud)
+        assignment = product.targets_for(scene.boxes)
+        size = (product.grid.height, product.grid.width)
+        losses = []
+        for p, backbone, neck in (
+                (product, product.backbone.forward, product.neck.forward),
+                (oracle, lambda *a: concat_backbone_forward(oracle.backbone, *a),
+                 lambda taps: concat_neck_forward(oracle.neck, taps))):
+            p.set_mode("train")
+            p.zero_grad()
+            taps = backbone(pfn_forward(batch, p.pfn), batch.coords, size)
+            maps = p.head.forward(neck(taps))
+            loss = detection_loss(*maps, assignment, p.anchor_cls, p.anchor_cfg)["total"]
+            loss.backward()
+            losses.append(([t.data for t in taps], maps, loss.data))
+        (got_taps, got_maps, got_loss), (want_taps, want_maps, want_loss) = losses
+        for i, (a, b) in enumerate(zip(got_taps, want_taps, strict=True)):
+            np.testing.assert_array_equal(a, b, err_msg=f"tap {i}")
+        for name, a, b in zip(("cls", "box", "dir"), got_maps, want_maps, strict=True):
+            np.testing.assert_array_equal(a.data, b.data, err_msg=f"{name} map")
+        np.testing.assert_array_equal(got_loss, want_loss)
+        want_grads = oracle.named_params()
+        for name, param in product.named_params().items():
+            np.testing.assert_array_equal(param.grad, want_grads[name].grad, err_msg=name)
+        assert product.named_params()[FIRST_CONV["dense"]].grad.any()
+        for a, b in zip(product.bn_list(), oracle.bn_list(), strict=True):
+            np.testing.assert_array_equal(a.running_mean, b.running_mean)
+            np.testing.assert_array_equal(a.running_var, b.running_var)
 
 
 class TestNoPseudoImage:

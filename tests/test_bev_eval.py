@@ -217,6 +217,31 @@ class TestBatchedKernel:
         if case in ("disjoint_in_reach", "fails_reach_test"):  # bounding boxes apart
             assert not kept
 
+    @pytest.mark.parametrize("gap", [0.0, 1e-15])
+    @pytest.mark.parametrize("axis", ["length", "width"])
+    def test_edge_touching_pairs_score_exactly_zero(self, axis, gap):
+        """Boxes that share an edge (or miss by 1e-15) at any yaw score 0 in
+        BEV and 3D, not the kernel's rounding dust: target assignment
+        force-matches on any IoU above 0."""
+        yaws = np.linspace(-math.pi, math.pi, 97)
+        a = np.zeros((yaws.size, 7))
+        a[:, 3:] = 1.6, 3.9, 1.5, 0.0
+        a[:, 6] = yaws
+        b = a.copy()
+        b[:, 3:5] = 0.6, 1.76
+        c, s = np.cos(yaws), np.sin(yaws)
+        if axis == "length":
+            d = (3.9 + 1.76) / 2 + gap
+            b[:, 0], b[:, 1] = d * c, d * s
+        else:
+            d = (1.6 + 0.6) / 2 + gap
+            b[:, 0], b[:, 1] = -d * s, d * c
+        i, j = pairs_in_reach(a, b)
+        assert set(zip(i[i == j], j[i == j])) == {(k, k) for k in range(yaws.size)}
+        for mode in ("BEV", "3D"):
+            np.testing.assert_array_equal(pair_iou(a, b, mode), 0.0)
+            np.testing.assert_array_equal(pair_iou(b, a, mode), 0.0)
+
     def test_parallel_edge_crossing_is_dropped(self):
         """Rounding puts the ends of the shared edge on both sides of the clip
         line although the edge is parallel to it: the 1e-15 denominator guard

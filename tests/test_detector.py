@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from assign_oracle import dense_assign_targets
 from densepillars import model
 from densepillars import tensor as T
-from densepillars.bev import rotated_iou_bev
+from densepillars.bev import box_rows, pairs_in_reach, rotated_iou_bev
 from densepillars.config import parse_config
 from densepillars.detector import (
     FPN,
@@ -294,6 +294,22 @@ class TestSparseAssignment:
                                  (x0, y0, -2.0), (x1 + 0.5, 5.0, 1.0)]]
         got = assert_matches_dense_oracle(*kitti_anchors, gts)
         assert set(got.gt_index[got.labels == 1]) == {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize("yaw", [math.pi / 2, -math.pi / 2])
+    def test_ground_truth_that_only_touches_anchors_gets_none(self, yaw):
+        """A Car beyond the range border whose edge touches the outer edge of
+        the first column's yaw-0 Car anchors shares no area with any anchor,
+        so the force match gives it no positive anchor."""
+        anchors, anchor_cls = generate_anchors(GRID, CFG)
+        w, l, h = CLASS_SIZES["Car"]
+        x_edge = anchors[anchor_cls == 0, 0].min() - l / 2
+        for y in np.linspace(-5.9, 5.9, 12):
+            gt = Box3D(x_edge - w / 2, float(y), -1.78, w, l, h, yaw)
+            touched = pairs_in_reach(anchors[anchor_cls == 0], box_rows([gt]))[0]
+            assert touched.size  # the pairs reach the kernel
+            got = assert_matches_dense_oracle(anchors, anchor_cls, [(gt, "Car")])
+            assert not (got.labels == 1).any(), f"y = {y}"
+            assert (got.gt_index == -1).all()
 
     def test_two_ground_truths_compete_for_one_anchor(self):
         anchors, anchor_cls = generate_anchors(GRID, CFG)

@@ -210,6 +210,35 @@ class TestSimpleOps:
         np.testing.assert_array_equal(cat.data[:, :2], a.data)
         np.testing.assert_array_equal(cat.data[:, 2:], b.data)
 
+    def test_concat_into_out(self):
+        """A batch of 2: the part already in its slice of `out` is not written
+        again, a slice of another array is copied, and backward splits the
+        gradient as without `out`."""
+        written = []
+
+        class Logged(np.ndarray):  # logs the first channel of each slice written
+            def __setitem__(self, key, value):
+                written.append((self.ctypes.data - buf.ctypes.data) // buf.strides[1])
+                super().__setitem__(key, value)
+
+        buf = np.full((2, 5, 3, 3), np.nan).view(Logged)
+        buf[:, 0:2] = rng.normal(size=(2, 2, 3, 3))
+        written.clear()
+        a = Tensor(np.asarray(buf[:, 0:2]), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 6, 3, 3))[:, 1:4], requires_grad=True)
+        cat = T.channel_concat([a, b], out=buf)
+        assert written == [2]
+        assert np.shares_memory(cat.data, buf)
+        np.testing.assert_array_equal(cat.data, T.channel_concat([a, b]).data)
+        g = rng.normal(size=(2, 5, 3, 3))
+        cat.backward(g)
+        np.testing.assert_array_equal(a.grad, g[:, :2])
+        np.testing.assert_array_equal(b.grad, g[:, 2:])
+
+    def test_concat_into_out_of_the_wrong_shape_raises(self):
+        with pytest.raises(ConfigurationError, match="channel_concat: out"):
+            T.channel_concat([rand_t(1, 2, 3, 3), rand_t(1, 1, 3, 3)], out=np.empty((1, 4, 3, 3)))
+
     def test_concat_mismatch_raises(self):
         with pytest.raises(ConfigurationError):
             T.channel_concat([rand_t(1, 2, 3, 3), rand_t(1, 2, 4, 3)])
@@ -560,8 +589,11 @@ def _buffer(shape, lo, hi, dtype):
 
 
 class TestFusedEpilogue:
-    """The inference-only bias, relu and `out` of the conv ops equal the
-    graph ops followed by a bias add and a clamp, written into a slice."""
+    """The conv ops' bias, relu and `out` equal the graph ops followed by a
+    bias add and a clamp, written into a slice. They serve the batch-norm
+    fold, which is inference-only, so they raise under a graph; the shared
+    buffers serve both paths through `batch_norm(out=)` and
+    `channel_concat(out=)` (`TestBatchNormOracle`, `TestSimpleOps`)."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, 1), (1, 1, 0)])
@@ -894,6 +926,32 @@ class TestBatchNormOracle:
         for name, got, want in zip(("dx", "dgamma", "dbeta"), rows[2], (full[2][0][at], *full[2][1:])):
             err = np.max(np.abs(got - want)) / np.max(np.abs(want))
             assert err <= rtol, f"{name}: relative error {err:.2e} > {rtol:.0e}"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_out_equals_a_new_output(self, clamp, mode, dtype):
+        """`out=` with a graph: forward, running statistics and gradients bit
+        for bit, and only the slice of the buffer is written."""
+        x, params, g = self._inputs((2, 3, 5, 4), mode, dtype)
+        buf, view = _buffer((2, 7, 5, 4), 1, 4, dtype)
+        into = self._run(lambda t, p: T.batch_norm(t, p, relu=clamp, out=view),
+                         x, params, g, mode)
+        new = self._run(lambda t, p: T.batch_norm(t, p, relu=clamp), x, params, g, mode)
+        assert np.shares_memory(into[0], buf)
+        np.testing.assert_array_equal(buf[:, 1:4], new[0])
+        assert np.isnan(buf[:, :1]).all() and np.isnan(buf[:, 4:]).all()
+        for got, want in zip((*into[1], *into[2]), (*new[1], *new[2]), strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shape,dtype", [((2, 3, 5, 5), np.float64),
+                                             ((2, 3, 5, 4), np.float32),
+                                             ((2, 3, 20), np.float64)])
+    def test_out_of_the_wrong_shape_or_dtype_raises(self, shape, dtype):
+        x = Tensor(rng.normal(size=(2, 3, 5, 4)))
+        with pytest.raises(ConfigurationError, match="batch_norm: out"):
+            T.batch_norm(x, T.BatchNormParams.create(3, dtype=np.float64),
+                         out=np.empty(shape, dtype=dtype))
 
     def test_padded_rows_need_one_index_each(self):
         p = T.BatchNormParams.create(2)
