@@ -9,7 +9,9 @@ conv) run as `tensor.sparse_conv2d`, which equals the conv of the scattered
 pseudo-image without building it. A dense block's stages write into one
 shared buffer that is their concatenation, in training and inference
 alike. Only the batch-norm fold is inference-only: in eval mode with no
-graph recorded, each conv + batch norm + relu runs as one conv.
+graph recorded, each conv + batch norm + relu runs as one conv, and each
+dense transition runs per band of rows, each band pooled into its rows of
+the tap, so its full-resolution output is never built.
 """
 
 from __future__ import annotations
@@ -138,6 +140,34 @@ def _chain(h, layers, buf, lo):
     return feats
 
 
+def _pooled_bands(cat, conv, pillars=None):
+    """avg_pool2x2 of a transition's folded 1x1 conv over `cat` [N, C, H, W]
+    and its clamp, run per band of an even number of rows: each band's
+    output is pooled into its rows of the tap, so the full-resolution
+    output is never built. With `pillars` = (features, coords, params), the
+    sparse 1x1 product of the pillars in the band, shifted into it, is added
+    to the band (block 1) and carries the bias and the clamp. Runs only
+    without a graph."""
+    n, c, h, w = cat.shape
+    bands = T.row_tiles(h, n * c * w * cat.data.itemsize, 2)
+    scratch = np.empty((n, conv.weight.shape[0], bands[0][1], w),
+                       dtype=np.result_type(conv.weight.data, cat.data))
+    tap = np.empty((*scratch.shape[:2], h // 2, w // 2), dtype=scratch.dtype)
+    if pillars is not None:
+        features, coords, params = pillars
+        order = np.argsort(coords[:, 0], kind="stable")
+        ends = np.searchsorted(coords[order, 0], [r1 for _, r1 in bands])
+    for i, (r0, r1) in enumerate(bands):
+        band = T.conv2d(Tensor(cat.data[:, :, r0:r1]), conv, relu=pillars is None,
+                        out=scratch[:, :, : r1 - r0])
+        if pillars is not None:
+            sel = order[ends[i - 1] if i else 0 : ends[i]]
+            T.sparse_conv2d(Tensor(features.data[sel]), coords[sel] - (r0, 0), (r1 - r0, w),
+                            params, onto=band, relu=True)
+        T.avg_pool2x2(band, out=tap[:, :, r0 // 2 : r1 // 2])
+    return Tensor(tap)
+
+
 def dense_block_forward(x, layers):
     """Feed-forward conv chain; input and every stage output concatenated
     once. Each stage writes its channel slice of one buffer that the concat
@@ -168,15 +198,17 @@ class DenseBackbone:
     def forward(self, features, coords, size):
         """Taps from the pillar features [P, C] at grid cells `coords` of a
         grid of `size` = (H, W)."""
-        h = T.avg_pool2x2(self._first_block(features, coords, size))
-        taps = [h]
+        taps = [self._first_block(features, coords, size)]
         for layers, trans in zip(self.blocks[1:], self.transitions[1:]):
-            h = T.avg_pool2x2(trans.forward(dense_block_forward(h, layers)))
-            taps.append(h)
+            cat = dense_block_forward(taps[-1], layers)
+            if trans.bn.folds(cat, trans.conv.weight):
+                taps.append(_pooled_bands(cat, trans.folded()))
+            else:
+                taps.append(T.avg_pool2x2(trans.forward(cat)))
         return taps
 
     def _first_block(self, features, coords, size):
-        """Block 1 and its transition conv, read from the pillars. The 1x1
+        """Block 1 and its transition, read from the pillars. The 1x1
         transition over [x; h1; ...] is a GEMM over the stage outputs plus
         the sparse 1x1 product of the pillar channels of its weight, so the
         concat holds the stage outputs only."""
@@ -187,11 +219,13 @@ class DenseBackbone:
         cat = T.channel_concat(_chain(h, layers[1:], buf, k), out=buf)
         fold = trans.bn.folds(cat, features, trans.conv.weight)
         p = trans.folded() if fold else trans.conv
-        mixed = T.conv2d(cat, T.Conv2dParams(T.channel_slice(p.weight, c_in, p.weight.shape[1])))
-        mixed = T.sparse_conv2d(features, coords, size,
-                                T.Conv2dParams(T.channel_slice(p.weight, 0, c_in), p.bias),
-                                onto=mixed, relu=fold)
-        return mixed if fold else T.batch_norm(mixed, trans.bn, relu=True)
+        stage_conv = T.Conv2dParams(T.channel_slice(p.weight, c_in, p.weight.shape[1]))
+        pillar_conv = T.Conv2dParams(T.channel_slice(p.weight, 0, c_in), p.bias)
+        if fold:
+            return _pooled_bands(cat, stage_conv, (features, coords, pillar_conv))
+        mixed = T.sparse_conv2d(features, coords, size, pillar_conv,
+                                onto=T.conv2d(cat, stage_conv))
+        return T.avg_pool2x2(T.batch_norm(mixed, trans.bn, relu=True))
 
     def named_params(self, prefix="backbone"):
         out = {}

@@ -1,4 +1,9 @@
-"""FPN neck, anchor head, target assignment, training loss, and decoding."""
+"""FPN neck, anchor head, target assignment, training loss, and decoding.
+
+When batch norm folds (eval mode, no graph), the neck and the head run per
+tile of the fused map's rows (`FPN.row_tiles`, `FPN.forward(rows=)`,
+`AnchorHead.forward(out=)`), so the fused map is never built whole.
+"""
 
 from __future__ import annotations
 
@@ -72,18 +77,50 @@ class FPN:
                 (Tensor(w, requires_grad=True), T.BatchNormParams.create(c_out), stride)
             )
 
-    def forward(self, taps):
-        """Each branch writes its channel slice of the fused map, which the
-        concat returns without a copy. Batch norm is folded into a branch's
-        transposed conv when it folds."""
-        if len(taps) != len(self.branches):
-            raise ConfigurationError("neck expects one tap per branch")
+    def folds(self, taps):
+        """Whether batch norm folds into every branch, which `forward(rows=)`
+        needs."""
+        return all(bn.folds(tap, w) for tap, (w, bn, _) in zip(taps, self.branches))
+
+    def row_tiles(self, taps):
+        """Tiles [r0, r1) of the fused map's rows for `forward(rows=)`, each
+        a multiple of the largest upsample stride, whose rows of the taps
+        hold about a GEMM tile (`T.row_tiles`) together."""
+        row_bytes = sum(tap.data[:, :, 0].nbytes // stride
+                        for tap, (_, _, stride) in zip(taps, self.branches))
+        return T.row_tiles(self.fused_shape(taps)[2], row_bytes, max(self.spec.upsample_strides))
+
+    def fused_shape(self, taps):
+        """[N, C, H, W] of the fused map: the taps upsampled to the grid of
+        the first."""
         n, _, rows, cols = taps[0].shape
         s0 = self.branches[0][2]
+        return n, sum(self.spec.out_channels), rows * s0, cols * s0
+
+    def forward(self, taps, rows=None):
+        """Each branch writes its channel slice of the fused map, which the
+        concat returns without a copy. Batch norm is folded into a branch's
+        transposed conv when it folds.
+
+        With `rows` = (r0, r1), a tile of `row_tiles`, only those rows of
+        the fused map are built, each branch reading the rows of its tap
+        that feed them; every batch norm must fold."""
+        if len(taps) != len(self.branches):
+            raise ConfigurationError("neck expects one tap per branch")
+        n, c, r1, cols = self.fused_shape(taps)
+        r0 = 0
+        if rows is not None:
+            r0, r1 = rows
+            if not self.folds(taps):
+                raise ConfigurationError("FPN: rows= runs only when every batch norm folds")
+            if any(r % s for r in rows for s in self.spec.upsample_strides):
+                raise ConfigurationError(f"FPN: rows {rows} not on every upsample stride")
         bounds = np.cumsum([0, *self.spec.out_channels])
-        fused = np.empty((n, bounds[-1], rows * s0, cols * s0), dtype=taps[0].dtype)
+        fused = np.empty((n, c, r1 - r0, cols), dtype=taps[0].dtype)
         outs = []
         for tap, (w, bn, stride), lo, hi in zip(taps, self.branches, bounds[:-1], bounds[1:]):
+            if rows is not None:
+                tap = Tensor(tap.data[:, :, r0 // stride : r1 // stride])
             if bn.folds(tap, w):
                 a, b = bn.fold()
                 h = T.conv_transpose2d(tap, Tensor(w.data * a[None, :, None, None]), stride,
@@ -126,17 +163,33 @@ class AnchorHead:
         self.box_conv = head_conv(a * 7)
         self.dir_conv = head_conv(a * 2)
 
-    def forward(self, fused):
+    @property
+    def _convs(self):
+        return self.cls_conv, self.box_conv, self.dir_conv
+
+    @property
+    def channels(self):
+        """Channels of the stacked map: the three maps' together."""
+        return sum(c.weight.shape[0] for c in self._convs)
+
+    def forward(self, fused, out=None):
         """Class, box and direction maps. With no graph recorded, the three
         convs run as one GEMM over the stacked [72, C] weight, split by
-        rows, so the fused map is read once."""
-        convs = (self.cls_conv, self.box_conv, self.dir_conv)
+        rows, so the fused map is read once. `out` (rows of a larger stacked
+        map, say) receives that GEMM's output, only without a graph."""
+        convs = self._convs
         if T.recording(fused, *(t for c in convs for t in (c.weight, c.bias))):
+            if out is not None:
+                raise ConfigurationError("AnchorHead: out= runs only without a graph")
             return tuple(T.conv2d(fused, c) for c in convs)
         stacked = T.Conv2dParams(Tensor(np.concatenate([c.weight.data for c in convs])),
                                  Tensor(np.concatenate([c.bias.data for c in convs])))
-        maps = T.conv2d(fused, stacked).data
-        bounds = np.cumsum([0] + [c.weight.shape[0] for c in convs])
+        return self.split(T.conv2d(fused, stacked, out=out).data)
+
+    def split(self, maps):
+        """The class, box and direction maps: channel slices of the stacked
+        map [N, 72, H, W]."""
+        bounds = np.cumsum([0] + [c.weight.shape[0] for c in self._convs])
         return tuple(Tensor(maps[:, a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
 
     def named_params(self, prefix="head"):

@@ -19,7 +19,7 @@ from .detector import (
 )
 from .encoder import GridSpec, PFNWeights
 from .pointcloud import FormatError, PointCloud
-from .tensor import InvariantViolation
+from .tensor import ConfigurationError, InvariantViolation
 
 
 class DetectionPipeline:
@@ -69,8 +69,15 @@ class DetectionPipeline:
         pillar_feats = enc.pfn_forward(batch, self.pfn)
         taps = self.backbone.forward(pillar_feats, batch.coords,
                                      (self.grid.height, self.grid.width))
-        fused = self.neck.forward(taps)
-        return self.head.forward(fused)
+        if not self.neck.folds(taps):
+            return self.head.forward(self.neck.forward(taps))
+        # batch norm folds: the neck and the head run per tile of rows into
+        # one stacked map, so the fused map is never built whole
+        n, _, rows, cols = self.neck.fused_shape(taps)
+        maps = np.empty((n, self.head.channels, rows, cols), dtype=taps[0].dtype)
+        for r0, r1 in self.neck.row_tiles(taps):
+            self.head.forward(self.neck.forward(taps, rows=(r0, r1)), out=maps[:, :, r0:r1])
+        return self.head.split(maps)
 
     def forward(self, cloud: PointCloud, seed: int = 0, cap: bool = True):
         return self.forward_encoded(self.encode(cloud, seed=seed, cap=cap))
@@ -84,7 +91,13 @@ class DetectionPipeline:
                               self.anchor_cls, self.anchor_cfg)
 
     def predict(self, cloud: PointCloud, score_thr: float = 0.1, nms_thr: float = 0.01):
-        """Detections for one frame; a frame with no point in range has none."""
+        """Detections for one frame; a frame with no point in range has none.
+        Every batch norm must be in eval mode (`set_mode("eval")`): in train
+        mode it would normalise with the frame's statistics and update the
+        running ones."""
+        if any(bn.mode != "eval" for bn in self.bn_list()):
+            raise ConfigurationError("predict needs every batch norm in eval mode; "
+                                     "call set_mode('eval') first")
         batch = self.encode(cloud, cap=False)
         if batch.features.shape[0] == 0:
             return []

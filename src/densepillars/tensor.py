@@ -19,7 +19,11 @@ not write into the gradient it receives, since that array may be shared.
 Dense blocks and the neck write their parts into one shared buffer in
 training and inference alike (`batch_norm(out=)`, `channel_concat(out=)`).
 Only the batch-norm fold is inference-only: the conv ops' bias+ReLU
-epilogue and `out=` raise when the op would record a graph.
+epilogue and `out=`, and `avg_pool2x2(out=)`, raise when the op would
+record a graph. `out=` may be a channel slice or a window of rows of a
+larger map: inference pools each band of a transition into its rows of
+the tap and runs the neck and head per tile of rows, sized by
+`row_tiles`, so it builds no full-resolution map it reads only once.
 """
 
 from __future__ import annotations
@@ -307,6 +311,14 @@ def linear_map(x: Tensor, weight: Tensor) -> Tensor:
 _TILE_BYTES = 2 << 20
 
 
+def row_tiles(rows, row_bytes, multiple=1):
+    """Tiles [r0, r1) of `rows` output rows, `row_bytes` bytes of a GEMM's
+    input each, that hold about `_TILE_BYTES` of it: at least `multiple`
+    rows and a multiple of it, except a last tile that ends at `rows`."""
+    step = max(multiple, _TILE_BYTES // row_bytes // multiple * multiple)
+    return [(r0, min(r0 + step, rows)) for r0 in range(0, rows, step)]
+
+
 def _span(off, s, lo, hi, n_in):
     """The output indices r of [lo, hi) whose input index off + s·r lies in
     [0, n_in), as a range [a, b) with a <= b."""
@@ -358,9 +370,10 @@ def _im2col(x, k, s, pad, r0, r1, w_out):
 
 def _epilogue_check(op, fused, *tensors):
     """A conv's bias the op cannot differentiate, `relu` and `out` serve the
-    batch-norm fold, which is inference-only: with any of them set
-    (`fused`), recording a graph is an error. With a graph, a layer writes
-    its shared buffer through `batch_norm(out=)` instead."""
+    batch-norm fold and the banded and tiled inference path, which are
+    inference-only: with any of them set (`fused`), recording a graph is an
+    error. With a graph, a layer writes its shared buffer through
+    `batch_norm(out=)` instead."""
     if fused and recording(*tensors):
         raise ConfigurationError(f"{op}: bias, relu and out= run only without a graph")
 
@@ -410,8 +423,7 @@ def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False, out=None) -> Tensor:
     w2 = p.weight.data.reshape(c_out, -1)
 
     pointwise = k == 1 and s == 1 and pad == 0
-    step = max(1, _TILE_BYTES // (n * w2.shape[1] * w_out * x.data.itemsize))
-    tiles = [(r0, min(r0 + step, h_out)) for r0 in range(0, h_out, step)]
+    tiles = row_tiles(h_out, n * w2.shape[1] * w_out * x.data.itemsize)
     out, rows = _out_rows(out, (n, c_out, h_out, w_out), np.result_type(w2, x.data), "conv2d")
     bias = None if p.bias is None else p.bias.data
     for r0, r1 in tiles:
@@ -514,8 +526,8 @@ def sparse_conv2d(features: Tensor, coords, size, p: Conv2dParams,
         out, acc = _out_rows(out, shape, y.dtype, "sparse_conv2d")
         if len(offsets) == 1:
             acc[...] = 0
-    else:
-        out, acc = onto.data, onto.data.reshape(1, c_out, hw)
+    else:  # onto may be a view, such as a band of rows of a larger map
+        out, acc = _out_rows(onto.data, shape, onto.dtype, "sparse_conv2d")
     bias = None if p.bias is None else p.bias.data
     for o in range(c_out):
         row = acc[:, o]  # [1, H_out·W_out]
@@ -565,9 +577,7 @@ def conv_transpose2d(x: Tensor, weight: Tensor, stride: int, bias=None, relu: bo
     blocks = out.reshape(n, c_out, h, s, w, s)
     wt = weight.data.transpose(1, 2, 3, 0).reshape(c_out * s * s, c_in)
     x3 = x.data.reshape(n, c_in, h * w)
-    step = max(1, _TILE_BYTES // (n * c_in * w * x.data.itemsize))
-    for r0 in range(0, h, step):
-        r1 = min(r0 + step, h)
+    for r0, r1 in row_tiles(h, n * c_in * w * x.data.itemsize):
         y = (wt @ x3[:, :, r0 * w : r1 * w]).reshape(n, c_out, s, s, r1 - r0, w)
         blocks[:, :, r0:r1] = y.transpose(0, 1, 4, 2, 5, 3)
         _bias_relu(rows[:, :, r0 * s * s * w : r1 * s * s * w], bias, relu)
@@ -580,13 +590,20 @@ def conv_transpose2d(x: Tensor, weight: Tensor, stride: int, bias=None, relu: bo
     return make(out, (x, weight), backward)
 
 
-def avg_pool2x2(x: Tensor) -> Tensor:
+def avg_pool2x2(x: Tensor, out=None) -> Tensor:
+    """The mean of each 2x2 window, summed row pair first, then column pair.
+    `out` (rows of a larger map, say) receives it, only when no graph is
+    recorded: a band of a transition's output is pooled into its rows of
+    the tap."""
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ConfigurationError("avg_pool2x2 requires even spatial dims")
+    _epilogue_check("avg_pool2x2", out is not None, x)
     r = x.data.reshape(n, c, h // 2, 2, w // 2, 2)
     rows = r[:, :, :, 0] + r[:, :, :, 1]  # [N, C, H/2, W/2, 2]
-    out = (rows[..., 0] + rows[..., 1]) * 0.25
+    out, _ = _out_rows(out, (n, c, h // 2, w // 2), x.dtype, "avg_pool2x2")
+    np.add(rows[..., 0], rows[..., 1], out=out)
+    out *= 0.25
 
     def backward(g):
         return (np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25,)

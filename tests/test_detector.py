@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from assign_oracle import dense_assign_targets
 from densepillars import model
 from densepillars import tensor as T
+from densepillars.backbones import GrowthSchedule
 from densepillars.bev import box_rows, pairs_in_reach, rotated_iou_bev
 from densepillars.config import parse_config
 from densepillars.detector import (
@@ -45,6 +47,7 @@ REPO = Path(__file__).resolve().parents[1]
 GRID = GridSpec(
     x_range=(0.0, 12.8), y_range=(-6.4, 6.4), pillar_size=(0.4, 0.4)
 )  # 32 x 32 pseudo-image, 16 x 16 anchor grid
+TALL = GridSpec(x_range=(0.0, 9.6), y_range=(-8.0, 8.0), pillar_size=(0.4, 0.4))  # 40 x 24
 CFG = AnchorConfig()
 
 
@@ -74,6 +77,44 @@ class TestNeckAndHead:
         ]
         fused = neck.forward(taps)
         assert fused.shape == (1, 384, 16, 12)
+
+    def test_neck_rows_are_rows_of_the_fused_map(self):
+        """`forward(rows=)` builds only those rows, bit-equal to the whole
+        map's; the rows must sit on every upsample stride, and every batch
+        norm must fold (eval mode, no graph)."""
+        neck = FPN(NeckSpec(), seed=0)
+        rng = np.random.default_rng(1)
+        for bn in neck.bn_list():
+            bn.mode = "eval"
+            bn.running_mean = rng.normal(0.0, 0.5, bn.running_mean.shape).astype(np.float32)
+        taps = [Tensor(rng.normal(size=(1, c, 16 // s, 12 // s)).astype(np.float32))
+                for c, s in ((64, 1), (128, 2), (256, 4))]
+        with T.no_grad():
+            whole = neck.forward(taps).data
+            for rows in ((0, 4), (4, 12), (12, 16)):
+                part = neck.forward(taps, rows=rows).data
+                np.testing.assert_array_equal(part, whole[:, :, rows[0] : rows[1]])
+            with pytest.raises(ConfigurationError, match="upsample stride"):
+                neck.forward(taps, rows=(2, 6))
+        with pytest.raises(ConfigurationError, match="folds"):
+            neck.forward(taps, rows=(0, 4))  # with a graph
+        neck.bn_list()[1].mode = "train"
+        with T.no_grad(), pytest.raises(ConfigurationError, match="folds"):
+            neck.forward(taps, rows=(0, 4))
+
+    def test_head_out_receives_the_stacked_maps(self):
+        head = AnchorHead(seed=0)
+        x = Tensor(np.random.default_rng(0).normal(size=(1, 384, 4, 3)).astype(np.float32))
+        with T.no_grad():
+            want = head.forward(x)
+            stacked = np.full((1, head.channels, 9, 3), np.nan, dtype=np.float32)
+            got = head.forward(x, out=stacked[:, :, 5:])
+        for g, e in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g.data, e.data)
+            assert np.shares_memory(g.data, stacked)
+        assert np.isnan(stacked[:, :, :5]).all()
+        with pytest.raises(ConfigurationError, match="without a graph"):
+            head.forward(x, out=stacked[:, :, 5:])  # the head's parameters require grad
 
     def test_neck_rejects_wrong_tap_count(self):
         neck = FPN(NeckSpec(), seed=0)
@@ -581,11 +622,11 @@ class TestPredict:
         return pipeline, scene
 
     @staticmethod
-    def _eval_pipeline(kind, grid=GRID, dtype=np.float32):
+    def _eval_pipeline(kind, grid=GRID, dtype=np.float32, growth=None):
         """A pipeline in eval mode with random BN running statistics, γ and
         β, so that folding batch norm into the convs is far from the
         identity; its parameters and statistics are cast to `dtype`."""
-        pipeline = DetectionPipeline(grid, backbone=kind, seed=0)
+        pipeline = DetectionPipeline(grid, backbone=kind, seed=0, growth=growth)
         r = np.random.default_rng(11)
         for v in pipeline.named_params().values():
             v.data = v.data.astype(dtype)
@@ -640,6 +681,82 @@ class TestPredict:
                             n_ground=4000)
         pipeline = self._eval_pipeline(kind, grid=grid)
         self._assert_predict_matches_graph(pipeline, scene.cloud, monkeypatch, np.float32)
+
+    @pytest.mark.parametrize("kind,dtype,fixed_growth", [
+        ("dense", np.float32, None), ("dense", np.float64, None), ("dense", np.float32, 16),
+        ("dense", np.float64, 16), ("baseline", np.float32, None), ("baseline", np.float64, None)])
+    @pytest.mark.parametrize("tile_bytes", [1, 60000])
+    def test_bands_and_tiles_at_their_edges(self, monkeypatch, kind, dtype, fixed_growth,
+                                            tile_bytes):
+        """The transitions' bands and the neck and head tiles against the
+        graph path: at `_TILE_BYTES` = 1 every band is 2 rows and every tile
+        4; at 60000 (scaled by the item size) a transition and the neck each
+        end in a short band or tile. A pillar sits on every row, so on the
+        first and last row of every band and of the grid: a pillar counted
+        in two bands, or in none, fails."""
+        monkeypatch.setattr(T, "_TILE_BYTES", tile_bytes * np.dtype(dtype).itemsize // 4)
+        tiles = {2: [], 4: []}  # bands of the transitions, tiles of the neck
+        row_tiles = T.row_tiles
+
+        def spy(rows, row_bytes, multiple=1):
+            out = row_tiles(rows, row_bytes, multiple)
+            if multiple > 1:
+                tiles[multiple].append(out)
+            return out
+
+        monkeypatch.setattr(T, "row_tiles", spy)
+        scene = synth_scene(seed=4, n_boxes=2, x_range=TALL.x_range, y_range=TALL.y_range,
+                            n_ground=300)
+        ys = TALL.y_range[0] + (np.arange(TALL.height) + 0.5) * TALL.pillar_size[1]
+        rows = [[x, y, -1.0, 0.5] for y in ys for x in (0.2, 4.6, TALL.x_range[1] - 0.2)]
+        cloud = PointCloud(np.concatenate([scene.cloud.points, rows]))
+        growth = GrowthSchedule("fixed", fixed_growth) if fixed_growth else None
+        pipeline = self._eval_pipeline(kind, grid=TALL, dtype=dtype, growth=growth)
+        self._assert_predict_matches_graph(pipeline, cloud, monkeypatch, dtype)
+
+        assert set(pipeline.encode(cloud, cap=False).coords[:, 0]) == set(range(TALL.height))
+        transitions, (neck,) = tiles[2], tiles[4]
+        assert len(transitions) == (3 if kind == "dense" else 0)
+        heights = [[b - a for a, b in tiling] for tiling in transitions + [neck]]
+        if tile_bytes == 1:
+            assert all(h == [2] * len(h) for h in heights[:-1]) and set(heights[-1]) == {4}
+        else:  # block 1's bands (dense) and the neck's tiles end short
+            assert all(h[-1] < h[0] for h in heights[:1] + heights[-1:])
+
+    @pytest.mark.parametrize("kind", ["dense", "baseline"])
+    def test_predict_in_train_mode_raises_and_changes_no_state(self, kind):
+        """A new pipeline starts in train mode, where batch norm would use
+        the frame's statistics and update its running ones."""
+        _, scene = self._pipeline_and_scene()
+        pipeline = DetectionPipeline(GRID, backbone=kind, seed=0)
+        before = {k: v.copy() for k, v in pipeline.state_arrays().items()}
+        with pytest.raises(ConfigurationError, match="eval mode"):
+            pipeline.predict(scene.cloud)
+        pipeline.set_mode("eval")
+        pipeline.backbone.bn_list()[-1].mode = "train"
+        with pytest.raises(ConfigurationError, match="eval mode"):
+            pipeline.predict(scene.cloud)
+        for k, v in pipeline.state_arrays().items():
+            np.testing.assert_array_equal(v, before[k], err_msg=k)
+
+    @pytest.mark.parametrize("kind,bound_mb", [("dense", 112.0), ("baseline", 56.0)])
+    def test_peak_memory_on_the_kitti_grid(self, kind, bound_mb):
+        """One `predict` on the KITTI grid builds no full-resolution map it
+        reads only once: the transitions pool per band and the neck and
+        head run per tile of rows. Measured peaks (tracemalloc, numpy 2.4):
+        106.4 MB dense, 52.7 MB baseline; whole maps took 143.2 and 134.2."""
+        grid = GridSpec()
+        scene = synth_scene(seed=3000, n_boxes=20, x_range=grid.x_range, y_range=grid.y_range,
+                            n_ground=14000)
+        pipeline = DetectionPipeline(grid, backbone=kind, seed=0)
+        pipeline.set_mode("eval")
+        tracemalloc.start()
+        try:
+            pipeline.predict(scene.cloud)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb, f"{kind} predict peaked at {peak:.1f} MB"
 
     @pytest.mark.parametrize("kind", ["dense", "baseline"])
     def test_predict_changes_no_state(self, kind):

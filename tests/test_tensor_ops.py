@@ -646,6 +646,55 @@ class TestFusedEpilogue:
                                    rtol=1e-13, atol=1e-13)
         assert np.isnan(buf[:, :3]).all()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_on_a_row_window_of_a_larger_map(self, dtype):
+        """`out` may be rows [r0, r1) of a larger map, as the banded
+        transitions and the neck and head tiles of inference use it: the
+        result is bit-equal to one without `out`, and only the window is
+        written."""
+        x = Tensor(rng.normal(size=(1, 3, 6, 8)).astype(dtype))
+        w1 = Tensor(rng.normal(size=(4, 3, 1, 1)).astype(dtype))
+        w3 = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(dtype))
+        wt = Tensor(rng.normal(size=(3, 4, 2, 2)).astype(dtype))
+        b = rng.normal(size=4).astype(dtype)
+        coords = _pillars(6, 8, 0.4, seed=5, border=True)
+        f = Tensor(rng.normal(size=(len(coords), 3)).astype(dtype))
+        ops = {
+            "conv2d 1x1": lambda out: T.conv2d(x, T.Conv2dParams(w1, Tensor(b)), relu=True,
+                                               out=out),
+            "conv2d 3x3": lambda out: T.conv2d(x, T.Conv2dParams(w3, None, 1, 1), out=out),
+            "conv_transpose2d": lambda out: T.conv_transpose2d(
+                Tensor(x.data[:, :, :3]), wt, 2, bias=b, relu=True, out=out),
+            "sparse_conv2d": lambda out: T.sparse_conv2d(f, coords, (6, 8), T.Conv2dParams(
+                w1, Tensor(b)), relu=True, out=out),
+            "avg_pool2x2": lambda out: T.avg_pool2x2(Tensor(x.data[:, :, :, :8]), out=out),
+        }
+        for name, op in ops.items():
+            with T.no_grad():
+                want = op(None).data
+                buf = np.full((1, want.shape[1], want.shape[2] + 5, want.shape[3]), np.nan, dtype)
+                got = op(buf[:, :, 2 : 2 + want.shape[2]])
+            assert np.shares_memory(got.data, buf), name
+            np.testing.assert_array_equal(buf[:, :, 2 : 2 + want.shape[2]], want, err_msg=name)
+            assert np.isnan(buf[:, :, :2]).all(), name
+            assert np.isnan(buf[:, :, 2 + want.shape[2] :]).all(), name
+
+    def test_sparse_onto_a_band_of_a_larger_map(self):
+        """`onto` may be a band of rows of a larger map: the pillars of the
+        band, shifted into it, add only to its rows."""
+        coords = _pillars(8, 5, 0.5, seed=6, border=True)
+        f = Tensor(rng.normal(size=(len(coords), 3)))
+        p = T.Conv2dParams(Tensor(rng.normal(size=(4, 3, 1, 1))), Tensor(rng.normal(size=4)))
+        base = rng.normal(size=(1, 4, 8, 5))
+        with T.no_grad():
+            want = T.sparse_conv2d(f, coords, (8, 5), p, onto=Tensor(base.copy()), relu=True).data
+            got = base.copy()
+            for r0, r1 in ((0, 2), (2, 6), (6, 8)):
+                sel = np.flatnonzero((coords[:, 0] >= r0) & (coords[:, 0] < r1))
+                T.sparse_conv2d(Tensor(f.data[sel]), coords[sel] - (r0, 0), (r1 - r0, 5), p,
+                                onto=Tensor(got[:, :, r0:r1]), relu=True)
+        np.testing.assert_array_equal(got, want)
+
     def test_raise_when_a_graph_would_be_recorded(self):
         x, w = rand_t(1, 2, 4, 4), rand_t(3, 2, 3, 3)
         coords = np.array([[0, 0], [2, 3]])
@@ -663,6 +712,8 @@ class TestFusedEpilogue:
             T.conv_transpose2d(x, rand_t(2, 3, 2, 2), 2, bias=np.zeros(3))
         with pytest.raises(ConfigurationError, match="without a graph"):
             T.conv_transpose2d(x, rand_t(2, 3, 1, 1), 1, out=out)
+        with pytest.raises(ConfigurationError, match="without a graph"):
+            T.avg_pool2x2(x, out=np.empty((1, 2, 2, 2)))
 
     @pytest.mark.parametrize("shape,dtype", [((1, 3, 4, 5), np.float64),
                                              ((1, 3, 4, 4), np.float32),
@@ -684,6 +735,23 @@ class TestFusedEpilogue:
         out = np.empty((1, 3, 4, 5))[..., :4]  # rows 5 apart: no [N, C, H*W] view
         with T.no_grad(), pytest.raises(ConfigurationError, match="view"):
             T.conv2d(x, T.Conv2dParams(w), out=out)
+        with T.no_grad(), pytest.raises(ConfigurationError, match="view"):
+            T.sparse_conv2d(Tensor(np.ones((1, 2))), [[1, 1]], (4, 4), T.Conv2dParams(w),
+                            onto=Tensor(out))
+        with T.no_grad(), pytest.raises(ConfigurationError, match="view"):
+            T.avg_pool2x2(Tensor(np.ones((1, 3, 8, 8))), out=out)
+
+
+class TestRowTiles:
+    @pytest.mark.parametrize("rows,row_bytes,multiple,tile_bytes,want", [
+        (10, 100, 1, 250, [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]),
+        (10, 100, 2, 650, [(0, 6), (6, 10)]),  # 6 rows: a multiple of 2
+        (12, 100, 4, 1, [(0, 4), (4, 8), (8, 12)]),  # at least `multiple` rows
+        (7, 100, 1, 1 << 20, [(0, 7)]),
+    ])
+    def test_tiles(self, monkeypatch, rows, row_bytes, multiple, tile_bytes, want):
+        monkeypatch.setattr(T, "_TILE_BYTES", tile_bytes)
+        assert T.row_tiles(rows, row_bytes, multiple) == want
 
 
 def mean_pool(x):
