@@ -150,6 +150,10 @@ def gradcheck_cases(rng):
              [(1, 2, 6, 6), (3, 2, 3, 3)]),
         case("conv2d_1x1_bias", 1e-5, lambda x, w, b: T.conv2d(x, T.Conv2dParams(w, b)),
              [(1, 3, 4, 4), (2, 3, 1, 1), (2,)]),
+        # the head's training path: one conv, then a channel slice of it
+        case("conv2d_1x1_slice", 1e-5,
+             lambda x, w, b: T.channel_slice(T.conv2d(x, T.Conv2dParams(w, b)), 1, 3),
+             [(1, 3, 4, 4), (4, 3, 1, 1), (4,)]),
         case("conv2d_batch2", 1e-5, lambda x, w: T.conv2d(x, T.Conv2dParams(w, None, 1, 1)),
              [(2, 2, 4, 4), (3, 2, 3, 3)]),
         case("conv_transpose2d", 1e-5, lambda x, w: T.conv_transpose2d(x, w, 2),

@@ -137,13 +137,10 @@ def neck_cost(spec: NeckSpec, tap_sizes) -> ComponentCost:
 
 
 def head_cost(in_channels: int, anchors_per_cell: int, h: int, w: int) -> ComponentCost:
-    params = 0
-    macs = 0
-    for per_anchor in (len(CLASSES), 7, 2):
-        c_out = anchors_per_cell * per_anchor
-        p, m = _conv(in_channels, c_out, 1, h, w, bias=True)
-        params += p
-        macs += m
+    """One 1x1 conv with bias whose outputs stack the class, box and
+    direction maps."""
+    c_out = anchors_per_cell * (len(CLASSES) + 7 + 2)
+    params, macs = _conv(in_channels, c_out, 1, h, w, bias=True)
     return ComponentCost("head", params, macs, 0)
 
 

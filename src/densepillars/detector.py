@@ -1,8 +1,10 @@
 """FPN neck, anchor head, target assignment, training loss, and decoding.
 
-When batch norm folds (eval mode, no graph), the neck and the head run per
-tile of the fused map's rows (`FPN.row_tiles`, `FPN.forward(rows=)`,
-`AnchorHead.forward(out=)`), so the fused map is never built whole.
+The head is one 1x1 conv whose output stacks the class, box and direction
+maps, with or without a graph. When batch norm folds (eval mode, no graph),
+the neck and the head run per tile of the fused map's rows
+(`FPN.row_tiles`, `FPN.forward(rows=)`, `AnchorHead.forward(out=)`), so the
+fused map is never built whole; only there does the neck fold batch norm.
 """
 
 from __future__ import annotations
@@ -99,12 +101,13 @@ class FPN:
 
     def forward(self, taps, rows=None):
         """Each branch writes its channel slice of the fused map, which the
-        concat returns without a copy. Batch norm is folded into a branch's
-        transposed conv when it folds.
+        concat returns without a copy.
 
         With `rows` = (r0, r1), a tile of `row_tiles`, only those rows of
         the fused map are built, each branch reading the rows of its tap
-        that feed them; every batch norm must fold."""
+        that feed them, with batch norm folded into its transposed conv;
+        every batch norm must fold. Without `rows`, each branch runs
+        `batch_norm`."""
         if len(taps) != len(self.branches):
             raise ConfigurationError("neck expects one tap per branch")
         n, c, r1, cols = self.fused_shape(taps)
@@ -119,15 +122,14 @@ class FPN:
         fused = np.empty((n, c, r1 - r0, cols), dtype=taps[0].dtype)
         outs = []
         for tap, (w, bn, stride), lo, hi in zip(taps, self.branches, bounds[:-1], bounds[1:]):
-            if rows is not None:
-                tap = Tensor(tap.data[:, :, r0 // stride : r1 // stride])
-            if bn.folds(tap, w):
-                a, b = bn.fold()
-                h = T.conv_transpose2d(tap, Tensor(w.data * a[None, :, None, None]), stride,
-                                       bias=b, relu=True, out=fused[:, lo:hi])
-            else:
+            if rows is None:
                 h = T.batch_norm(T.conv_transpose2d(tap, w, stride), bn, relu=True,
                                  out=fused[:, lo:hi])
+            else:
+                a, b = bn.fold()
+                h = T.conv_transpose2d(Tensor(tap.data[:, :, r0 // stride : r1 // stride]),
+                                       Tensor(w.data * a[None, :, None, None]), stride,
+                                       bias=b, relu=True, out=fused[:, lo:hi])
             outs.append(h)
         return T.channel_concat(outs, out=fused)
 
@@ -144,64 +146,41 @@ class FPN:
 
 
 class AnchorHead:
-    """Three parallel 1x1 convs with bias: class, box residual, direction."""
+    """The class, box residual and direction maps: PointPillars' three
+    parallel 1x1 convs over the fused map, as one 1x1 conv with bias whose
+    output channels stack the three maps."""
 
     def __init__(self, in_channels: int = 384, cfg: AnchorConfig | None = None, seed: int = 0):
         a = (cfg or AnchorConfig()).anchors_per_cell
+        self.widths = (a * len(CLASSES), a * 7, a * 2)
         rng = np.random.default_rng(seed)
-
-        def head_conv(c_out, bias_init=0.0):
-            w = rng.normal(0.0, 0.01, size=(c_out, in_channels, 1, 1)).astype(np.float32)
-            b = np.full(c_out, bias_init, dtype=np.float32)
-            return T.Conv2dParams(
-                Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
-            )
-
+        # one draw equals drawing the class, box and direction rows in turn
+        w = rng.normal(0.0, 0.01, size=(sum(self.widths), in_channels, 1, 1)).astype(np.float32)
+        b = np.zeros(sum(self.widths), dtype=np.float32)
         # class logits start near a low foreground prior to keep focal loss stable
         prior = 0.01
-        self.cls_conv = head_conv(a * len(CLASSES), bias_init=-math.log((1 - prior) / prior))
-        self.box_conv = head_conv(a * 7)
-        self.dir_conv = head_conv(a * 2)
-
-    @property
-    def _convs(self):
-        return self.cls_conv, self.box_conv, self.dir_conv
+        b[: self.widths[0]] = -math.log((1 - prior) / prior)
+        self.conv = T.Conv2dParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
 
     @property
     def channels(self):
         """Channels of the stacked map: the three maps' together."""
-        return sum(c.weight.shape[0] for c in self._convs)
+        return self.conv.weight.shape[0]
 
     def forward(self, fused, out=None):
-        """Class, box and direction maps. With no graph recorded, the three
-        convs run as one GEMM over the stacked [72, C] weight, split by
-        rows, so the fused map is read once. `out` (rows of a larger stacked
-        map, say) receives that GEMM's output, only without a graph."""
-        convs = self._convs
-        if T.recording(fused, *(t for c in convs for t in (c.weight, c.bias))):
-            if out is not None:
-                raise ConfigurationError("AnchorHead: out= runs only without a graph")
-            return tuple(T.conv2d(fused, c) for c in convs)
-        stacked = T.Conv2dParams(Tensor(np.concatenate([c.weight.data for c in convs])),
-                                 Tensor(np.concatenate([c.bias.data for c in convs])))
-        return self.split(T.conv2d(fused, stacked, out=out).data)
+        """Class, box and direction maps, split from the stacked map.
+        `out` (rows of a larger stacked map, say) receives the stacked map,
+        only without a graph."""
+        return self.split(T.conv2d(fused, self.conv, out=out))
 
-    def split(self, maps):
+    def split(self, maps: Tensor):
         """The class, box and direction maps: channel slices of the stacked
-        map [N, 72, H, W]."""
-        bounds = np.cumsum([0] + [c.weight.shape[0] for c in self._convs])
-        return tuple(Tensor(maps[:, a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
+        map [N, 72, H, W], through which a graph's gradients flow."""
+        bounds = np.cumsum([0, *self.widths])
+        return tuple(T.channel_slice(maps, a, b) for a, b in zip(bounds[:-1], bounds[1:]))
 
     def named_params(self, prefix="head"):
-        out = {}
-        for name, conv in (
-            ("cls", self.cls_conv),
-            ("box", self.box_conv),
-            ("dir", self.dir_conv),
-        ):
-            out[f"{prefix}.{name}.weight"] = conv.weight
-            out[f"{prefix}.{name}.bias"] = conv.bias
-        return out
+        return {f"{prefix}.weight": self.conv.weight, f"{prefix}.bias": self.conv.bias}
 
     def bn_list(self):
         return []

@@ -19,7 +19,7 @@ from .detector import (
 )
 from .encoder import GridSpec, PFNWeights
 from .pointcloud import FormatError, PointCloud
-from .tensor import ConfigurationError, InvariantViolation
+from .tensor import ConfigurationError, InvariantViolation, Tensor
 
 
 class DetectionPipeline:
@@ -77,7 +77,7 @@ class DetectionPipeline:
         maps = np.empty((n, self.head.channels, rows, cols), dtype=taps[0].dtype)
         for r0, r1 in self.neck.row_tiles(taps):
             self.head.forward(self.neck.forward(taps, rows=(r0, r1)), out=maps[:, :, r0:r1])
-        return self.head.split(maps)
+        return self.head.split(Tensor(maps))
 
     def forward(self, cloud: PointCloud, seed: int = 0, cap: bool = True):
         return self.forward_encoded(self.encode(cloud, seed=seed, cap=cap))

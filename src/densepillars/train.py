@@ -13,9 +13,9 @@ from .config import RunConfig
 from .model import DetectionPipeline, state_array
 from .optim import OptimizerState, adamw_step, cosine_lr
 from .pointcloud import FormatError, synth_scene
-from .tensor import InvariantViolation
+from .tensor import ConfigurationError, InvariantViolation
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 RECALL_IOU = 0.5  # BEV IoU at which `training_recall` counts a box as found
 
 
@@ -92,17 +92,30 @@ def make_training_scenes(cfg: RunConfig):
 
 def train(cfg: RunConfig, out_dir: str, scenes=None, log=print):
     """Overfit loop: cached pillar batches and targets, AdamW + cosine lr.
+    A scene with no point inside the grid is skipped, and their count goes
+    to `log`; a ConfigurationError names the grid's ranges when no scene is
+    left.
 
     Writes `loss.csv` (step, lr, cls, loc, dir, total) and `checkpoint.npz`
     to out_dir; returns the per-step total-loss history.
     """
-    os.makedirs(out_dir, exist_ok=True)
     pipeline = build_pipeline(cfg)
     pipeline.set_mode("train")
     if scenes is None:
         scenes = make_training_scenes(cfg)
-    batches = [pipeline.encode(s.cloud, seed=i, cap=True) for i, s in enumerate(scenes)]
-    assignments = [pipeline.targets_for(s.boxes) for s in scenes]
+    encoded = [(pipeline.encode(s.cloud, seed=i, cap=True), s) for i, s in enumerate(scenes)]
+    kept = [(b, s) for b, s in encoded if b.features.shape[0]]
+    if not kept:
+        g = pipeline.grid
+        raise ConfigurationError(
+            f"no training scene has a point inside the grid: x_range {g.x_range}, "
+            f"y_range {g.y_range}, z_range {g.z_range}")
+    if len(kept) < len(scenes) and log is not None:
+        log(f"skipped {len(scenes) - len(kept)} of {len(scenes)} training scenes "
+            f"with no point inside the grid")
+    batches = [b for b, _ in kept]
+    assignments = [pipeline.targets_for(s.boxes) for _, s in kept]
+    os.makedirs(out_dir, exist_ok=True)
 
     params = pipeline.named_params()
     opt = OptimizerState(lr=cfg["train.lr"], weight_decay=cfg["train.weight_decay"])
@@ -116,7 +129,7 @@ def train(cfg: RunConfig, out_dir: str, scenes=None, log=print):
         pipeline.zero_grad()
         sums = {"cls": 0.0, "loc": 0.0, "dir": 0.0, "total": 0.0}
         for j in range(bs):
-            i = (step * bs + j) % len(scenes)
+            i = (step * bs + j) % len(batches)
             losses = pipeline.loss_encoded(batches[i], assignments[i])
             losses["total"].backward(np.array(1.0 / bs, dtype=np.float32))
             for k in sums:

@@ -1,4 +1,4 @@
-"""Oracles for the backbones and the neck.
+"""Oracles for the backbones, the neck and the head.
 
 The pseudo-image path is the network as it was before its first layer read
 the pillars: `scatter_to_pseudo_image` builds the [1, C, H, W] pseudo-image,
@@ -10,7 +10,11 @@ graph path as it was before the dense blocks and the neck shared one
 buffer: each keeps a list of its stage outputs and copies them with
 `channel_concat`. Run it with a graph, where no batch norm folds.
 
-Both reuse the product's layer objects, so they share every parameter.
+The three-conv head (`three_conv_head_forward`) is the anchor head as it
+was before it became one conv: class, box and direction 1x1 convs, each
+over its row block of the stacked weight and bias.
+
+All reuse the product's layer objects, so they share every parameter.
 `pillar_image` turns a dense image into the pillars of a fully occupied
 grid, every cell a pillar.
 """
@@ -68,6 +72,24 @@ def concat_neck_forward(neck, taps):
     outs = [T.batch_norm(T.conv_transpose2d(tap, w, stride), bn, relu=True)
             for tap, (w, bn, stride) in zip(taps, neck.branches, strict=True)]
     return T.channel_concat(outs)
+
+
+def _row_block(t, lo, hi):
+    """Rows lo..hi of t, with a graph: a `channel_slice` of t with its first
+    two axes swapped (a bias [C] as [1, C])."""
+    if t.data.ndim == 1:
+        return T.reshape(T.channel_slice(T.reshape(t, (1, t.shape[0])), lo, hi), (hi - lo,))
+    axes = (1, 0, *range(2, t.data.ndim))
+    return T.transpose(T.channel_slice(T.transpose(t, axes), lo, hi), axes)
+
+
+def three_conv_head_forward(head, fused):
+    """`AnchorHead.forward` as three parallel 1x1 convs: the class, box and
+    direction maps, each from its row block of the head's parameters."""
+    w, b = head.conv.weight, head.conv.bias
+    bounds = np.cumsum([0, *head.widths])
+    return tuple(T.conv2d(fused, T.Conv2dParams(_row_block(w, lo, hi), _row_block(b, lo, hi)))
+                 for lo, hi in zip(bounds[:-1], bounds[1:]))
 
 
 def dense_forward(bb, image):

@@ -103,7 +103,8 @@ class TestGradcheck:
         assert "FAIL" not in out
         names = {line.split()[0] for line in out.splitlines()[1:]}
         assert names == {
-            "linear_map", "conv2d", "conv2d_stride2", "conv2d_1x1_bias", "conv2d_batch2",
+            "linear_map", "conv2d", "conv2d_stride2", "conv2d_1x1_bias", "conv2d_1x1_slice",
+            "conv2d_batch2",
             "conv_transpose2d", "batch_norm", "batch_norm_eval", "batch_norm_relu",
             "batch_norm_relu_eval", "avg_pool2x2", "segment_max_padded_bn",
             "conv_bn_relu", "focal", "smooth_l1_sine", "softmax_ce", "detection_loss",
@@ -215,6 +216,20 @@ class TestTrainInferEvalRoundtrip:
         for _, found, total, value in recall:
             assert int(found) <= int(total) and value == f"{int(found) / int(total):.2f}"
 
+    def test_train_with_no_point_in_the_grid_is_config_error(self, tmp_path, capsys):
+        """No point of the synthetic scenes reaches z = 0.6, so the desk
+        config with that z range has no scene to train on."""
+        desk = (Path(__file__).resolve().parents[1] / "configs" / "desk_overfit.cfg").read_text()
+        p = tmp_path / "high.cfg"
+        p.write_text(desk.replace("pillar_size = 0.32\n",
+                                  "pillar_size = 0.32\nz_min = 0.6\nz_max = 1.0\n"))
+        rc = main(["train", "--config", str(p), "--out-dir", str(tmp_path / "run")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "no training scene has a point inside the grid" in err
+        assert "x_range (0.0, 20.48), y_range (-10.24, 10.24), z_range (0.6, 1.0)" in err
+        assert not (tmp_path / "run").exists()
+
     def test_infer_without_clouds_is_io_error(self, tmp_path, tiny_cfg):
         run = str(tmp_path / "run")
         main(["train", "--config", tiny_cfg, "--out-dir", run])
@@ -251,7 +266,7 @@ class TestTrainInferEvalRoundtrip:
         assert "bad.bin: point 1 has a non-finite value" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, edit", [
-        ("param/head.cls.weight", None),
+        ("param/head.weight", None),
         ("bnstat/0/mean", lambda a: a[:-1]),
         ("meta/config", None),
         ("meta/version", None),

@@ -6,7 +6,7 @@ import pytest
 
 from densepillars.config import SCHEMA, RunConfig, parse_config
 from densepillars.model import DetectionPipeline
-from densepillars.pointcloud import FormatError
+from densepillars.pointcloud import FormatError, LabeledScene, PointCloud
 from densepillars.tensor import ConfigurationError, InvariantViolation
 from densepillars.train import (
     build_pipeline,
@@ -14,6 +14,7 @@ from densepillars.train import (
     make_training_scenes,
     save_checkpoint,
     train,
+    training_recall,
 )
 
 TINY = {
@@ -167,6 +168,23 @@ class TestTraining:
         train(tiny_config(**{"train.batch_size": "2"}), str(tmp_path), log=None)
         assert len(totals) == 6
 
+    def test_scene_with_no_point_in_the_grid_is_skipped(self, tmp_path):
+        """The other scenes train; the skipped scene's boxes count as missed
+        in `training_recall`."""
+        cfg = tiny_config(**{"train.num_scenes": "3"})
+        scenes = make_training_scenes(cfg)
+        beyond = scenes[1].cloud.points + np.array([100.0, 0.0, 0.0, 0.0], np.float32)
+        scenes[1] = LabeledScene(PointCloud(beyond), scenes[1].boxes)
+        logs = []
+        pipeline, history = train(cfg, str(tmp_path), scenes=scenes, log=logs.append)
+        assert len(history) == 3 and all(np.isfinite(history))
+        assert "skipped 1 of 3 training scenes with no point inside the grid" in logs
+        boxes = sum(len(s.boxes) for s in scenes)
+        assert sum(total for _, total in training_recall(pipeline, scenes, cfg).values()) == boxes
+        missed = training_recall(pipeline, scenes[1:2], cfg)
+        assert sum(total for _, total in missed.values()) == len(scenes[1].boxes) > 0
+        assert all(found == 0 for found, _ in missed.values())
+
     def test_scenes_are_deterministic(self):
         cfg = tiny_config()
         a = make_training_scenes(cfg)
@@ -208,7 +226,7 @@ class TestCheckpoint:
             state = {k: z[k] for k in z.files}
         state["meta/version"] = np.array(99)
         np.savez(str(path), **state)
-        with pytest.raises(FormatError, match=r"ck\.npz: .*'meta/version' is 99, expected 2"):
+        with pytest.raises(FormatError, match=r"ck\.npz: .*'meta/version' is 99, expected 3"):
             load_checkpoint(str(path))
 
     def test_fresh_pipeline_differs_from_trained(self, tmp_path):
@@ -216,8 +234,8 @@ class TestCheckpoint:
         train(cfg, str(tmp_path), log=None)
         loaded, _ = load_checkpoint(str(tmp_path / "checkpoint.npz"))
         fresh = build_pipeline(cfg)
-        trained_w = loaded.named_params()["head.cls.weight"].data
-        fresh_w = fresh.named_params()["head.cls.weight"].data
+        trained_w = loaded.named_params()["head.weight"].data
+        fresh_w = fresh.named_params()["head.weight"].data
         assert not np.array_equal(trained_w, fresh_w)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assign_oracle import dense_assign_targets
+from backbone_oracle import three_conv_head_forward
 from densepillars import model
 from densepillars import tensor as T
 from densepillars.backbones import GrowthSchedule
@@ -29,7 +30,7 @@ from densepillars.detector import (
     smooth_l1_sine_loss,
     softmax_cross_entropy,
 )
-from densepillars.encoder import GridSpec
+from densepillars.encoder import GridSpec, pfn_forward
 from densepillars.model import DetectionPipeline
 from densepillars.pointcloud import (
     CLASS_SIZES,
@@ -79,9 +80,10 @@ class TestNeckAndHead:
         assert fused.shape == (1, 384, 16, 12)
 
     def test_neck_rows_are_rows_of_the_fused_map(self):
-        """`forward(rows=)` builds only those rows, bit-equal to the whole
-        map's; the rows must sit on every upsample stride, and every batch
-        norm must fold (eval mode, no graph)."""
+        """`forward(rows=)` builds only those rows, bit-equal to those of a
+        one-tile call `rows=(0, H)`, which is close to the whole map that
+        batch norm gives without `rows`; the rows must sit on every upsample
+        stride, and every batch norm must fold (eval mode, no graph)."""
         neck = FPN(NeckSpec(), seed=0)
         rng = np.random.default_rng(1)
         for bn in neck.bn_list():
@@ -90,7 +92,8 @@ class TestNeckAndHead:
         taps = [Tensor(rng.normal(size=(1, c, 16 // s, 12 // s)).astype(np.float32))
                 for c, s in ((64, 1), (128, 2), (256, 4))]
         with T.no_grad():
-            whole = neck.forward(taps).data
+            whole = neck.forward(taps, rows=(0, 16)).data
+            np.testing.assert_allclose(whole, neck.forward(taps).data, rtol=1e-5, atol=1e-5)
             for rows in ((0, 4), (4, 12), (12, 16)):
                 part = neck.forward(taps, rows=rows).data
                 np.testing.assert_array_equal(part, whole[:, :, rows[0] : rows[1]])
@@ -115,6 +118,40 @@ class TestNeckAndHead:
         assert np.isnan(stacked[:, :, :5]).all()
         with pytest.raises(ConfigurationError, match="without a graph"):
             head.forward(x, out=stacked[:, :, 5:])  # the head's parameters require grad
+
+    def test_head_matches_the_three_conv_oracle_in_training(self):
+        """With a graph in train mode on the desk grid, the stacked conv's
+        maps and weight gradient are the three convs' bit for bit. Two sums
+        run in another order: the fused map's gradient is one GEMM over all
+        72 rows instead of three summed, and the bias gradient sums a
+        contiguous gradient (the slices' zero-padded sum) where each conv
+        summed a strided view. Measured: they differ by at most 1.3e-7 and
+        6e-8 of their largest entry."""
+        cfg = parse_config(REPO / "configs" / "desk_overfit.cfg")
+        scene = make_training_scenes(cfg)[0]
+        pipeline = model.DetectionPipeline(cfg.grid_spec(), seed=cfg["run.seed"])
+        pipeline.set_mode("train")
+        batch = pipeline.encode(scene.cloud)
+        assignment = pipeline.targets_for(scene.boxes)
+        taps = pipeline.backbone.forward(pfn_forward(batch, pipeline.pfn), batch.coords,
+                                         (pipeline.grid.height, pipeline.grid.width))
+        fused_map = pipeline.neck.forward(taps).data
+        head = pipeline.head
+        runs = []
+        for forward in (head.forward, lambda f: three_conv_head_forward(head, f)):
+            pipeline.zero_grad()
+            fused = Tensor(fused_map, requires_grad=True)
+            maps = forward(fused)
+            detection_loss(*maps, assignment, pipeline.anchor_cls, CFG)["total"].backward()
+            runs.append(([m.data for m in maps], fused.grad, head.conv.weight.grad,
+                         head.conv.bias.grad))
+        (maps, fused_grad, dw, db), (want_maps, want_fused_grad, want_dw, want_db) = runs
+        for name, a, b in zip(("cls", "box", "dir"), maps, want_maps, strict=True):
+            np.testing.assert_array_equal(a, b, err_msg=f"{name} map")
+        np.testing.assert_array_equal(dw, want_dw)
+        assert dw.any() and want_fused_grad.any()
+        for got, want in ((fused_grad, want_fused_grad), (db, want_db)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
 
     def test_neck_rejects_wrong_tap_count(self):
         neck = FPN(NeckSpec(), seed=0)
@@ -643,7 +680,7 @@ class TestPredict:
     def _assert_predict_matches_graph(pipeline, cloud, monkeypatch, dtype):
         """The maps `predict` hands to `postprocess` (the fused path, under
         `no_grad`) against `forward` with the graph on (batch norm, concat
-        and three head convs as in training)."""
+        and the stacked head conv as in training)."""
         seen = []
         monkeypatch.setattr(model, "postprocess", lambda *a, **k: seen.append(a[:3]) or [])
         assert pipeline.predict(cloud) == []
