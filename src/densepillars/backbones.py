@@ -5,13 +5,15 @@ multi-scale taps with identical shapes (strides 2, 4, 8 relative to the
 pillar grid), so one can replace the other without touching the encoder,
 neck, or head. The layers that read the pillars (the dense block-1 first
 conv and the pillar channels of its transition, the baseline's first entry
-conv) run as `tensor.sparse_conv2d`, which equals the conv of the scattered
-pseudo-image without building it. A dense block's stages write into one
-shared buffer that is their concatenation, in training and inference
-alike. Only the batch-norm fold is inference-only: in eval mode with no
-graph recorded, each conv + batch norm + relu runs as one conv, and each
-dense transition runs per band of rows, each band pooled into its rows of
-the tap, so its full-resolution output is never built.
+conv) run as `tensor.sparse_conv2d` over one `tensor.PillarPlan` per
+frame, which equals the conv of the scattered pseudo-image without
+building it. With a graph, a dense block's stages write into one shared
+buffer that is their concatenation. Only inference differs: in eval mode
+with no graph recorded, each conv + batch norm + relu runs as one conv,
+and each dense block streams by bands of rows (`_stream_block`): its
+layers, its transition and the 2x2 pool run per band into the tap's rows,
+over a window that keeps one halo row per 3x3 layer, so no full-height
+stage buffer or transition output is built.
 """
 
 from __future__ import annotations
@@ -107,12 +109,12 @@ class ConvBNRelu:
             return T.conv2d(x, self.folded(), relu=True, out=out)
         return T.batch_norm(T.conv2d(x, self.conv), self.bn, relu=True, out=out)
 
-    def forward_sparse(self, features, coords, size, out=None):
+    def forward_sparse(self, features, plan, out=None):
         """`forward` of the pseudo-image holding the pillar features [P, C]
-        at `coords` in a grid of `size`."""
+        at the cells of `plan`, a `T.PillarPlan`."""
         if self.bn.folds(features, self.conv.weight):
-            return T.sparse_conv2d(features, coords, size, self.folded(), relu=True, out=out)
-        return T.batch_norm(T.sparse_conv2d(features, coords, size, self.conv), self.bn,
+            return T.sparse_conv2d(features, plan, self.folded(), relu=True, out=out)
+        return T.batch_norm(T.sparse_conv2d(features, plan, self.conv), self.bn,
                             relu=True, out=out)
 
     def named_params(self, prefix):
@@ -140,30 +142,72 @@ def _chain(h, layers, buf, lo):
     return feats
 
 
-def _pooled_bands(cat, conv, pillars=None):
-    """avg_pool2x2 of a transition's folded 1x1 conv over `cat` [N, C, H, W]
-    and its clamp, run per band of an even number of rows: each band's
-    output is pooled into its rows of the tap, so the full-resolution
-    output is never built. With `pillars` = (features, coords, params), the
-    sparse 1x1 product of the pillars in the band, shifted into it, is added
-    to the band (block 1) and carries the bias and the clamp. Runs only
-    without a graph."""
-    n, c, h, w = cat.shape
-    bands = T.row_tiles(h, n * c * w * cat.data.itemsize, 2)
-    scratch = np.empty((n, conv.weight.shape[0], bands[0][1], w),
-                       dtype=np.result_type(conv.weight.data, cat.data))
+def _folds(layers, trans, x):
+    """Whether every batch norm of a dense block and its transition folds
+    for the block input x (eval mode, no graph)."""
+    return all(m.bn.folds(x, m.conv.weight) for m in (*layers, trans))
+
+
+def _stream_block(layers, trans, x=None, pillars=None):
+    """The tap of a dense block, its 1x1 transition and the 2x2 pool, in
+    eval mode with no graph, from its input x [N, C, H, W] or, for block 1,
+    from `pillars` = (features, plan): then the first layer is sparse and
+    the transition adds the sparse 1x1 product of the pillar channels of
+    its weight (bias and clamp after it), so the stages hold no x.
+
+    Each band of an even number of rows (`T.row_tiles` over the stage
+    channels) runs the transition over the band's rows of every stage and
+    pools it into its rows of the tap. Before that, each layer extends its
+    stage by the rows the band and the layers after it need: layer g runs
+    up to row r1 + L - g of a block of L layers, which reads one halo row
+    below from the stage before it. The stages live in one window of rows
+    [r0 - 1, r1 + L): the rows from r0 - 1 on, the top halo, move to its
+    head before each band, so no row is computed twice. Zero padding
+    applies only at the grid's own top and bottom rows (`conv2d(rows=)`).
+    Each layer and the transition fold batch norm once per call."""
+    convs = [layer.folded() for layer in layers]
+    t = trans.folded()
+    if pillars is None:
+        n, c0, h, w = x.shape
+        dtype = x.dtype
+    else:
+        features, plan = pillars
+        (n, c0), (h, w), dtype = (1, 0), plan.size, features.dtype
+        c_in = features.shape[1]
+        pillar_conv = T.Conv2dParams(T.channel_slice(t.weight, 0, c_in), t.bias)
+        t = T.Conv2dParams(T.channel_slice(t.weight, c_in, t.weight.shape[1]))
+    depth = len(convs)
+    edges = np.cumsum([0, c0] + [c.weight.shape[0] for c in convs])  # x, h1, ..., hL
+    bands = T.row_tiles(h, n * edges[-1] * w * np.dtype(dtype).itemsize, 2)
+    win = np.empty((n, edges[-1], bands[0][1] + depth + 1, w), dtype=dtype)
+    scratch = np.empty((n, t.weight.shape[0], bands[0][1], w),
+                       dtype=np.result_type(t.weight.data, win))
     tap = np.empty((*scratch.shape[:2], h // 2, w // 2), dtype=scratch.dtype)
-    if pillars is not None:
-        features, coords, params = pillars
-        order = np.argsort(coords[:, 0], kind="stable")
-        ends = np.searchsorted(coords[order, 0], [r1 for _, r1 in bands])
-    for i, (r0, r1) in enumerate(bands):
-        band = T.conv2d(Tensor(cat.data[:, :, r0:r1]), conv, relu=pillars is None,
+    first = 0 if pillars is None else 1  # the first stage in the window
+    done = [0] * (depth + 1)  # rows of each stage computed so far
+    top = -1  # the grid row of the window's first row
+    for r0, r1 in bands:
+        if r0:
+            win[:, :, : done[first] - r0 + 1] = win[:, :, r0 - 1 - top : done[first] - top]
+            top = r0 - 1
+        for g in range(first, depth + 1):
+            a, b = done[g], min(h, r1 + depth - g)
+            if a == b:
+                continue
+            dst = win[:, edges[g] : edges[g + 1], a - top : b - top]
+            if g == 0:
+                dst[...] = x.data[:, :, a:b]
+            elif pillars is not None and g == 1:
+                T.sparse_conv2d(features, plan, convs[0], relu=True, out=dst, rows=(a, b))
+            else:
+                ia, ib = max(0, a - 1), min(h, b + 1)
+                src = Tensor(win[:, edges[g - 1] : edges[g], ia - top : ib - top])
+                T.conv2d(src, convs[g - 1], relu=True, out=dst, rows=(a - ia, b - ia))
+            done[g] = b
+        band = T.conv2d(Tensor(win[:, :, r0 - top : r1 - top]), t, relu=pillars is None,
                         out=scratch[:, :, : r1 - r0])
         if pillars is not None:
-            sel = order[ends[i - 1] if i else 0 : ends[i]]
-            T.sparse_conv2d(Tensor(features.data[sel]), coords[sel] - (r0, 0), (r1 - r0, w),
-                            params, onto=band, relu=True)
+            T.sparse_conv2d(features, plan, pillar_conv, onto=band, relu=True, rows=(r0, r1))
         T.avg_pool2x2(band, out=tap[:, :, r0 // 2 : r1 // 2])
     return Tensor(tap)
 
@@ -197,34 +241,35 @@ class DenseBackbone:
 
     def forward(self, features, coords, size):
         """Taps from the pillar features [P, C] at grid cells `coords` of a
-        grid of `size` = (H, W)."""
-        taps = [self._first_block(features, coords, size)]
+        grid of `size` = (H, W). A block whose every batch norm folds
+        streams by bands of rows (`_stream_block`)."""
+        plan = T.PillarPlan(coords, size)
+        layers, trans = self.blocks[0], self.transitions[0]
+        if _folds(layers, trans, features):
+            taps = [_stream_block(layers, trans, pillars=(features, plan))]
+        else:
+            taps = [self._first_block(features, plan)]
         for layers, trans in zip(self.blocks[1:], self.transitions[1:]):
-            cat = dense_block_forward(taps[-1], layers)
-            if trans.bn.folds(cat, trans.conv.weight):
-                taps.append(_pooled_bands(cat, trans.folded()))
+            if _folds(layers, trans, taps[-1]):
+                taps.append(_stream_block(layers, trans, x=taps[-1]))
             else:
-                taps.append(T.avg_pool2x2(trans.forward(cat)))
+                taps.append(T.avg_pool2x2(trans.forward(dense_block_forward(taps[-1], layers))))
         return taps
 
-    def _first_block(self, features, coords, size):
-        """Block 1 and its transition, read from the pillars. The 1x1
-        transition over [x; h1; ...] is a GEMM over the stage outputs plus
-        the sparse 1x1 product of the pillar channels of its weight, so the
-        concat holds the stage outputs only."""
+    def _first_block(self, features, plan):
+        """Block 1 and its transition, read from the pillars, with whole
+        maps. The 1x1 transition over [x; h1; ...] is a GEMM over the stage
+        outputs plus the sparse 1x1 product of the pillar channels of its
+        weight, so the concat holds the stage outputs only."""
         layers, trans = self.blocks[0], self.transitions[0]
         c_in, k = features.shape[1], layers[0].conv.weight.shape[0]
-        buf = np.empty((1, _width(layers), *size), dtype=features.dtype)
-        h = layers[0].forward_sparse(features, coords, size, out=buf[:, :k])
+        buf = np.empty((1, _width(layers), *plan.size), dtype=features.dtype)
+        h = layers[0].forward_sparse(features, plan, out=buf[:, :k])
         cat = T.channel_concat(_chain(h, layers[1:], buf, k), out=buf)
-        fold = trans.bn.folds(cat, features, trans.conv.weight)
-        p = trans.folded() if fold else trans.conv
-        stage_conv = T.Conv2dParams(T.channel_slice(p.weight, c_in, p.weight.shape[1]))
-        pillar_conv = T.Conv2dParams(T.channel_slice(p.weight, 0, c_in), p.bias)
-        if fold:
-            return _pooled_bands(cat, stage_conv, (features, coords, pillar_conv))
-        mixed = T.sparse_conv2d(features, coords, size, pillar_conv,
-                                onto=T.conv2d(cat, stage_conv))
+        w = trans.conv.weight
+        mixed = T.sparse_conv2d(features, plan, T.Conv2dParams(T.channel_slice(w, 0, c_in)),
+                                onto=T.conv2d(cat, T.Conv2dParams(
+                                    T.channel_slice(w, c_in, w.shape[1]))))
         return T.avg_pool2x2(T.batch_norm(mixed, trans.bn, relu=True))
 
     def named_params(self, prefix="backbone"):
@@ -263,7 +308,7 @@ class BaselineBackbone:
     def forward(self, features, coords, size):
         """Taps from the pillar features [P, C] at grid cells `coords` of a
         grid of `size` = (H, W)."""
-        h = self.blocks[0][0].forward_sparse(features, coords, size)
+        h = self.blocks[0][0].forward_sparse(features, T.PillarPlan(coords, size))
         taps = []
         for layers in (self.blocks[0][1:], *self.blocks[1:]):
             for layer in layers:

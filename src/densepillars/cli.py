@@ -140,8 +140,8 @@ def gradcheck_cases(rng):
 
     bn_shapes = [(2, 3, 4, 4), (3,), (3,)]
     # pillars on all four borders of a 5 x 6 grid, at odd and even coordinates
-    pillars = np.array([[0, 0], [0, 3], [0, 5], [1, 2], [2, 0], [2, 3], [3, 5], [4, 0], [4, 1],
-                        [4, 5]])
+    pillars = T.PillarPlan([[0, 0], [0, 3], [0, 5], [1, 2], [2, 0], [2, 3], [3, 5], [4, 0],
+                            [4, 1], [4, 5]], (5, 6))
     return [
         case("linear_map", 1e-7, T.linear_map, [(3, 4), (4, 2)]),
         case("conv2d", 1e-5, lambda x, w, b: T.conv2d(x, T.Conv2dParams(w, b, 1, 1)),
@@ -188,10 +188,10 @@ def gradcheck_cases(rng):
              lambda c, b, d: detection_loss(c, b, d, asn, anchor_cls, anchor_cfg)["total"],
              [(1, 18, 8, 8), (1, 42, 8, 8), (1, 12, 8, 8)]),
         case("sparse_conv2d", 1e-5,
-             lambda f, w: T.sparse_conv2d(f, pillars, (5, 6), T.Conv2dParams(w, None, 1, 1)),
+             lambda f, w: T.sparse_conv2d(f, pillars, T.Conv2dParams(w, None, 1, 1)),
              [(10, 2), (3, 2, 3, 3)]),
         case("sparse_conv2d_stride2", 1e-5,
-             lambda f, w: T.sparse_conv2d(f, pillars, (5, 6), T.Conv2dParams(w, None, 2, 1)),
+             lambda f, w: T.sparse_conv2d(f, pillars, T.Conv2dParams(w, None, 2, 1)),
              [(10, 2), (3, 2, 3, 3)]),
     ]
 

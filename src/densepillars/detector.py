@@ -4,7 +4,8 @@ The head is one 1x1 conv whose output stacks the class, box and direction
 maps, with or without a graph. When batch norm folds (eval mode, no graph),
 the neck and the head run per tile of the fused map's rows
 (`FPN.row_tiles`, `FPN.forward(rows=)`, `AnchorHead.forward(out=)`), so the
-fused map is never built whole; only there does the neck fold batch norm.
+fused map is never built whole; only there does the neck fold batch norm,
+once per frame (`FPN.folded`), for every tile.
 """
 
 from __future__ import annotations
@@ -99,37 +100,48 @@ class FPN:
         s0 = self.branches[0][2]
         return n, sum(self.spec.out_channels), rows * s0, cols * s0
 
-    def forward(self, taps, rows=None):
+    def folded(self, taps):
+        """Each branch's transposed-conv weight with its batch norm folded
+        in, and the bias, for `forward(rows=)`: once per frame, from the
+        current running statistics (nothing is cached). Every batch norm
+        must fold."""
+        if not self.folds(taps):
+            raise ConfigurationError("FPN: rows= runs only when every batch norm folds")
+        branches = []
+        for w, bn, _ in self.branches:
+            a, b = bn.fold()
+            branches.append((Tensor(w.data * a[None, :, None, None]), b))
+        return branches
+
+    def forward(self, taps, rows=None, folded=None):
         """Each branch writes its channel slice of the fused map, which the
         concat returns without a copy.
 
         With `rows` = (r0, r1), a tile of `row_tiles`, only those rows of
         the fused map are built, each branch reading the rows of its tap
-        that feed them, with batch norm folded into its transposed conv;
-        every batch norm must fold. Without `rows`, each branch runs
-        `batch_norm`."""
+        that feed them, with batch norm folded into its transposed conv:
+        `folded` is `folded(taps)`, made here when not given. Without
+        `rows`, each branch runs `batch_norm`."""
         if len(taps) != len(self.branches):
             raise ConfigurationError("neck expects one tap per branch")
         n, c, r1, cols = self.fused_shape(taps)
         r0 = 0
         if rows is not None:
             r0, r1 = rows
-            if not self.folds(taps):
-                raise ConfigurationError("FPN: rows= runs only when every batch norm folds")
+            folded = folded or self.folded(taps)
             if any(r % s for r in rows for s in self.spec.upsample_strides):
                 raise ConfigurationError(f"FPN: rows {rows} not on every upsample stride")
         bounds = np.cumsum([0, *self.spec.out_channels])
         fused = np.empty((n, c, r1 - r0, cols), dtype=taps[0].dtype)
         outs = []
-        for tap, (w, bn, stride), lo, hi in zip(taps, self.branches, bounds[:-1], bounds[1:]):
+        for i, (tap, (w, bn, stride)) in enumerate(zip(taps, self.branches)):
+            part = fused[:, bounds[i] : bounds[i + 1]]
             if rows is None:
-                h = T.batch_norm(T.conv_transpose2d(tap, w, stride), bn, relu=True,
-                                 out=fused[:, lo:hi])
+                h = T.batch_norm(T.conv_transpose2d(tap, w, stride), bn, relu=True, out=part)
             else:
-                a, b = bn.fold()
-                h = T.conv_transpose2d(Tensor(tap.data[:, :, r0 // stride : r1 // stride]),
-                                       Tensor(w.data * a[None, :, None, None]), stride,
-                                       bias=b, relu=True, out=fused[:, lo:hi])
+                wf, b = folded[i]
+                h = T.conv_transpose2d(Tensor(tap.data[:, :, r0 // stride : r1 // stride]), wf,
+                                       stride, bias=b, relu=True, out=part)
             outs.append(h)
         return T.channel_concat(outs, out=fused)
 

@@ -75,8 +75,10 @@ class DetectionPipeline:
         # one stacked map, so the fused map is never built whole
         n, _, rows, cols = self.neck.fused_shape(taps)
         maps = np.empty((n, self.head.channels, rows, cols), dtype=taps[0].dtype)
+        folded = self.neck.folded(taps)
         for r0, r1 in self.neck.row_tiles(taps):
-            self.head.forward(self.neck.forward(taps, rows=(r0, r1)), out=maps[:, :, r0:r1])
+            self.head.forward(self.neck.forward(taps, rows=(r0, r1), folded=folded),
+                              out=maps[:, :, r0:r1])
         return self.head.split(Tensor(maps))
 
     def forward(self, cloud: PointCloud, seed: int = 0, cap: bool = True):

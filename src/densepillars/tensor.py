@@ -1,7 +1,8 @@
 """Minimal reverse-mode tensor engine.
 
 Implements exactly the operations the detection pipeline needs: conv2d,
-the conv of a pillar image computed from its pillars (sparse_conv2d),
+the conv of a pillar image computed from its pillars (sparse_conv2d, over
+a frame's PillarPlan),
 transposed conv, batch norm with an optional fused relu, 2x2 average
 pooling, channel concat, linear maps, the max over each group of
 consecutive rows (the PFN's per-pillar max), plus a handful of glue ops
@@ -16,14 +17,16 @@ the one place gradients are summed, and only for tensors with
 intermediate gradient lives only inside the sweep. An op's backward must
 not write into the gradient it receives, since that array may be shared.
 
-Dense blocks and the neck write their parts into one shared buffer in
-training and inference alike (`batch_norm(out=)`, `channel_concat(out=)`).
-Only the batch-norm fold is inference-only: the conv ops' bias+ReLU
-epilogue and `out=`, and `avg_pool2x2(out=)`, raise when the op would
+With a graph, dense blocks and the neck write their parts into one shared
+buffer (`batch_norm(out=)`, `channel_concat(out=)`). The batch-norm fold
+and streaming are inference-only: the conv ops' bias+ReLU epilogue,
+`out=` and `rows=`, and `avg_pool2x2(out=)`, raise when the op would
 record a graph. `out=` may be a channel slice or a window of rows of a
-larger map: inference pools each band of a transition into its rows of
-the tap and runs the neck and head per tile of rows, sized by
-`row_tiles`, so it builds no full-resolution map it reads only once.
+larger map, and `rows=` computes only some output rows, from a window of
+the input or from a `PillarPlan`'s slice of the pillars: inference runs
+each dense block, its transition and pool per band of rows, and the neck
+and head per tile of rows, sized by `row_tiles`, so it builds no
+full-resolution map it reads only once.
 """
 
 from __future__ import annotations
@@ -369,13 +372,13 @@ def _im2col(x, k, s, pad, r0, r1, w_out):
 
 
 def _epilogue_check(op, fused, *tensors):
-    """A conv's bias the op cannot differentiate, `relu` and `out` serve the
-    batch-norm fold and the banded and tiled inference path, which are
-    inference-only: with any of them set (`fused`), recording a graph is an
-    error. With a graph, a layer writes its shared buffer through
-    `batch_norm(out=)` instead."""
+    """A conv's bias the op cannot differentiate, `relu`, `out` and `rows`
+    serve the batch-norm fold and the banded and tiled inference path,
+    which are inference-only: with any of them set (`fused`), recording a
+    graph is an error. With a graph, a layer writes its shared buffer
+    through `batch_norm(out=)` instead."""
     if fused and recording(*tensors):
-        raise ConfigurationError(f"{op}: bias, relu and out= run only without a graph")
+        raise ConfigurationError(f"{op}: bias, relu, out= and rows= run only without a graph")
 
 
 def _out_rows(out, shape, dtype, op):
@@ -400,35 +403,50 @@ def _bias_relu(seg, bias, relu):
         np.maximum(seg, 0, out=seg)
 
 
-def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False, out=None) -> Tensor:
+def _row_range(rows, h_out, op):
+    """[r0, r1) of an op's `rows=`, which must lie in [0, h_out) and hold a
+    row; all of them without `rows`."""
+    if rows is None:
+        return 0, h_out
+    r0, r1 = rows
+    if not 0 <= r0 < r1 <= h_out:
+        raise ConfigurationError(f"{op}: rows {tuple(rows)} not inside [0, {h_out})")
+    return r0, r1
+
+
+def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False, out=None, rows=None) -> Tensor:
     """One GEMM per tile of output rows over that tile's im2col columns (a
     view of x for a 1x1 stride-1 conv), written into the tile's slice of the
     output. The bias is added to the slice, and with `relu` it is clamped
     at 0, while the slice is still in cache. Backward rebuilds each tile
     rather than holding the columns.
 
-    `relu` and `out` (an array of the output's shape and dtype that
-    receives it) serve the eval-mode fused path and raise when the op would
-    record a graph."""
+    `relu`, `out` (an array of the output's shape and dtype that receives
+    it) and `rows` = (r0, r1) (only output rows r0..r1 are computed, so x
+    may be a window of a taller map: its rows past x's are zero padding
+    only where x ends at the map's own edge) serve the eval-mode fused path
+    and raise when the op would record a graph."""
     n, c_in, h, w = x.shape
     c_out, c_in_w, k, _ = p.weight.shape
     if c_in != c_in_w:
         raise ConfigurationError(f"conv2d: input channels {c_in} != weight {c_in_w}")
-    _epilogue_check("conv2d", relu or out is not None, x, p.weight, p.bias)
+    _epilogue_check("conv2d", relu or out is not None or rows is not None, x, p.weight, p.bias)
     s, pad = p.stride, p.padding
     h_out = (h + 2 * pad - k) // s + 1
     w_out = (w + 2 * pad - k) // s + 1
     if h_out < 1 or w_out < 1:
         raise ConfigurationError("conv2d: non-positive output size")
+    r0, r1 = _row_range(rows, h_out, "conv2d")
     w2 = p.weight.data.reshape(c_out, -1)
 
     pointwise = k == 1 and s == 1 and pad == 0
-    tiles = row_tiles(h_out, n * w2.shape[1] * w_out * x.data.itemsize)
-    out, rows = _out_rows(out, (n, c_out, h_out, w_out), np.result_type(w2, x.data), "conv2d")
+    tiles = [(a + r0, b + r0)
+             for a, b in row_tiles(r1 - r0, n * w2.shape[1] * w_out * x.data.itemsize)]
+    out, flat = _out_rows(out, (n, c_out, r1 - r0, w_out), np.result_type(w2, x.data), "conv2d")
     bias = None if p.bias is None else p.bias.data
-    for r0, r1 in tiles:
-        seg = rows[:, :, r0 * w_out : r1 * w_out]
-        np.matmul(w2, _im2col(x.data, k, s, pad, r0, r1, w_out), out=seg)
+    for a, b in tiles:
+        seg = flat[:, :, (a - r0) * w_out : (b - r0) * w_out]
+        np.matmul(w2, _im2col(x.data, k, s, pad, a, b, w_out), out=seg)
         _bias_relu(seg, bias, relu)
 
     def backward(g):
@@ -455,32 +473,66 @@ def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False, out=None) -> Tensor:
     return make(out, parents, backward)
 
 
-def _offset_cells(coords, size, k, s, pad):
-    """Per kernel offset (i, j): the pillars whose cell it maps onto an
-    output cell, and those output cells as flat indices. A pillar at (r, c)
-    feeds output (r + pad - i) / s, (c + pad - j) / s when both divide."""
-    rows, cols = coords[:, 0], coords[:, 1]
-    h_out = (size[0] + 2 * pad - k) // s + 1
-    w_out = (size[1] + 2 * pad - k) // s + 1
-    col_parts = []
-    for j in range(k):
-        co, rem = np.divmod(cols + pad - j, s)
-        col_parts.append((co, (rem == 0) & (co >= 0) & (co < w_out)))
-    offsets = []
-    for i in range(k):
-        ro, rem = np.divmod(rows + pad - i, s)
-        row_ok = (rem == 0) & (ro >= 0) & (ro < h_out)
-        for j, (co, col_ok) in enumerate(col_parts):
-            sel = np.flatnonzero(row_ok & col_ok)
-            offsets.append((i, j, sel, ro[sel] * w_out + co[sel]))
-    return h_out, w_out, offsets
+class PillarPlan:
+    """The pillars of one frame, for every `sparse_conv2d` over them: their
+    cells `coords` [P, 2] = (row, col) in a grid of `size` = (H, W), checked
+    once (inside the grid, no cell twice), and per conv geometry each kernel
+    offset's pillars and output cells, built on its first use. Within an
+    offset the pillars are in row-major cell order (`pillarize` already
+    emits them so), so the ones that feed a band of output rows are one
+    slice of it, found by one `np.searchsorted`. A plan serves one frame's
+    forward; nothing outlives it."""
+
+    def __init__(self, coords, size):
+        coords = np.asarray(coords, dtype=np.intp).reshape(-1, 2)
+        self.size = tuple(int(v) for v in size)
+        if len(coords) and (coords.min() < 0 or np.any(coords.max(axis=0) >= self.size)):
+            raise ConfigurationError("pillar coordinates outside the grid")
+        flat = coords[:, 0] * self.size[1] + coords[:, 1]
+        self.order = np.argsort(flat, kind="stable")
+        if np.any(flat[self.order[1:]] == flat[self.order[:-1]]):
+            raise InvariantViolation("duplicate pillar coordinates")
+        self._coords = coords[self.order]
+        self._geometries = {}
+
+    def __len__(self):
+        return self.order.shape[0]
+
+    def offsets(self, k, s, pad):
+        """(h_out, w_out, taps, pillars, keys) of a k x k conv with stride s
+        and zero padding pad. Offset o, taps[o] = (i, j), owns a run of
+        `pillars` (pillar indices) and `keys` (o·H_out·W_out plus the flat
+        output cell the pillar feeds); keys increase. A pillar at (r, c)
+        feeds output (r + pad - i) / s, (c + pad - j) / s when both divide."""
+        if (k, s, pad) not in self._geometries:
+            rows, cols = self._coords[:, 0], self._coords[:, 1]
+            h_out = (self.size[0] + 2 * pad - k) // s + 1
+            w_out = (self.size[1] + 2 * pad - k) // s + 1
+            col_parts = []
+            for j in range(k):
+                co, rem = np.divmod(cols + pad - j, s)
+                col_parts.append((co, (rem == 0) & (co >= 0) & (co < w_out)))
+            taps, pillars, keys = [], [], []
+            for i in range(k):
+                ro, rem = np.divmod(rows + pad - i, s)
+                row_ok = (rem == 0) & (ro >= 0) & (ro < h_out)
+                for j, (co, col_ok) in enumerate(col_parts):
+                    sel = np.flatnonzero(row_ok & col_ok)
+                    keys.append((len(taps) * h_out + ro[sel]) * w_out + co[sel])
+                    pillars.append(self.order[sel])
+                    taps.append((i, j))
+            self._geometries[k, s, pad] = (h_out, w_out, taps, np.concatenate(pillars),
+                                           np.concatenate(keys))
+        return self._geometries[k, s, pad]
 
 
-def sparse_conv2d(features: Tensor, coords, size, p: Conv2dParams,
-                  onto: Tensor | None = None, relu: bool = False, out=None) -> Tensor:
+def sparse_conv2d(features: Tensor, plan: PillarPlan, p: Conv2dParams,
+                  onto: Tensor | None = None, relu: bool = False, out=None,
+                  rows=None) -> Tensor:
     """conv2d of the [1, C_in, H, W] image that holds row i of `features`
-    [P, C_in] at cell coords[i] = (row, col) of a grid of `size` = (H, W)
-    and zeros elsewhere, computed from the P pillars without building it.
+    [P, C_in] at the cell of pillar i of `plan`, in its grid of `plan.size`
+    = (H, W), and zeros elsewhere, computed from the P pillars without
+    building it.
 
     Each kernel offset is one GEMM over the pillars that land on an output
     cell. One offset's cells are distinct, since pillar cells are, so a
@@ -491,47 +543,53 @@ def sparse_conv2d(features: Tensor, coords, size, p: Conv2dParams,
 
     With `onto` [1, C_out, H_out, W_out], the conv is added into onto's
     array in place and onto gets the output's gradient: pass an op output
-    that nothing else reads. A bias (added after the sum), `relu` and `out`
-    work as in conv2d: only when no graph is recorded. The bias and the
-    clamp run on each channel's row as soon as it is summed."""
+    that nothing else reads. A bias (added after the sum), `relu`, `out`
+    and `rows` = (r0, r1) work as in conv2d: only when no graph is
+    recorded. With `rows`, the output (and `onto`) is output rows r0..r1,
+    computed from the plan's slice of each offset that feeds them, so a
+    band costs its own pillars only. The bias and the clamp run on each
+    channel's row as soon as it is summed."""
     n_p, c_in = features.shape
     c_out, c_in_w, k, _ = p.weight.shape
     if c_in != c_in_w:
         raise ConfigurationError(f"sparse_conv2d: input channels {c_in} != weight {c_in_w}")
-    _epilogue_check("sparse_conv2d", p.bias is not None or relu or out is not None,
+    if n_p != len(plan):
+        raise ConfigurationError(f"sparse_conv2d: {n_p} feature rows for {len(plan)} pillars")
+    _epilogue_check("sparse_conv2d",
+                    p.bias is not None or relu or out is not None or rows is not None,
                     features, p.weight, onto)
     if onto is not None and out is not None:
         raise ConfigurationError("sparse_conv2d: give onto or out, not both")
-    coords = np.asarray(coords, dtype=np.intp).reshape(n_p, 2)
-    if n_p and (coords.min() < 0 or np.any(coords.max(axis=0) >= size)):
-        raise ConfigurationError("sparse_conv2d: pillar coordinates outside the grid")
-    if np.unique(coords[:, 0] * size[1] + coords[:, 1]).shape[0] != n_p:
-        raise InvariantViolation("duplicate pillar coordinates in sparse_conv2d")
-    h_out, w_out, offsets = _offset_cells(coords, size, k, p.stride, p.padding)
+    h_out, w_out, taps, pillars, keys = plan.offsets(k, p.stride, p.padding)
     if h_out < 1 or w_out < 1:
         raise ConfigurationError("sparse_conv2d: non-positive output size")
-    shape = (1, c_out, h_out, w_out)
+    r0, r1 = _row_range(rows, h_out, "sparse_conv2d")
+    shape = (1, c_out, r1 - r0, w_out)
     if onto is not None and onto.shape != shape:
         raise ConfigurationError(f"sparse_conv2d: onto {onto.shape} != output {shape}")
 
+    # per offset o, the run of its keys (o·H_out·W_out + cell) whose cells lie in rows r0..r1
+    first = np.arange(len(taps)) * (h_out * w_out) + r0 * w_out
+    runs = np.searchsorted(keys, np.stack([first, first + (r1 - r0) * w_out], axis=1))
+    cells = np.concatenate([keys[a:b] - f for f, (a, b) in zip(first, runs)])
     f, wt = features.data, p.weight.data
-    bounds = np.cumsum([0] + [len(sel) for _, _, sel, _ in offsets])
-    spans = list(zip(bounds[:-1], bounds[1:]))  # each offset's columns of y
-    cells = np.concatenate([t for _, _, _, t in offsets])
+    bounds = np.cumsum([0] + [b - a for a, b in runs])  # each offset's columns of y
+    parts = [(i, j, pillars[a:b], lo, hi)
+             for (i, j), (a, b), lo, hi in zip(taps, runs, bounds[:-1], bounds[1:])]
     y = np.empty((c_out, bounds[-1]), dtype=np.result_type(wt, f))
-    for (i, j, sel, _), (a, b) in zip(offsets, spans):
-        np.matmul(wt[:, :, i, j], f[sel].T, out=y[:, a:b])
-    hw = h_out * w_out
+    for i, j, sel, lo, hi in parts:
+        np.matmul(wt[:, :, i, j], f[sel].T, out=y[:, lo:hi])
+    hw = (r1 - r0) * w_out
     if onto is None:
         out, acc = _out_rows(out, shape, y.dtype, "sparse_conv2d")
-        if len(offsets) == 1:
+        if len(taps) == 1:
             acc[...] = 0
     else:  # onto may be a view, such as a band of rows of a larger map
         out, acc = _out_rows(onto.data, shape, onto.dtype, "sparse_conv2d")
     bias = None if p.bias is None else p.bias.data
     for o in range(c_out):
-        row = acc[:, o]  # [1, H_out·W_out]
-        if len(offsets) == 1:
+        row = acc[:, o]  # [1, rows·W_out]
+        if len(taps) == 1:
             row[0, cells] += y[o]
         elif onto is None:
             row[...] = np.bincount(cells, y[o], minlength=hw)
@@ -540,14 +598,13 @@ def sparse_conv2d(features: Tensor, coords, size, p: Conv2dParams,
         _bias_relu(row, None if bias is None else bias[o : o + 1], relu)
 
     def backward(g):
-        g2 = g.reshape(c_out, hw)
-        gy = np.take(g2, cells, axis=1)
-        dw = np.zeros(wt.shape, dtype=np.result_type(wt, g2))
+        gy = np.take(g.reshape(c_out, hw), cells, axis=1)
+        dw = np.zeros(wt.shape, dtype=np.result_type(wt, g))
         df = np.zeros(f.shape, dtype=dw.dtype) if features.requires_grad else None
-        for (i, j, sel, _), (a, b) in zip(offsets, spans):
-            dw[:, :, i, j] = gy[:, a:b] @ f[sel]
+        for i, j, sel, lo, hi in parts:
+            dw[:, :, i, j] = gy[:, lo:hi] @ f[sel]
             if df is not None:
-                df[sel] += gy[:, a:b].T @ wt[:, :, i, j]
+                df[sel] += gy[:, lo:hi].T @ wt[:, :, i, j]
         return (df, dw) if onto is None else (df, dw, g)
 
     parents = (features, p.weight) if onto is None else (features, p.weight, onto)

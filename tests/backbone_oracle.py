@@ -43,7 +43,8 @@ def first_block_concat(bb, features, coords, size):
     channels of the transition weight, then batch norm."""
     layers, trans = bb.blocks[0], bb.transitions[0]
     c_in = features.shape[1]
-    h = layers[0].forward_sparse(features, coords, size)
+    plan = T.PillarPlan(coords, size)
+    h = layers[0].forward_sparse(features, plan)
     feats = [h]
     for layer in layers[1:]:
         h = layer.forward(h)
@@ -51,8 +52,8 @@ def first_block_concat(bb, features, coords, size):
     w = trans.conv.weight
     mixed = T.conv2d(T.channel_concat(feats),
                      T.Conv2dParams(T.channel_slice(w, c_in, w.shape[1])))
-    mixed = T.sparse_conv2d(features, coords, size,
-                            T.Conv2dParams(T.channel_slice(w, 0, c_in)), onto=mixed)
+    mixed = T.sparse_conv2d(features, plan, T.Conv2dParams(T.channel_slice(w, 0, c_in)),
+                            onto=mixed)
     return T.batch_norm(mixed, trans.bn, relu=True)
 
 

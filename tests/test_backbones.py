@@ -1,3 +1,4 @@
+import contextlib
 from pathlib import Path
 
 import numpy as np
@@ -333,3 +334,47 @@ class TestNoPseudoImage:
         assert pipeline.backbone.named_params()[FIRST_CONV[kind]].grad.any()
         pipeline.set_mode("eval")
         pipeline.predict(scene.cloud)
+
+
+class TestPillarPlan:
+    """The backbones read the pillars through one `T.PillarPlan` per frame,
+    which checks their cells once, on the graph path and the streamed one
+    alike; every `sparse_conv2d` of the frame, each band's too, uses it."""
+
+    @pytest.mark.parametrize("graph", [True, False])
+    @pytest.mark.parametrize("kind", ["dense", "baseline"])
+    @pytest.mark.parametrize("coords,error,match", [
+        ([[0, 1], [3, 2], [0, 1]], T.InvariantViolation, "duplicate"),
+        ([[0, 1], [SMALL.height, 2]], ConfigurationError, "outside the grid"),
+        ([[0, -1], [3, 2]], ConfigurationError, "outside the grid")])
+    def test_bad_cells_raise_on_both_paths(self, kind, graph, coords, error, match):
+        backbone = build_backbone(kind)
+        for bn in backbone.bn_list():
+            bn.mode = "eval"
+        features = Tensor(np.ones((len(coords), 64), dtype=np.float32))
+        with contextlib.nullcontext() if graph else T.no_grad(), pytest.raises(error, match=match):
+            backbone.forward(features, np.array(coords), (SMALL.height, SMALL.width))
+
+    @pytest.mark.parametrize("kind", ["dense", "baseline"])
+    def test_one_plan_per_predict(self, monkeypatch, kind):
+        monkeypatch.setattr(T, "_TILE_BYTES", 1)  # 2-row bands: many per block
+        checks, plans = [], []
+        init, sparse_conv2d = T.PillarPlan.__init__, T.sparse_conv2d
+
+        def spy_init(self, coords, size):
+            checks.append(self)
+            init(self, coords, size)
+
+        monkeypatch.setattr(T.PillarPlan, "__init__", spy_init)
+        monkeypatch.setattr(T, "sparse_conv2d", lambda f, plan, *a, **k: plans.append(plan) or
+                            sparse_conv2d(f, plan, *a, **k))
+        scene = synth_scene(seed=4, n_boxes=2, x_range=SMALL.x_range, y_range=SMALL.y_range,
+                            n_ground=300)
+        pipeline = _float64_pipeline(kind, "eval")
+        pipeline.predict(scene.cloud)
+        assert len(checks) == 1
+        assert {id(p) for p in plans} == {id(checks[0])}
+        if kind == "dense":  # block 1's first layer and its transition's pillar part, per band
+            assert len(plans) > SMALL.height // 2
+        else:  # the entry conv
+            assert len(plans) == 1

@@ -725,14 +725,17 @@ class TestPredict:
     @pytest.mark.parametrize("tile_bytes", [1, 60000])
     def test_bands_and_tiles_at_their_edges(self, monkeypatch, kind, dtype, fixed_growth,
                                             tile_bytes):
-        """The transitions' bands and the neck and head tiles against the
-        graph path: at `_TILE_BYTES` = 1 every band is 2 rows and every tile
-        4; at 60000 (scaled by the item size) a transition and the neck each
-        end in a short band or tile. A pillar sits on every row, so on the
-        first and last row of every band and of the grid: a pillar counted
-        in two bands, or in none, fails."""
+        """The dense blocks' bands, with their halo rows, and the neck and
+        head tiles against the graph path: at `_TILE_BYTES` = 1 every band
+        is 2 rows, shorter than the rows a block's layers run ahead of it,
+        and every tile 4; at 60000 (scaled by the item size) block 1 and the
+        neck each end in a short band or tile. A pillar sits on every row,
+        so on the first and last row of every band, of every halo and of
+        the grid: a pillar counted in two bands, or in none, fails. Every
+        conv, sparse or not, computes each of its output rows exactly once
+        per `predict`, with one folded weight per layer for all its bands."""
         monkeypatch.setattr(T, "_TILE_BYTES", tile_bytes * np.dtype(dtype).itemsize // 4)
-        tiles = {2: [], 4: []}  # bands of the transitions, tiles of the neck
+        tiles = {2: [], 4: []}  # bands of the dense blocks, tiles of the neck
         row_tiles = T.row_tiles
 
         def spy(rows, row_bytes, multiple=1):
@@ -752,13 +755,32 @@ class TestPredict:
         self._assert_predict_matches_graph(pipeline, cloud, monkeypatch, dtype)
 
         assert set(pipeline.encode(cloud, cap=False).coords[:, 0]) == set(range(TALL.height))
-        transitions, (neck,) = tiles[2], tiles[4]
-        assert len(transitions) == (3 if kind == "dense" else 0)
-        heights = [[b - a for a, b in tiling] for tiling in transitions + [neck]]
+        bands, (neck,) = tiles[2], tiles[4]
+        if kind == "dense":  # blocks 1-3 each stream by bands over their whole height
+            assert [b[-1][1] for b in bands] == [TALL.height // 2**i for i in range(3)]
+        else:
+            assert bands == []
+        heights = [[b - a for a, b in tiling] for tiling in bands + [neck]]
         if tile_bytes == 1:
             assert all(h == [2] * len(h) for h in heights[:-1]) and set(heights[-1]) == {4}
         else:  # block 1's bands (dense) and the neck's tiles end short
             assert all(h[-1] < h[0] for h in heights[:1] + heights[-1:])
+
+        out_rows = {}  # id(params) -> (params, output rows summed over the calls)
+        for name, at in (("conv2d", 1), ("sparse_conv2d", 2)):  # the params' argument
+            def counted(*args, op=getattr(T, name), at=at, **kwargs):
+                out = op(*args, **kwargs)
+                p = args[at]
+                out_rows[id(p)] = (p, out_rows.get(id(p), (p, 0))[1] + out.shape[2])
+                return out
+            monkeypatch.setattr(T, name, counted)
+        pipeline.predict(cloud)
+        h = TALL.height
+        if kind == "dense":  # per block, its layers and transition (block 1's in two parts)
+            want = [h] * 5 + [h // 2] * 6 + [h // 4] * 6
+        else:  # per block, its entry conv (block 1's sparse) and its other convs
+            want = [h // 2] * 4 + [h // 4] * 6 + [h // 8] * 6
+        assert sorted(r for _, r in out_rows.values()) == sorted(want + [h // 2])  # and the head
 
     @pytest.mark.parametrize("kind", ["dense", "baseline"])
     def test_predict_in_train_mode_raises_and_changes_no_state(self, kind):
@@ -776,12 +798,14 @@ class TestPredict:
         for k, v in pipeline.state_arrays().items():
             np.testing.assert_array_equal(v, before[k], err_msg=k)
 
-    @pytest.mark.parametrize("kind,bound_mb", [("dense", 112.0), ("baseline", 56.0)])
+    @pytest.mark.parametrize("kind,bound_mb", [("dense", 56.0), ("baseline", 56.0)])
     def test_peak_memory_on_the_kitti_grid(self, kind, bound_mb):
         """One `predict` on the KITTI grid builds no full-resolution map it
-        reads only once: the transitions pool per band and the neck and
-        head run per tile of rows. Measured peaks (tracemalloc, numpy 2.4):
-        106.4 MB dense, 52.7 MB baseline; whole maps took 143.2 and 134.2."""
+        reads only once: the dense blocks stream by bands of rows and the
+        neck and head run per tile of rows. Measured peaks (tracemalloc,
+        numpy 2.4): 53.0 MB for each backbone, both in the neck and head
+        phase; with whole-height dense stage buffers dense took 107.4, and
+        with whole maps 143.2 and 134.2."""
         grid = GridSpec()
         scene = synth_scene(seed=3000, n_boxes=20, x_range=grid.x_range, y_range=grid.y_range,
                             n_ground=14000)

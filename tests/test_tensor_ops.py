@@ -452,7 +452,7 @@ def _sparse_against_dense(coords, h, w, k, stride, pad, dtype, rtol, seed=0):
     f = Tensor(r.normal(size=(len(coords), c_in)).astype(dtype), requires_grad=True)
     wt = Tensor(r.normal(size=(c_out, c_in, k, k)).astype(dtype), requires_grad=True)
     p = T.Conv2dParams(wt, None, stride, pad)
-    out = T.sparse_conv2d(f, coords, (h, w), p)
+    out = T.sparse_conv2d(f, T.PillarPlan(coords, (h, w)), p)
     g = r.normal(size=out.shape).astype(dtype)
     out.backward(g)
     got = [out.data, f.grad, wt.grad]
@@ -502,8 +502,9 @@ class TestSparseConv2dOracle:
         p = T.Conv2dParams(rand_t(4, 3, 1, 1))
         base = rand_t(1, 4, 6, 6)
         onto = T.scale(base, 1.0)
-        alone = T.sparse_conv2d(f, coords, (6, 6), p).data
-        out = T.sparse_conv2d(f, coords, (6, 6), p, onto=onto)
+        plan = T.PillarPlan(coords, (6, 6))
+        alone = T.sparse_conv2d(f, plan, p).data
+        out = T.sparse_conv2d(f, plan, p, onto=onto)
         np.testing.assert_allclose(out.data, base.data + alone, rtol=1e-13)
         g = rng.normal(size=out.shape)
         out.backward(g)
@@ -512,13 +513,18 @@ class TestSparseConv2dOracle:
     def test_duplicate_coordinates_raise(self):
         coords = np.array([[0, 1], [2, 2], [0, 1]])
         with pytest.raises(T.InvariantViolation, match="duplicate"):
-            T.sparse_conv2d(rand_t(3, 2), coords, (4, 4), T.Conv2dParams(rand_t(2, 2, 3, 3)))
+            T.PillarPlan(coords, (4, 4))
 
     @pytest.mark.parametrize("cell", [[4, 0], [0, 4], [-1, 0]])
     def test_coordinates_outside_the_grid_raise(self, cell):
         coords = np.array([[1, 1], cell])
         with pytest.raises(ConfigurationError, match="outside the grid"):
-            T.sparse_conv2d(rand_t(2, 2), coords, (4, 4), T.Conv2dParams(rand_t(2, 2, 1, 1)))
+            T.PillarPlan(coords, (4, 4))
+
+    def test_features_of_another_frame_raise(self):
+        plan = T.PillarPlan([[0, 1], [2, 2]], (4, 4))
+        with pytest.raises(ConfigurationError, match="3 feature rows for 2 pillars"):
+            T.sparse_conv2d(rand_t(3, 2), plan, T.Conv2dParams(rand_t(2, 2, 1, 1)))
 
     def test_channel_slice_backward_zero_pads(self):
         w = rand_t(3, 5, 1, 1)
@@ -616,14 +622,15 @@ class TestFusedEpilogue:
         f = Tensor(rng.normal(size=(len(coords), 3)))
         w = Tensor(rng.normal(size=(4, 3, k, k)))
         b = rng.normal(size=4)
-        plain = T.sparse_conv2d(f, coords, (7, 6), T.Conv2dParams(w, None, stride, pad)).data
+        plan = T.PillarPlan(coords, (7, 6))
+        plain = T.sparse_conv2d(f, plan, T.Conv2dParams(w, None, stride, pad)).data
         want = np.maximum(plain + b[None, :, None, None], 0)
         buf, view = _buffer((1, 6) + want.shape[2:], 1, 5, np.float64)
         with T.no_grad():
-            T.sparse_conv2d(f, coords, (7, 6), T.Conv2dParams(w, Tensor(b), stride, pad),
-                            relu=True, out=view)
+            T.sparse_conv2d(f, plan, T.Conv2dParams(w, Tensor(b), stride, pad), relu=True,
+                            out=view)
             base = rng.normal(size=want.shape)
-            onto = T.sparse_conv2d(f, coords, (7, 6), T.Conv2dParams(w, Tensor(b), stride, pad),
+            onto = T.sparse_conv2d(f, plan, T.Conv2dParams(w, Tensor(b), stride, pad),
                                    onto=Tensor(base.copy()), relu=True)
         np.testing.assert_allclose(buf[:, 1:5], want, rtol=1e-13, atol=1e-13)
         assert np.isnan(buf[:, :1]).all() and np.isnan(buf[:, 5:]).all()
@@ -658,6 +665,7 @@ class TestFusedEpilogue:
         wt = Tensor(rng.normal(size=(3, 4, 2, 2)).astype(dtype))
         b = rng.normal(size=4).astype(dtype)
         coords = _pillars(6, 8, 0.4, seed=5, border=True)
+        plan = T.PillarPlan(coords, (6, 8))
         f = Tensor(rng.normal(size=(len(coords), 3)).astype(dtype))
         ops = {
             "conv2d 1x1": lambda out: T.conv2d(x, T.Conv2dParams(w1, Tensor(b)), relu=True,
@@ -665,7 +673,7 @@ class TestFusedEpilogue:
             "conv2d 3x3": lambda out: T.conv2d(x, T.Conv2dParams(w3, None, 1, 1), out=out),
             "conv_transpose2d": lambda out: T.conv_transpose2d(
                 Tensor(x.data[:, :, :3]), wt, 2, bias=b, relu=True, out=out),
-            "sparse_conv2d": lambda out: T.sparse_conv2d(f, coords, (6, 8), T.Conv2dParams(
+            "sparse_conv2d": lambda out: T.sparse_conv2d(f, plan, T.Conv2dParams(
                 w1, Tensor(b)), relu=True, out=out),
             "avg_pool2x2": lambda out: T.avg_pool2x2(Tensor(x.data[:, :, :, :8]), out=out),
         }
@@ -679,35 +687,71 @@ class TestFusedEpilogue:
             assert np.isnan(buf[:, :, :2]).all(), name
             assert np.isnan(buf[:, :, 2 + want.shape[2] :]).all(), name
 
-    def test_sparse_onto_a_band_of_a_larger_map(self):
-        """`onto` may be a band of rows of a larger map: the pillars of the
-        band, shifted into it, add only to its rows."""
-        coords = _pillars(8, 5, 0.5, seed=6, border=True)
-        f = Tensor(rng.normal(size=(len(coords), 3)))
-        p = T.Conv2dParams(Tensor(rng.normal(size=(4, 3, 1, 1))), Tensor(rng.normal(size=4)))
-        base = rng.normal(size=(1, 4, 8, 5))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv2d_rows_of_a_window(self, monkeypatch, dtype):
+        """`rows` = (r0, r1) computes only output rows r0..r1 of the conv
+        over x, so x may be a window of a taller map that holds one halo row
+        on each side of them, or ends at the map's own top or bottom row,
+        where the zero padding applies: the rows equal those of the whole
+        map's conv. Rows outside the output, or none, raise."""
+        monkeypatch.setattr(T, "_TILE_BYTES", 1)  # one output row per tile
+        x = rng.normal(size=(1, 3, 9, 6)).astype(dtype)
+        p = T.Conv2dParams(Tensor(rng.normal(size=(4, 3, 3, 3)).astype(dtype)),
+                           Tensor(rng.normal(size=4).astype(dtype)), 1, 1)
+        plan = T.PillarPlan(_pillars(9, 6, 0.5, seed=2, border=True), (9, 6))
+        f = Tensor(rng.normal(size=(len(plan), 3)).astype(dtype))
         with T.no_grad():
-            want = T.sparse_conv2d(f, coords, (8, 5), p, onto=Tensor(base.copy()), relu=True).data
-            got = base.copy()
-            for r0, r1 in ((0, 2), (2, 6), (6, 8)):
-                sel = np.flatnonzero((coords[:, 0] >= r0) & (coords[:, 0] < r1))
-                T.sparse_conv2d(Tensor(f.data[sel]), coords[sel] - (r0, 0), (r1 - r0, 5), p,
-                                onto=Tensor(got[:, :, r0:r1]), relu=True)
-        np.testing.assert_array_equal(got, want)
+            whole = T.conv2d(Tensor(x), p, relu=True).data
+            for o0, o1 in ((0, 2), (2, 3), (3, 8), (8, 9), (0, 9)):
+                a, b = max(0, o0 - 1), min(9, o1 + 1)
+                got = T.conv2d(Tensor(x[:, :, a:b]), p, relu=True, rows=(o0 - a, o1 - a))
+                np.testing.assert_array_equal(got.data, whole[:, :, o0:o1], err_msg=(o0, o1))
+            for rows in ((3, 3), (-1, 2), (3, 10)):
+                with pytest.raises(ConfigurationError, match="rows"):
+                    T.conv2d(Tensor(x), p, rows=rows)
+                with pytest.raises(ConfigurationError, match="rows"):
+                    T.sparse_conv2d(f, plan, p, rows=rows)
+
+    def test_sparse_onto_a_band_of_a_larger_map(self):
+        """With `rows` = (r0, r1), `onto` and `out` may be that band of rows
+        of a larger map: each offset's pillars that feed the band (the
+        plan's slice of it) add only to its rows, so the bands of a 1x1 and
+        a 3x3 conv, each cut on rows that hold pillars (every border cell
+        does), stack up to the whole-frame conv."""
+        coords = _pillars(8, 5, 0.5, seed=6, border=True)
+        plan = T.PillarPlan(coords, (8, 5))
+        f = Tensor(rng.normal(size=(len(coords), 3)))
+        base = rng.normal(size=(1, 4, 8, 5))
+        for k in (1, 3):
+            p = T.Conv2dParams(Tensor(rng.normal(size=(4, 3, k, k))), Tensor(rng.normal(size=4)),
+                               1, k // 2)
+            with T.no_grad():
+                want = T.sparse_conv2d(f, plan, p, onto=Tensor(base.copy()), relu=True).data
+                alone = T.sparse_conv2d(f, plan, p, relu=True).data
+                got, out = base.copy(), np.full(base.shape, np.nan)
+                for r0, r1 in ((0, 2), (2, 3), (3, 7), (7, 8)):
+                    T.sparse_conv2d(f, plan, p, onto=Tensor(got[:, :, r0:r1]), relu=True,
+                                    rows=(r0, r1))
+                    T.sparse_conv2d(f, plan, p, relu=True, out=out[:, :, r0:r1], rows=(r0, r1))
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14, err_msg=f"k={k}")
+            np.testing.assert_allclose(out, alone, rtol=1e-14, atol=1e-14, err_msg=f"k={k}")
 
     def test_raise_when_a_graph_would_be_recorded(self):
         x, w = rand_t(1, 2, 4, 4), rand_t(3, 2, 3, 3)
-        coords = np.array([[0, 0], [2, 3]])
+        plan = T.PillarPlan([[0, 0], [2, 3]], (4, 4))
         out = np.empty((1, 3, 4, 4))
         with pytest.raises(ConfigurationError, match="without a graph"):
             T.conv2d(x, T.Conv2dParams(w, None, 1, 1), relu=True)
         with pytest.raises(ConfigurationError, match="without a graph"):
             T.conv2d(x, T.Conv2dParams(w, None, 1, 1), out=out)
         with pytest.raises(ConfigurationError, match="without a graph"):
-            T.sparse_conv2d(rand_t(2, 2), coords, (4, 4), T.Conv2dParams(w, rand_t(3), 1, 1))
+            T.sparse_conv2d(rand_t(2, 2), plan, T.Conv2dParams(w, rand_t(3), 1, 1))
         with pytest.raises(ConfigurationError, match="without a graph"):
-            T.sparse_conv2d(rand_t(2, 2), coords, (4, 4), T.Conv2dParams(w, None, 1, 1),
-                            relu=True)
+            T.sparse_conv2d(rand_t(2, 2), plan, T.Conv2dParams(w, None, 1, 1), relu=True)
+        with pytest.raises(ConfigurationError, match="without a graph"):
+            T.sparse_conv2d(rand_t(2, 2), plan, T.Conv2dParams(w, None, 1, 1), rows=(0, 2))
+        with pytest.raises(ConfigurationError, match="without a graph"):
+            T.conv2d(x, T.Conv2dParams(w, None, 1, 1), rows=(0, 2))
         with pytest.raises(ConfigurationError, match="without a graph"):
             T.conv_transpose2d(x, rand_t(2, 3, 2, 2), 2, bias=np.zeros(3))
         with pytest.raises(ConfigurationError, match="without a graph"):
@@ -720,11 +764,11 @@ class TestFusedEpilogue:
                                              ((3, 4, 4), np.float64)])
     def test_out_of_the_wrong_shape_or_dtype_raises(self, shape, dtype):
         x, w = Tensor(rng.normal(size=(1, 2, 4, 4))), Tensor(rng.normal(size=(3, 2, 3, 3)))
-        coords = np.array([[0, 0], [2, 3]])
+        plan = T.PillarPlan([[0, 0], [2, 3]], (4, 4))
         out = np.empty(shape, dtype=dtype)
         with T.no_grad():
             for op in (lambda: T.conv2d(x, T.Conv2dParams(w, None, 1, 1), out=out),
-                       lambda: T.sparse_conv2d(Tensor(np.ones((2, 2))), coords, (4, 4),
+                       lambda: T.sparse_conv2d(Tensor(np.ones((2, 2))), plan,
                                                T.Conv2dParams(w, None, 1, 1), out=out),
                        lambda: T.conv_transpose2d(x, Tensor(np.ones((2, 3, 1, 1))), 1, out=out)):
                 with pytest.raises(ConfigurationError, match="out is"):
@@ -736,8 +780,8 @@ class TestFusedEpilogue:
         with T.no_grad(), pytest.raises(ConfigurationError, match="view"):
             T.conv2d(x, T.Conv2dParams(w), out=out)
         with T.no_grad(), pytest.raises(ConfigurationError, match="view"):
-            T.sparse_conv2d(Tensor(np.ones((1, 2))), [[1, 1]], (4, 4), T.Conv2dParams(w),
-                            onto=Tensor(out))
+            T.sparse_conv2d(Tensor(np.ones((1, 2))), T.PillarPlan([[1, 1]], (4, 4)),
+                            T.Conv2dParams(w), onto=Tensor(out))
         with T.no_grad(), pytest.raises(ConfigurationError, match="view"):
             T.avg_pool2x2(Tensor(np.ones((1, 3, 8, 8))), out=out)
 
