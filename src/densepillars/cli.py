@@ -16,6 +16,7 @@ from .config import RunConfig, parse_config
 from .cost import comparison_report, dense_backbone_cost
 from .detector import (
     AnchorConfig,
+    anchor_rows,
     assign_targets,
     detection_loss,
     generate_anchors,
@@ -137,6 +138,11 @@ def gradcheck_cases(rng):
     anchors, anchor_cls = generate_anchors(grid, anchor_cfg)
     gt = Box3D(3.2, 0.4, -1.78, 1.6, 3.9, 1.56, 0.2)
     asn = assign_targets(anchors, anchor_cls, [(gt, "Car")], anchor_cfg)
+    # a scene with no positives on a 4 x 4 anchor grid: the box and direction
+    # losses gather no row, so they are 0 and send the maps zero gradients
+    small = GridSpec(x_range=(0.0, 3.2), y_range=(-1.6, 1.6), pillar_size=(0.4, 0.4))
+    small_anchors, small_cls = generate_anchors(small, anchor_cfg)
+    empty = assign_targets(small_anchors, small_cls, [], anchor_cfg)
 
     bn_shapes = [(2, 3, 4, 4), (3,), (3,)]
     # pillars on all four borders of a 5 x 6 grid, at odd and even coordinates
@@ -187,6 +193,12 @@ def gradcheck_cases(rng):
         case("detection_loss", 1e-4,
              lambda c, b, d: detection_loss(c, b, d, asn, anchor_cls, anchor_cfg)["total"],
              [(1, 18, 8, 8), (1, 42, 8, 8), (1, 12, 8, 8)]),
+        case("detection_loss_no_positives", 1e-4,
+             lambda c, b, d: detection_loss(c, b, d, empty, small_cls, anchor_cfg)["total"],
+             [(1, 18, 4, 4), (1, 42, 4, 4), (1, 12, 4, 4)]),
+        # anchors 0 and 17 of a 3 x 4 grid, anchor 17 twice
+        case("gather_anchor_rows", 1e-7, lambda m: anchor_rows(m, 7, 6, [17, 0, 17]),
+             [(1, 42, 3, 4)]),
         case("sparse_conv2d", 1e-5,
              lambda f, w: T.sparse_conv2d(f, pillars, T.Conv2dParams(w, None, 1, 1)),
              [(10, 2), (3, 2, 3, 3)]),

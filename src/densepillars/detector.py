@@ -275,28 +275,53 @@ def _first_of_runs(keys, order):
 
 @dataclass
 class TargetAssignment:
+    """Every anchor's label and the K positive anchors' targets. Only the
+    positives carry regression and direction targets, so they are kept as
+    K rows rather than as tables over all A anchors."""
+
     labels: np.ndarray  # [A] int8: 1 positive, 0 negative, -1 ignore
-    gt_index: np.ndarray  # [A] int64, -1 when unassigned
-    reg_targets: np.ndarray  # [A, 7]
-    dir_targets: np.ndarray  # [A] int64
+    pos_anchor: np.ndarray  # [K] int64 anchor indices of the positives, ascending
+    pos_gt: np.ndarray  # [K] int64 their ground-truth indices
+    pos_reg: np.ndarray  # [K, 7] their encoded box residuals
+    pos_dir: np.ndarray  # [K] int64 their direction bins
 
     @property
     def num_positives(self):
-        return int((self.labels == 1).sum())
+        return self.pos_anchor.shape[0]
+
+    def _per_anchor(self, rows, fill, shape=()):
+        out = np.full((self.labels.shape[0], *shape), fill, dtype=rows.dtype)
+        out[self.pos_anchor] = rows
+        return out
+
+    # [A]-shaped views, built on each access (for tests and the benchmark)
+
+    @property
+    def gt_index(self):
+        """[A] int64 ground-truth index per anchor, -1 when not positive."""
+        return self._per_anchor(self.pos_gt, -1)
+
+    @property
+    def reg_targets(self):
+        """[A, 7] box residuals per anchor, zero when not positive."""
+        return self._per_anchor(self.pos_reg, 0.0, (7,))
+
+    @property
+    def dir_targets(self):
+        """[A] int64 direction bin per anchor, zero when not positive."""
+        return self._per_anchor(self.pos_dir, 0)
 
 
 def assign_targets(anchors, anchor_cls, gts, cfg: AnchorConfig) -> TargetAssignment:
     """BEV-IoU threshold matching with per-ground-truth force matching.
 
-    Only anchor-ground-truth pairs of one class whose bounding boxes meet
+    Only anchor-ground-truth pairs of one class whose footprints can meet
     are scored; every other pair has IoU 0, which leaves an anchor negative
-    (`AnchorConfig` keeps both thresholds above 0).
+    (`AnchorConfig` keeps both thresholds above 0). The positives are
+    collected from the pair list, so the labels are the one table over all
+    anchors it builds.
     """
-    a = anchors.shape[0]
-    labels = np.zeros(a, dtype=np.int8)
-    gt_index = np.full(a, -1, dtype=np.int64)
-    reg_targets = np.zeros((a, 7), dtype=np.float64)
-    dir_targets = np.zeros(a, dtype=np.int64)
+    labels = np.zeros(anchors.shape[0], dtype=np.int8)
     rows = box_rows([b for b, _ in gts])
     gt_cls = np.array([CLASSES.index(c) for _, c in gts], dtype=np.int64)
     i, j = pairs_in_reach(anchors, rows, anchor_cls, gt_cls)
@@ -308,10 +333,7 @@ def assign_targets(anchors, anchor_cls, gts, cfg: AnchorConfig) -> TargetAssignm
     match = np.array([cfg.match_thresholds[c] for c in CLASSES])[anchor_cls[ai]]
     unmatch = np.array([cfg.unmatch_thresholds[c] for c in CLASSES])[anchor_cls[ai]]
     pos = best_iou >= match
-    ignore = (best_iou >= unmatch) & ~pos
-    labels[ai[pos]] = 1
-    labels[ai[ignore]] = -1
-    gt_index[ai[pos]] = j[best[pos]]
+    labels[ai[(best_iou >= unmatch) & ~pos]] = -1
 
     # every ground truth claims its best-overlapping anchor (ties to the
     # lowest anchor index); where two claim one anchor, the later one holds it
@@ -319,15 +341,17 @@ def assign_targets(anchors, anchor_cls, gts, cfg: AnchorConfig) -> TargetAssignm
     top = top[iou[top] > 0.0]
     anchor, gt = i[top], j[top]
     last = _first_of_runs(anchor, np.lexsort((-gt, anchor)))
-    labels[anchor[last]] = 1
-    gt_index[anchor[last]] = gt[last]
 
-    pos_idx = np.nonzero(labels == 1)[0]
-    if pos_idx.size:
-        gt_rows = rows[gt_index[pos_idx]]
-        reg_targets[pos_idx] = encode_boxes(gt_rows, anchors[pos_idx])
-        dir_targets[pos_idx] = (gt_rows[:, 6] >= 0).astype(np.int64)
-    return TargetAssignment(labels, gt_index, reg_targets, dir_targets)
+    # the threshold positives, then the force-matched ones, which win on
+    # the same anchor
+    pos_anchor = np.concatenate([ai[pos], anchor[last]])
+    pos_gt = np.concatenate([j[best[pos]], gt[last]])
+    keep = _first_of_runs(pos_anchor, np.lexsort((-np.arange(pos_anchor.size), pos_anchor)))
+    pos_anchor, pos_gt = pos_anchor[keep], pos_gt[keep]
+    labels[pos_anchor] = 1
+    gt_rows = rows[pos_gt]
+    return TargetAssignment(labels, pos_anchor, pos_gt, encode_boxes(gt_rows, anchors[pos_anchor]),
+                            (gt_rows[:, 6] >= 0).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +438,18 @@ def flatten_head_map(m: Tensor, per_anchor: int, anchors_per_cell: int) -> Tenso
     return T.reshape(t, (h * w * anchors_per_cell, per_anchor))
 
 
+def anchor_rows(m: Tensor, per_anchor: int, anchors_per_cell: int, index) -> Tensor:
+    """Rows `index` [K] of `flatten_head_map(m, ...)`, [K, C], gathered
+    straight from the head map [1, A_cell*C, H, W] without flattening it."""
+    _, ch, _, w = m.shape
+    if ch != per_anchor * anchors_per_cell:
+        raise ConfigurationError("head map channels inconsistent with anchor layout")
+    cell, a = np.divmod(np.asarray(index, dtype=np.intp), anchors_per_cell)
+    r, c = np.divmod(cell, w)
+    channels = (a * per_anchor)[:, None] + np.arange(per_anchor)
+    return T.gather(m, (0, channels, r[:, None], c[:, None]))
+
+
 LOC_WEIGHT = 2.0
 DIR_WEIGHT = 0.2
 FOCAL_ALPHA = 0.25
@@ -423,29 +459,31 @@ SMOOTH_L1_BETA = 1.0 / 9.0
 
 def detection_loss(cls_map, box_map, dir_map, assignment: TargetAssignment,
                    anchor_cls, cfg: AnchorConfig):
-    """Focal + smooth-L1 (sine-angled) + direction CE. Returns Tensor dict."""
+    """Focal + smooth-L1 (sine-angled) + direction CE. Returns Tensor dict.
+
+    The focal loss runs over every anchor that is not ignored; the box and
+    direction losses over the positive anchors' rows alone, gathered from
+    their maps, since no other anchor carries weight in them."""
     a_cell = cfg.anchors_per_cell
     cls_flat = flatten_head_map(cls_map, len(CLASSES), a_cell)
-    box_flat = flatten_head_map(box_map, 7, a_cell)
-    dir_flat = flatten_head_map(dir_map, 2, a_cell)
+    pos = assignment.pos_anchor
+    box_pos = anchor_rows(box_map, 7, a_cell, pos)
+    dir_pos = anchor_rows(dir_map, 2, a_cell, pos)
 
     labels = assignment.labels
     n_pos = max(1, assignment.num_positives)
     onehot = np.zeros((labels.shape[0], len(CLASSES)), dtype=np.float64)
-    pos = labels == 1
     onehot[pos, anchor_cls[pos]] = 1.0
     cls_weight = (labels != -1).astype(np.float64)
-    pos_weight = pos.astype(np.float64)
+    pos_weight = np.ones(pos.shape[0])
 
     cls_loss = sigmoid_focal_loss(
         cls_flat, onehot, cls_weight, FOCAL_ALPHA, FOCAL_GAMMA, normalizer=n_pos
     )
     loc_loss = smooth_l1_sine_loss(
-        box_flat, assignment.reg_targets, pos_weight, SMOOTH_L1_BETA, normalizer=n_pos
+        box_pos, assignment.pos_reg, pos_weight, SMOOTH_L1_BETA, normalizer=n_pos
     )
-    dir_loss = softmax_cross_entropy(
-        dir_flat, assignment.dir_targets, pos_weight, normalizer=n_pos
-    )
+    dir_loss = softmax_cross_entropy(dir_pos, assignment.pos_dir, pos_weight, normalizer=n_pos)
     total = T.add(cls_loss, T.add(T.scale(loc_loss, LOC_WEIGHT), T.scale(dir_loss, DIR_WEIGHT)))
     return {"total": total, "cls": cls_loss, "loc": loc_loss, "dir": dir_loss}
 

@@ -6,8 +6,9 @@ a frame's PillarPlan),
 transposed conv, batch norm with an optional fused relu, 2x2 average
 pooling, channel concat, linear maps, the max over each group of
 consecutive rows (the PFN's per-pillar max), plus a handful of glue ops
-(add, scale, reshape, transpose, channel_slice). Data lives in numpy arrays; float32 is
-the working precision, float64 is used by the finite-difference checker.
+(add, scale, reshape, transpose, channel_slice, gather). Data lives in
+numpy arrays; float32 is the working precision, float64 is used by the
+finite-difference checker.
 
 Each op is a vector-Jacobian product: `make(out, parents, backward)` records
 it, and `backward(g)` returns one gradient per parent (None for a parent
@@ -286,6 +287,21 @@ def channel_slice(a: Tensor, lo: int, hi: int) -> Tensor:
     return make(a.data[:, lo:hi], (a,), backward)
 
 
+def gather(x: Tensor, index) -> Tensor:
+    """x[index] for an advanced index: a tuple of integer arrays (or ints)
+    that broadcast to the output's shape, such as a few anchors' rows read
+    straight from a head map. Backward adds the gradient into a zeroed array
+    of x's shape at the same entries, so an entry gathered twice gets both."""
+    index = tuple(np.asarray(i, dtype=np.intp) for i in index)
+
+    def backward(g):
+        dx = np.zeros(x.shape, dtype=g.dtype)
+        np.add.at(dx, index, g)
+        return (dx,)
+
+    return make(x.data[index], (x,), backward)
+
+
 def linear_map(x: Tensor, weight: Tensor) -> Tensor:
     if x.shape[-1] != weight.shape[0]:
         raise ConfigurationError(
@@ -537,8 +553,11 @@ def sparse_conv2d(features: Tensor, plan: PillarPlan, p: Conv2dParams,
     Each kernel offset is one GEMM over the pillars that land on an output
     cell. One offset's cells are distinct, since pillar cells are, so a
     1x1 conv adds its products with a plain fancy-index add; with several
-    offsets, one `np.bincount` per output channel sums them all (a fancy
-    add per offset and channel took three times as long on a KITTI frame).
+    offsets, one `np.bincount` over the keys o·H_out·W_out + cell of a tile
+    of output channels o sums them all (a fancy add per offset and channel
+    took three times as long on a KITTI frame, and a bincount per channel
+    paid per call). A tile's float64 sums hold about a GEMM tile, so a band
+    of rows takes one call.
     Backward is the matching gather; it never builds the image's gradient.
 
     With `onto` [1, C_out, H_out, W_out], the conv is added into onto's
@@ -547,8 +566,8 @@ def sparse_conv2d(features: Tensor, plan: PillarPlan, p: Conv2dParams,
     and `rows` = (r0, r1) work as in conv2d: only when no graph is
     recorded. With `rows`, the output (and `onto`) is output rows r0..r1,
     computed from the plan's slice of each offset that feeds them, so a
-    band costs its own pillars only. The bias and the clamp run on each
-    channel's row as soon as it is summed."""
+    band costs its own pillars only. The bias and the clamp run once on the
+    summed [C_out, rows·W_out] block."""
     n_p, c_in = features.shape
     c_out, c_in_w, k, _ = p.weight.shape
     if c_in != c_in_w:
@@ -586,16 +605,21 @@ def sparse_conv2d(features: Tensor, plan: PillarPlan, p: Conv2dParams,
             acc[...] = 0
     else:  # onto may be a view, such as a band of rows of a larger map
         out, acc = _out_rows(onto.data, shape, onto.dtype, "sparse_conv2d")
-    bias = None if p.bias is None else p.bias.data
-    for o in range(c_out):
-        row = acc[:, o]  # [1, rows·W_out]
-        if len(taps) == 1:
-            row[0, cells] += y[o]
-        elif onto is None:
-            row[...] = np.bincount(cells, y[o], minlength=hw)
-        else:
-            row += np.bincount(cells, y[o], minlength=hw)
-        _bias_relu(row, None if bias is None else bias[o : o + 1], relu)
+    block = acc[0]  # [C_out, rows·W_out]
+    if len(taps) == 1:
+        block[:, cells] += y
+    else:
+        # per tile of channels whose float64 sums hold about a GEMM tile, one
+        # bincount over channel-major keys o·hw + cell: each channel's
+        # products are summed in the order of its own row of y
+        for o0, o1 in row_tiles(c_out, hw * 8):
+            bins = (np.arange(o1 - o0)[:, None] * hw + cells).reshape(-1)
+            summed = np.bincount(bins, y[o0:o1].reshape(-1), minlength=(o1 - o0) * hw)
+            if onto is None:
+                block[o0:o1] = summed.reshape(o1 - o0, hw)
+            else:
+                block[o0:o1] += summed.reshape(o1 - o0, hw)
+    _bias_relu(acc, None if p.bias is None else p.bias.data, relu)
 
     def backward(g):
         gy = np.take(g.reshape(c_out, hw), cells, axis=1)

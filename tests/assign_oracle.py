@@ -8,6 +8,9 @@ that pass `centre_pairs`, takes each anchor's best ground truth with
 every ground truth in index order claim the first anchor of highest IoU
 in its column, a later ground truth overwriting an earlier one.
 
+It fills per-anchor tables as that code did and returns their positive
+rows in today's `TargetAssignment`.
+
 `centre_pairs` is the prefilter of that time, independent of the AABB
 pair finder the product uses: a pair is kept when the BEV centres are no
 farther apart than the two half diagonals.
@@ -86,4 +89,6 @@ def dense_assign_targets(anchors, anchor_cls, gts, cfg) -> TargetAssignment:
         gt_rows = rows[gt_index[pos_idx]]
         reg_targets[pos_idx] = encode_boxes(gt_rows, anchors[pos_idx])
         dir_targets[pos_idx] = (gt_rows[:, 6] >= 0).astype(np.int64)
-    return TargetAssignment(labels, gt_index, reg_targets, dir_targets)
+    # the positives' rows of the per-anchor tables
+    return TargetAssignment(labels, pos_idx, gt_index[pos_idx], reg_targets[pos_idx],
+                            dir_targets[pos_idx])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from densepillars.bev import (
     EvalConfig,
+    _apart_along_own_axes,
     _intersection_area,
     ap_r40,
     box_rows,
@@ -75,6 +76,23 @@ def _touching_pairs(draw):
         shift = p_lo[axis] - gap - q_hi[axis]
     moved = {"cx": q.cx + shift} if axis == 0 else {"cy": q.cy + shift}
     return p, dataclasses.replace(q, **moved)
+
+
+@st.composite
+def _apart_along_an_edge(draw):
+    """Two boxes whose projections on an edge direction of either meet,
+    miss each other or overlap by a gap from 1e-15 to 1e-6; their
+    axis-aligned bounding boxes often still overlap."""
+    p, q = draw(_boxes), draw(_boxes)
+    yaw = draw(st.sampled_from([p.yaw, q.yaw])) + draw(st.sampled_from([0.0, math.pi / 2]))
+    u = np.array([math.cos(yaw), math.sin(yaw)])
+    gap = draw(st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 3e-9, 1e-6]))
+    p_proj, q_proj = bev_corners(p) @ u, bev_corners(q) @ u
+    if draw(st.booleans()):
+        shift = p_proj.max() + gap - q_proj.min()
+    else:
+        shift = p_proj.min() - gap - q_proj.max()
+    return p, dataclasses.replace(q, cx=q.cx + shift * u[0], cy=q.cy + shift * u[1])
 
 
 def axis_aligned_iou(a, b):
@@ -282,6 +300,29 @@ class TestPairFinder:
         dropped[i, j] = False
         di, dj = np.nonzero(dropped)
         assert (_intersection_area(a[di], b[dj]) == 0.0).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_boxes, max_size=10), st.lists(_apart_along_an_edge(), max_size=6))
+    def test_pairs_apart_along_an_edge_have_no_intersection(self, left, apart):
+        """Boxes whose bounding boxes meet but whose footprints are parted
+        along an edge direction of one of them: the separating-axis test
+        drops them, and a dropped pair has zero intersection."""
+        a = box_rows(left + [p for p, _ in apart])
+        b = box_rows(left + [q for _, q in apart])
+        i, j = np.nonzero(np.ones((len(a), len(b)), dtype=bool))
+        dropped = _apart_along_own_axes(a[i], b[j])
+        assert (_intersection_area(a[i[dropped]], b[j[dropped]]) == 0.0).all()
+        kept = set(zip(*(k.tolist() for k in pairs_in_reach(a, b))))
+        assert not kept & set(zip(i[dropped].tolist(), j[dropped].tolist()))
+
+    def test_separating_axis_drops_pairs_the_bounding_boxes_keep(self):
+        """Two thin boxes at 45 degrees side by side: their bounding boxes
+        overlap, their footprints do not."""
+        a = box_rows([bev_box(0.0, 0.0, 0.2, 4.0, math.pi / 4)])
+        b = box_rows([bev_box(0.5, -0.5, 0.2, 4.0, math.pi / 4)])
+        assert _intersection_area(a, b)[0] == 0.0
+        assert _apart_along_own_axes(a, b).all()
+        assert pairs_in_reach(a, b)[0].size == 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_boxes, min_size=1, max_size=16), st.lists(_boxes, min_size=1, max_size=8))

@@ -108,7 +108,7 @@ class TestGradcheck:
             "conv_transpose2d", "batch_norm", "batch_norm_eval", "batch_norm_relu",
             "batch_norm_relu_eval", "avg_pool2x2", "segment_max_padded_bn",
             "conv_bn_relu", "focal", "smooth_l1_sine", "softmax_ce", "detection_loss",
-            "sparse_conv2d", "sparse_conv2d_stride2",
+            "detection_loss_no_positives", "gather_anchor_rows", "sparse_conv2d", "sparse_conv2d_stride2",
         }
 
 
