@@ -5,11 +5,15 @@ maps, with or without a graph. When batch norm folds (eval mode, no graph),
 the neck and the head run per tile of the fused map's rows
 (`FPN.row_tiles`, `FPN.forward(rows=)`, `AnchorHead.forward(out=)`), so the
 fused map is never built whole; only there does the neck fold batch norm,
-once per frame (`FPN.folded`), for every tile.
+once per frame (`FPN.folded`), for every tile. `head_candidates` scores the
+anchors of any rows of the head maps, so `predict` scores each tile as the
+head writes it and never builds the stacked map; `postprocess` scores whole
+maps with it. `decode_detections` decodes the candidates and runs NMS.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -488,25 +492,49 @@ def detection_loss(cls_map, box_map, dir_map, assignment: TargetAssignment,
     return {"total": total, "cls": cls_loss, "loc": loc_loss, "dir": dir_loss}
 
 
-def postprocess(cls_map, box_map, dir_map, anchors, anchor_cls, cfg: AnchorConfig,
-                score_thr: float = 0.1, nms_thr: float = 0.01):
-    """Scores, decode, direction-corrected yaw, class-wise rotated NMS."""
-    a_cell = cfg.anchors_per_cell
-    cls_flat = flatten_head_map(cls_map, len(CLASSES), a_cell).data
-    box_flat = flatten_head_map(box_map, 7, a_cell).data
-    dir_flat = flatten_head_map(dir_map, 2, a_cell).data
+def head_candidates(cls_map, box_map, dir_map, row0, anchors_per_cell, score_thr):
+    """The anchors whose best class scores at least `score_thr`, from rows
+    row0.. of the anchor grid held in the class, box and direction maps
+    (arrays [1, A_cell·C, h, W]): their anchor indices (ascending), best
+    class, its score, box residual rows [K, 7] and direction bins.
 
-    scores = _sigmoid(cls_flat)
+    The sigmoid is monotone, so only anchors whose largest class logit
+    clears logit(score_thr) less a margin are scored. The margin of 1 is
+    far above `_sigmoid`'s float32 rounding for thresholds from 2^-16 up
+    (1 counts as 1 - 2^-16); below that every anchor is scored. The
+    survivors' `_sigmoid`, its argmax and `>= score_thr` decide, as over
+    every anchor."""
+    a_cell = anchors_per_cell
+    _, _, h, w = cls_map.shape
+    views = []
+    for m, per_anchor in ((cls_map, len(CLASSES)), (box_map, 7), (dir_map, 2)):
+        if m.shape[1] != per_anchor * a_cell:
+            raise ConfigurationError("head map channels inconsistent with anchor layout")
+        views.append(m.reshape(a_cell, per_anchor, h, w))
+    cls_v, box_v, dir_v = views
+    p = min(score_thr, 1.0 - 2.0**-16)
+    lo = math.log(p / (1.0 - p)) - 1.0 if p >= 2.0**-16 else -math.inf
+    top = functools.reduce(np.maximum, cls_v.swapaxes(0, 1))  # [A_cell, h, W]
+    r, c, a = np.nonzero((top >= lo).transpose(1, 2, 0))  # in anchor order
+    scores = _sigmoid(cls_v[a, :, r, c])
     best_cls = scores.argmax(axis=1)
-    best_score = scores[np.arange(scores.shape[0]), best_cls]
-    keep = np.nonzero(best_score >= score_thr)[0]
-    if keep.size == 0:
+    best_score = scores[np.arange(best_cls.size), best_cls]
+    keep = best_score >= score_thr
+    r, c, a = r[keep], c[keep], a[keep]
+    return (((row0 + r) * w + c) * a_cell + a, best_cls[keep], best_score[keep],
+            box_v[a, :, r, c], dir_v[a, :, r, c].argmax(axis=1))
+
+
+def decode_detections(candidates, anchors, nms_thr: float = 0.01):
+    """Detections from `head_candidates`' output: decoded boxes with
+    direction-corrected yaw, after class-wise rotated NMS."""
+    index, best_cls, best_score, box, dir_bin = candidates
+    if index.size == 0:
         return []
-    decoded = decode_boxes(box_flat[keep], anchors[keep])
-    dir_bin = dir_flat[keep].argmax(axis=1)
+    decoded = decode_boxes(box, anchors[index])
 
     dets = []
-    for row, d, ci, sc in zip(decoded, dir_bin, best_cls[keep], best_score[keep]):
+    for row, d, ci, sc in zip(decoded, dir_bin, best_cls, best_score):
         yaw = wrap_angle(row[6])
         if d == 1 and yaw < 0:
             yaw = wrap_angle(yaw + math.pi)
@@ -515,3 +543,12 @@ def postprocess(cls_map, box_map, dir_map, anchors, anchor_cls, cfg: AnchorConfi
         box = Box3D(*(float(v) for v in row[:6]), float(yaw))
         dets.append(Detection(box, float(sc), CLASSES[ci]))
     return nms_bev(dets, nms_thr)
+
+
+def postprocess(cls_map, box_map, dir_map, anchors, anchor_cls, cfg: AnchorConfig,
+                score_thr: float = 0.1, nms_thr: float = 0.01):
+    """Scores, decode, direction-corrected yaw, class-wise rotated NMS, over
+    whole head maps."""
+    candidates = head_candidates(cls_map.data, box_map.data, dir_map.data, 0,
+                                 cfg.anchors_per_cell, score_thr)
+    return decode_detections(candidates, anchors, nms_thr)

@@ -13,10 +13,14 @@ from .detector import (
     FPN,
     NeckSpec,
     assign_targets,
+    decode_detections,
     detection_loss,
     generate_anchors,
-    postprocess,
+    head_candidates,
 )
+# not called here: re-exported because perfbench/spans.py wraps
+# model.postprocess by name, and tracing fails without the attribute
+from .detector import postprocess  # noqa: F401
 from .encoder import GridSpec, PFNWeights
 from .pointcloud import FormatError, PointCloud
 from .tensor import ConfigurationError, InvariantViolation, Tensor
@@ -63,22 +67,36 @@ class DetectionPipeline:
         batch = enc.decorate(batch, self.grid)
         return batch
 
-    def forward_encoded(self, batch):
+    def _taps(self, batch):
         if batch.features.shape[0] == 0:
             raise InvariantViolation("no points fall inside the detection range")
         pillar_feats = enc.pfn_forward(batch, self.pfn)
-        taps = self.backbone.forward(pillar_feats, batch.coords,
+        return self.backbone.forward(pillar_feats, batch.coords,
                                      (self.grid.height, self.grid.width))
-        if not self.neck.folds(taps):
-            return self.head.forward(self.neck.forward(taps))
-        # batch norm folds: the neck and the head run per tile of rows into
-        # one stacked map, so the fused map is never built whole
-        n, _, rows, cols = self.neck.fused_shape(taps)
-        maps = np.empty((n, self.head.channels, rows, cols), dtype=taps[0].dtype)
+
+    def head_tiles(self, taps, out=None):
+        """Per tile of the fused map's rows (`FPN.row_tiles`), its first row
+        and the class, box and direction maps of its rows: the neck and the
+        head run per tile with batch norm folded (every batch norm must
+        fold), the neck's once per frame. With `out`, a stacked head map
+        [N, 72, H, W], each tile is written into its rows of it."""
         folded = self.neck.folded(taps)
         for r0, r1 in self.neck.row_tiles(taps):
-            self.head.forward(self.neck.forward(taps, rows=(r0, r1), folded=folded),
-                              out=maps[:, :, r0:r1])
+            tile = None if out is None else out[:, :, r0:r1]
+            yield r0, self.head.forward(self.neck.forward(taps, rows=(r0, r1), folded=folded),
+                                        out=tile)
+
+    def forward_encoded(self, batch):
+        """The class, box and direction maps. When batch norm folds, the
+        neck and the head run per tile of rows (`head_tiles`) into one
+        stacked map, so the fused map is never built whole."""
+        taps = self._taps(batch)
+        if not self.neck.folds(taps):
+            return self.head.forward(self.neck.forward(taps))
+        n, _, rows, cols = self.neck.fused_shape(taps)
+        maps = np.empty((n, self.head.channels, rows, cols), dtype=taps[0].dtype)
+        for _ in self.head_tiles(taps, out=maps):
+            pass
         return self.head.split(Tensor(maps))
 
     def forward(self, cloud: PointCloud, seed: int = 0, cap: bool = True):
@@ -96,17 +114,22 @@ class DetectionPipeline:
         """Detections for one frame; a frame with no point in range has none.
         Every batch norm must be in eval mode (`set_mode("eval")`): in train
         mode it would normalise with the frame's statistics and update the
-        running ones."""
+        running ones. Each neck and head tile is scored as the head writes
+        it (`head_tiles`, `head_candidates`), so the stacked head map is
+        never built; the tiles come in row order, so the candidates reach
+        decode and NMS in anchor order, as from `postprocess`."""
         if any(bn.mode != "eval" for bn in self.bn_list()):
             raise ConfigurationError("predict needs every batch norm in eval mode; "
                                      "call set_mode('eval') first")
         batch = self.encode(cloud, cap=False)
         if batch.features.shape[0] == 0:
             return []
+        a_cell = self.anchor_cfg.anchors_per_cell
         with T.no_grad():
-            cls_map, box_map, dir_map = self.forward_encoded(batch)
-        return postprocess(cls_map, box_map, dir_map, self.anchors, self.anchor_cls,
-                           self.anchor_cfg, score_thr=score_thr, nms_thr=nms_thr)
+            parts = [head_candidates(*(m.data for m in maps), r0, a_cell, score_thr)
+                     for r0, maps in self.head_tiles(self._taps(batch))]
+        candidates = [np.concatenate(column) for column in zip(*parts)]
+        return decode_detections(candidates, self.anchors, nms_thr)
 
     # -- checkpoint state ---------------------------------------------------
 

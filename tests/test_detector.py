@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from assign_oracle import dense_assign_targets
 from backbone_oracle import three_conv_head_forward
 from loss_oracle import dense_detection_loss
+from postprocess_oracle import dense_candidates, dense_postprocess
 from densepillars import model
 from densepillars import tensor as T
 from densepillars.backbones import GrowthSchedule
@@ -20,6 +22,7 @@ from densepillars.detector import (
     AnchorConfig,
     AnchorHead,
     NeckSpec,
+    _sigmoid,
     anchor_rows,
     assign_targets,
     decode_boxes,
@@ -27,6 +30,7 @@ from densepillars.detector import (
     encode_boxes,
     flatten_head_map,
     generate_anchors,
+    head_candidates,
     postprocess,
     sigmoid_focal_loss,
     smooth_l1_sine_loss,
@@ -747,6 +751,115 @@ class TestDetectionLossAndPostprocess:
         ]
 
 
+def detection_rows(dets):
+    """Each detection's label, score and box, in order."""
+    return [(d.label, d.score, d.box.as_array().tolist()) for d in dets]
+
+
+def assert_candidates_equal(got, want):
+    for g, e in zip(got, want, strict=True):
+        assert g.dtype == e.dtype and g.shape == e.shape
+        np.testing.assert_array_equal(g, e)
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCandidateScoring:
+    """`head_candidates` against the whole-map oracle: the same anchors,
+    classes, scores, box rows and direction bins, whatever the rows it
+    reads and however close to the threshold the logits sit."""
+
+    A_CELL = CFG.anchors_per_cell
+    ANCHORS, ANCHOR_CLS = generate_anchors(GRID, CFG)
+
+    @staticmethod
+    def _maps(cls, dtype, seed=3):
+        rng = np.random.default_rng(seed)
+        n = cls.shape[0]
+        return head_maps(cls, rng.normal(0.0, 0.3, (n, 7)), rng.normal(0.0, 1.0, (n, 2)), dtype)
+
+    def _assert_matches_oracle(self, maps, score_thr, nms_thr=0.01):
+        """`head_candidates` over the whole maps and over tiles of rows,
+        and `postprocess`, equal the oracle's, with no warning."""
+        data = [m.data for m in maps]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = dense_candidates(*maps, CFG, score_thr)
+            assert_candidates_equal(head_candidates(*data, 0, self.A_CELL, score_thr), want)
+            tiles = [head_candidates(*(m[:, :, r0:r0 + 5] for m in data), r0, self.A_CELL,
+                                     score_thr) for r0 in range(0, 16, 5)]
+            assert_candidates_equal([np.concatenate(c) for c in zip(*tiles)], want)
+            got = postprocess(*maps, self.ANCHORS, self.ANCHOR_CLS, CFG, score_thr=score_thr,
+                              nms_thr=nms_thr)
+            assert detection_rows(got) == detection_rows(dense_postprocess(
+                *maps, self.ANCHORS, self.ANCHOR_CLS, CFG, score_thr=score_thr, nms_thr=nms_thr))
+        return want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("score_thr", [0.0, 1e-9, 2.0**-16, 0.05, 0.1, 0.5, 0.9,
+                                           1 - 2.0**-16, 1 - 1e-9, 1.0])
+    def test_random_logits(self, dtype, score_thr):
+        """Logits spread wide enough that float32 and float64 sigmoids
+        saturate at both ends."""
+        cls = np.random.default_rng(5).normal(-2.0, 15.0, (16 * 16 * self.A_CELL, 3))
+        self._assert_matches_oracle(self._maps(cls, dtype), score_thr)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("score_thr", [2.0**-16, 1e-3, 0.1, 0.5, 0.73, 0.999, 1 - 2.0**-16])
+    def test_logits_next_to_the_threshold_logit(self, dtype, score_thr):
+        """Each anchor's best logit is logit(score_thr) rounded to `dtype`,
+        one of its 40 neighbours on either side, or that logit moved by up
+        to 2 either way (the prefilter's margin is 1); the other classes
+        are far below it or, on every seventh anchor, tie with it."""
+        n = 16 * 16 * self.A_CELL
+        logit = dtype(math.log(score_thr / (1 - score_thr)))
+        near = np.full(81, logit, dtype=dtype)
+        for k in range(1, 41):
+            near[40 + k:] = np.nextafter(near[40 + k:], dtype(np.inf))
+            near[:40 - k + 1] = np.nextafter(near[:40 - k + 1], dtype(-np.inf))
+        offsets = np.array([1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.99, 1.01, 2.0])
+        values = np.concatenate([near, (logit + np.concatenate([offsets, -offsets])).astype(dtype)])
+        assert len(np.unique(near)) == 81
+        best = values[np.arange(n) % values.size]
+        cls = np.full((n, 3), -40.0, dtype=dtype)
+        cls[np.arange(n), np.arange(n) % 3] = best
+        tie = np.arange(n) % 7 == 0
+        cls[tie, (np.arange(n)[tie] + 1) % 3] = best[tie]
+        keep = self._assert_matches_oracle(self._maps(cls, dtype), score_thr)[0]
+        assert 0 < keep.size < n
+
+    @pytest.mark.parametrize("dtype,logits", [
+        (np.float32, [30.0, 40.0, -5.0]), (np.float32, [-5.0, 20.0, 18.0]),
+        (np.float64, [40.0, 50.0, -5.0]), (np.float64, [-5.0, 45.0, 39.0])])
+    @pytest.mark.parametrize("score_thr", [0.5, 1.0])
+    def test_saturated_tie_keeps_the_first_class(self, dtype, logits, score_thr):
+        """Two classes whose sigmoids both round to 1.0: the first of them
+        wins, as in the oracle's argmax over sigmoid scores, not the one
+        with the larger logit."""
+        n = 16 * 16 * self.A_CELL
+        cls = np.full((n, 3), -40.0)
+        cls[100] = logits
+        maps = self._maps(cls, dtype)
+        assert np.all(_sigmoid(np.sort(np.array(logits, dtype=dtype))[1:]) == 1.0)
+        index, best_cls, best_score, _, _ = self._assert_matches_oracle(maps, score_thr)
+        first = int(np.argmax(np.array(logits) > 10))
+        assert index.tolist() == [100] and best_cls.tolist() == [first]
+        assert best_score.tolist() == [1.0]
+
+    def test_rejects_maps_off_the_anchor_layout(self):
+        m = np.zeros((1, 17, 2, 2))
+        with pytest.raises(ConfigurationError, match="anchor layout"):
+            head_candidates(m, np.zeros((1, 42, 2, 2)), np.zeros((1, 12, 2, 2)), 0, 6, 0.1)
+
+
 class TestPredict:
     """`predict` runs the network under `no_grad` and handles empty frames."""
 
@@ -775,21 +888,37 @@ class TestPredict:
         return pipeline
 
     @staticmethod
-    def _assert_predict_matches_graph(pipeline, cloud, monkeypatch, dtype):
-        """The maps `predict` hands to `postprocess` (the fused path, under
-        `no_grad`) against `forward` with the graph on (batch norm, concat
-        and the stacked head conv as in training)."""
-        seen = []
-        monkeypatch.setattr(model, "postprocess", lambda *a, **k: seen.append(a[:3]) or [])
-        assert pipeline.predict(cloud) == []
+    def _scored_tiles(monkeypatch):
+        """The rows of the class, box and direction maps that `predict`
+        hands to `head_candidates`, (first row, maps), with what it
+        returned for them, for every `predict` after this call."""
+        tiles = []
+        scored = model.head_candidates
+
+        def spy(cls_map, box_map, dir_map, row0, *args):
+            out = scored(cls_map, box_map, dir_map, row0, *args)
+            tiles.append((row0, (cls_map, box_map, dir_map), out))
+            return out
+
+        monkeypatch.setattr(model, "head_candidates", spy)
+        return tiles
+
+    @classmethod
+    def _assert_predict_matches_graph(cls, pipeline, cloud, monkeypatch, dtype):
+        """The tiles of the head maps that `predict` scores (the fused path,
+        under `no_grad`), reassembled, against `forward` with the graph on
+        (batch norm, concat and the stacked head conv as in training)."""
+        tiles = cls._scored_tiles(monkeypatch)
+        pipeline.predict(cloud)
         want = pipeline.forward(cloud, cap=False)
-        (got,) = seen
+        heights = [maps[0].shape[2] for _, maps, _ in tiles]
+        assert [r0 for r0, _, _ in tiles] == np.cumsum([0] + heights[:-1]).tolist()
+        got = [np.concatenate(m, axis=2) for m in zip(*(maps for _, maps, _ in tiles))]
         tol = 1e-5 if dtype == np.float32 else 1e-12  # of each map's largest value
         for g, e in zip(got, want, strict=True):
-            assert g._parents == () and g._backward is None
             assert e._backward is not None
-            assert g.dtype == e.dtype == dtype
-            np.testing.assert_allclose(g.data, e.data, rtol=0, atol=tol * np.abs(e.data).max())
+            assert g.dtype == e.dtype == dtype and g.shape == e.shape
+            np.testing.assert_allclose(g, e.data, rtol=0, atol=tol * np.abs(e.data).max())
 
     def test_head_maps_match_graph_forward(self, monkeypatch):
         _, scene = self._pipeline_and_scene()
@@ -881,6 +1010,74 @@ class TestPredict:
         assert sorted(r for _, r in out_rows.values()) == sorted(want + [h // 2])  # and the head
 
     @pytest.mark.parametrize("kind", ["dense", "baseline"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_streamed_predict_matches_oracle(self, monkeypatch, kind, dtype):
+        """`predict` scores each 4-row tile as the head writes it; its
+        detections equal the whole-map oracle's over `forward_encoded`'s
+        stacked map in boxes, scores, labels and order, and so do
+        `postprocess`'s. At the median best score as the threshold, every
+        tile has candidates on its first and last rows."""
+        monkeypatch.setattr(T, "_TILE_BYTES", 1)
+        scene = synth_scene(seed=4, n_boxes=2, x_range=TALL.x_range, y_range=TALL.y_range,
+                            n_ground=300)
+        pipeline = self._eval_pipeline(kind, grid=TALL, dtype=dtype)
+        with T.no_grad():
+            maps = pipeline.forward_encoded(pipeline.encode(scene.cloud, cap=False))
+        score_thr = float(np.median(dense_candidates(*maps, CFG, 0.0)[2]))
+        args = (pipeline.anchors, pipeline.anchor_cls, CFG)
+        want = detection_rows(dense_postprocess(*maps, *args, score_thr=score_thr))
+        tiles = self._scored_tiles(monkeypatch)
+        assert want and detection_rows(pipeline.predict(scene.cloud, score_thr=score_thr)) == want
+        assert detection_rows(postprocess(*maps, *args, score_thr=score_thr)) == want
+        assert len(tiles) == TALL.height // 2 // 4
+        anchors_per_row = TALL.width // 2 * CFG.anchors_per_cell
+        for r0, tile, (index, *_) in tiles:
+            assert {r0, r0 + tile[0].shape[2] - 1} <= set((index // anchors_per_row).tolist())
+
+    @pytest.mark.parametrize("kind", ["dense", "baseline"])
+    @pytest.mark.parametrize("score_thr", [0.0, 1.0])
+    def test_thresholds_at_the_ends_of_their_range(self, kind, score_thr):
+        """`eval.score_threshold` may be 0 (every anchor is a candidate) or
+        1 (only anchors whose sigmoid rounds to 1): `predict` gives the
+        oracle's detections at both, without a warning. One anchor slot's
+        Car logits are raised so that some saturate."""
+        _, scene = self._pipeline_and_scene()
+        pipeline = self._eval_pipeline(kind)
+        pipeline.head.conv.bias.data[0] += 25.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = detection_rows(pipeline.predict(scene.cloud, score_thr=score_thr))
+        with T.no_grad():
+            maps = pipeline.forward_encoded(pipeline.encode(scene.cloud, cap=False))
+        assert got and got == detection_rows(dense_postprocess(
+            *maps, pipeline.anchors, pipeline.anchor_cls, CFG, score_thr=score_thr))
+
+    @pytest.mark.parametrize("kind", ["dense", "baseline"])
+    def test_predict_never_holds_the_stacked_head_map(self, kind):
+        """On a 320 x 320 grid the stacked head map [1, 72, 160, 160]
+        (7.0 MB) is large next to one tile of it. `predict`'s traced peak
+        is below that of `forward_encoded` and the oracle `postprocess` by
+        most of the map's bytes. Measured (tracemalloc, numpy 2.4): 23.5
+        against 29.3 MB on either backbone."""
+        grid = GridSpec(x_range=(0.0, 51.2), y_range=(-25.6, 25.6), pillar_size=(0.16, 0.16))
+        scene = synth_scene(seed=3000, n_boxes=8, x_range=grid.x_range, y_range=grid.y_range,
+                            n_ground=4000)
+        pipeline = DetectionPipeline(grid, backbone=kind, seed=0)
+        pipeline.set_mode("eval")
+
+        def whole_map():
+            with T.no_grad():
+                maps = pipeline.forward_encoded(pipeline.encode(scene.cloud, cap=False))
+            return maps, dense_postprocess(*maps, pipeline.anchors, pipeline.anchor_cls, CFG)
+
+        (maps, want), whole = traced_peak(whole_map)
+        got, streamed = traced_peak(lambda: pipeline.predict(scene.cloud))
+        assert detection_rows(got) == detection_rows(want)
+        stacked = sum(m.data.nbytes for m in maps)
+        assert stacked == 72 * 160 * 160 * 4
+        assert streamed <= whole - 0.75 * stacked, f"{streamed / 2**20:.1f} MB"
+
+    @pytest.mark.parametrize("kind", ["dense", "baseline"])
     def test_predict_in_train_mode_raises_and_changes_no_state(self, kind):
         """A new pipeline starts in train mode, where batch norm would use
         the frame's statistics and update its running ones."""
@@ -896,25 +1093,21 @@ class TestPredict:
         for k, v in pipeline.state_arrays().items():
             np.testing.assert_array_equal(v, before[k], err_msg=k)
 
-    @pytest.mark.parametrize("kind,bound_mb", [("dense", 56.0), ("baseline", 56.0)])
+    @pytest.mark.parametrize("kind,bound_mb", [("dense", 40.0), ("baseline", 40.0)])
     def test_peak_memory_on_the_kitti_grid(self, kind, bound_mb):
         """One `predict` on the KITTI grid builds no full-resolution map it
-        reads only once: the dense blocks stream by bands of rows and the
-        neck and head run per tile of rows. Measured peaks (tracemalloc,
-        numpy 2.4): 53.0 MB for each backbone, both in the neck and head
-        phase; with whole-height dense stage buffers dense took 107.4, and
-        with whole maps 143.2 and 134.2."""
+        reads only once: the dense blocks stream by bands of rows, the neck
+        and head run per tile of rows, and each head tile is scored as it
+        is written. Measured peaks (tracemalloc, numpy 2.4): 37.4 MB dense
+        and 35.9 MB baseline; with the stacked head map both took 53.0,
+        with whole-height dense stage buffers dense took 107.4, and with
+        whole maps 143.2 and 134.2."""
         grid = GridSpec()
         scene = synth_scene(seed=3000, n_boxes=20, x_range=grid.x_range, y_range=grid.y_range,
                             n_ground=14000)
         pipeline = DetectionPipeline(grid, backbone=kind, seed=0)
         pipeline.set_mode("eval")
-        tracemalloc.start()
-        try:
-            pipeline.predict(scene.cloud)
-            peak = tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: pipeline.predict(scene.cloud))[1] / 2**20
         assert peak <= bound_mb, f"{kind} predict peaked at {peak:.1f} MB"
 
     @pytest.mark.parametrize("kind", ["dense", "baseline"])
