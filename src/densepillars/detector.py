@@ -1,14 +1,13 @@
 """FPN neck, anchor head, target assignment, training loss, and decoding.
 
 The head is one 1x1 conv whose output stacks the class, box and direction
-maps, with or without a graph. When batch norm folds (eval mode, no graph),
-the neck and the head run per tile of the fused map's rows
-(`FPN.row_tiles`, `FPN.forward(rows=)`, `AnchorHead.forward(out=)`), so the
-fused map is never built whole; only there does the neck fold batch norm,
-once per frame (`FPN.folded`), for every tile. `head_candidates` scores the
-anchors of any rows of the head maps, so `predict` scores each tile as the
-head writes it and never builds the stacked map; `postprocess` scores whole
-maps with it. `decode_detections` decodes the candidates and runs NMS.
+maps. `head_candidates` scores the anchors of any rows of those maps. When
+batch norm folds (eval mode, no graph), `predict` runs the neck and the head
+per tile of the fused map's rows (`FPN.row_tiles`, `FPN.forward(rows=)`,
+with the neck's batch norm folded once per frame by `FPN.folded`) and
+scores each tile as the head writes it, so neither the fused map nor the
+stacked head map is built whole; `postprocess` scores whole maps.
+`decode_detections` decodes the candidates and runs NMS.
 """
 
 from __future__ import annotations
@@ -84,11 +83,6 @@ class FPN:
                 (Tensor(w, requires_grad=True), T.BatchNormParams.create(c_out), stride)
             )
 
-    def folds(self, taps):
-        """Whether batch norm folds into every branch, which `forward(rows=)`
-        needs."""
-        return all(bn.folds(tap, w) for tap, (w, bn, _) in zip(taps, self.branches))
-
     def row_tiles(self, taps):
         """Tiles [r0, r1) of the fused map's rows for `forward(rows=)`, each
         a multiple of the largest upsample stride, whose rows of the taps
@@ -109,7 +103,7 @@ class FPN:
         in, and the bias, for `forward(rows=)`: once per frame, from the
         current running statistics (nothing is cached). Every batch norm
         must fold."""
-        if not self.folds(taps):
+        if not all(bn.folds(tap, w) for tap, (w, bn, _) in zip(taps, self.branches)):
             raise ConfigurationError("FPN: rows= runs only when every batch norm folds")
         branches = []
         for w, bn, _ in self.branches:
@@ -178,20 +172,10 @@ class AnchorHead:
         b[: self.widths[0]] = -math.log((1 - prior) / prior)
         self.conv = T.Conv2dParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
 
-    @property
-    def channels(self):
-        """Channels of the stacked map: the three maps' together."""
-        return self.conv.weight.shape[0]
-
-    def forward(self, fused, out=None):
-        """Class, box and direction maps, split from the stacked map.
-        `out` (rows of a larger stacked map, say) receives the stacked map,
-        only without a graph."""
-        return self.split(T.conv2d(fused, self.conv, out=out))
-
-    def split(self, maps: Tensor):
-        """The class, box and direction maps: channel slices of the stacked
-        map [N, 72, H, W], through which a graph's gradients flow."""
+    def forward(self, fused):
+        """Class, box and direction maps: channel slices of the stacked map
+        [N, 72, H, W], through which a graph's gradients flow."""
+        maps = T.conv2d(fused, self.conv)
         bounds = np.cumsum([0, *self.widths])
         return tuple(T.channel_slice(maps, a, b) for a, b in zip(bounds[:-1], bounds[1:]))
 

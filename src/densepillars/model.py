@@ -23,7 +23,7 @@ from .detector import (
 from .detector import postprocess  # noqa: F401
 from .encoder import GridSpec, PFNWeights
 from .pointcloud import FormatError, PointCloud
-from .tensor import ConfigurationError, InvariantViolation, Tensor
+from .tensor import ConfigurationError, InvariantViolation
 
 
 class DetectionPipeline:
@@ -74,33 +74,21 @@ class DetectionPipeline:
         return self.backbone.forward(pillar_feats, batch.coords,
                                      (self.grid.height, self.grid.width))
 
-    def head_tiles(self, taps, out=None):
+    def head_tiles(self, taps):
         """Per tile of the fused map's rows (`FPN.row_tiles`), its first row
         and the class, box and direction maps of its rows: the neck and the
         head run per tile with batch norm folded (every batch norm must
-        fold), the neck's once per frame. With `out`, a stacked head map
-        [N, 72, H, W], each tile is written into its rows of it."""
+        fold), the neck's once per frame."""
         folded = self.neck.folded(taps)
         for r0, r1 in self.neck.row_tiles(taps):
-            tile = None if out is None else out[:, :, r0:r1]
-            yield r0, self.head.forward(self.neck.forward(taps, rows=(r0, r1), folded=folded),
-                                        out=tile)
+            yield r0, self.head.forward(self.neck.forward(taps, rows=(r0, r1), folded=folded))
 
     def forward_encoded(self, batch):
-        """The class, box and direction maps. When batch norm folds, the
-        neck and the head run per tile of rows (`head_tiles`) into one
-        stacked map, so the fused map is never built whole."""
-        taps = self._taps(batch)
-        if not self.neck.folds(taps):
-            return self.head.forward(self.neck.forward(taps))
-        n, _, rows, cols = self.neck.fused_shape(taps)
-        maps = np.empty((n, self.head.channels, rows, cols), dtype=taps[0].dtype)
-        for _ in self.head_tiles(taps, out=maps):
-            pass
-        return self.head.split(Tensor(maps))
+        """The class, box and direction maps of the whole frame."""
+        return self.head.forward(self.neck.forward(self._taps(batch)))
 
-    def forward(self, cloud: PointCloud, seed: int = 0, cap: bool = True):
-        return self.forward_encoded(self.encode(cloud, seed=seed, cap=cap))
+    def forward(self, cloud: PointCloud, cap: bool = True):
+        return self.forward_encoded(self.encode(cloud, cap=cap))
 
     def targets_for(self, gts):
         return assign_targets(self.anchors, self.anchor_cls, gts, self.anchor_cfg)

@@ -16,7 +16,8 @@ over its row block of the stacked weight and bias.
 
 All reuse the product's layer objects, so they share every parameter.
 `pillar_image` turns a dense image into the pillars of a fully occupied
-grid, every cell a pillar.
+grid, every cell a pillar. `predict_head_maps` is no oracle: it stacks the
+head tiles that `predict` scores, for comparison with whole maps.
 """
 
 import numpy as np
@@ -122,6 +123,21 @@ def pipeline_forward(pipeline, batch):
     feats = pfn_forward(batch, pipeline.pfn)
     taps = backbone_forward(pipeline.backbone, feats, batch.coords, pipeline.grid)
     return pipeline.head.forward(pipeline.neck.forward(taps))
+
+
+def predict_head_maps(pipeline, batch):
+    """The class, box and direction maps whose tiles `predict` scores: the
+    rows of `pipeline.head_tiles` (neck and head per tile, batch norm
+    folded) written into whole maps, under `no_grad`. The whole maps exist
+    from the first tile on, as a stacked head map would."""
+    with T.no_grad():
+        taps = pipeline._taps(batch)
+        n, _, rows, cols = pipeline.neck.fused_shape(taps)
+        out = [np.empty((n, c, rows, cols), taps[0].dtype) for c in pipeline.head.widths]
+        for r0, maps in pipeline.head_tiles(taps):
+            for whole, tile in zip(out, maps, strict=True):
+                whole[:, :, r0 : r0 + tile.shape[2]] = tile.data
+    return tuple(Tensor(m) for m in out)
 
 
 def pillar_image(x: Tensor):

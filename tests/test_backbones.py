@@ -29,6 +29,7 @@ from backbone_oracle import (
     concat_neck_forward,
     pillar_image,
     pipeline_forward,
+    predict_head_maps,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -261,16 +262,15 @@ class TestSparseFirstLayerOracle:
 
     @pytest.mark.parametrize("kind", ["dense", "baseline"])
     def test_fused_eval_path_matches_pseudo_image_path(self, kind):
-        """Under `no_grad` in eval mode, batch norm is folded into the convs
-        and the blocks and neck write into shared buffers; the oracle runs
-        the graph ops."""
+        """The maps whose tiles `predict` scores: batch norm is folded into
+        the convs, the blocks stream by bands and the neck and head run per
+        tile of rows; the oracle runs the graph ops."""
         scene = synth_scene(seed=4, n_boxes=2, x_range=SMALL.x_range, y_range=SMALL.y_range,
                             n_ground=300)
         cloud = PointCloud(np.concatenate([scene.cloud.points, BORDER_POINTS]))
         product, oracle = _float64_pipeline(kind, "eval"), _float64_pipeline(kind, "eval")
         batch = product.encode(cloud)
-        with T.no_grad():
-            got = product.forward_encoded(batch)
+        got = predict_head_maps(product, batch)
         want = pipeline_forward(oracle, batch)
         for name, a, b in zip(("cls", "box", "dir"), got, want, strict=True):
             assert a.dtype == np.float64, name

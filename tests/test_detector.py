@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import math
 import tracemalloc
 import warnings
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assign_oracle import dense_assign_targets
-from backbone_oracle import three_conv_head_forward
+from backbone_oracle import predict_head_maps, three_conv_head_forward
 from loss_oracle import dense_detection_loss
 from postprocess_oracle import dense_candidates, dense_postprocess
 from densepillars import model
@@ -110,20 +112,6 @@ class TestNeckAndHead:
         neck.bn_list()[1].mode = "train"
         with T.no_grad(), pytest.raises(ConfigurationError, match="folds"):
             neck.forward(taps, rows=(0, 4))
-
-    def test_head_out_receives_the_stacked_maps(self):
-        head = AnchorHead(seed=0)
-        x = Tensor(np.random.default_rng(0).normal(size=(1, 384, 4, 3)).astype(np.float32))
-        with T.no_grad():
-            want = head.forward(x)
-            stacked = np.full((1, head.channels, 9, 3), np.nan, dtype=np.float32)
-            got = head.forward(x, out=stacked[:, :, 5:])
-        for g, e in zip(got, want, strict=True):
-            np.testing.assert_array_equal(g.data, e.data)
-            assert np.shares_memory(g.data, stacked)
-        assert np.isnan(stacked[:, :, :5]).all()
-        with pytest.raises(ConfigurationError, match="without a graph"):
-            head.forward(x, out=stacked[:, :, 5:])  # the head's parameters require grad
 
     def test_head_matches_the_three_conv_oracle_in_training(self):
         """With a graph in train mode on the desk grid, the stacked conv's
@@ -860,6 +848,44 @@ class TestCandidateScoring:
             head_candidates(m, np.zeros((1, 42, 2, 2)), np.zeros((1, 12, 2, 2)), 0, 6, 0.1)
 
 
+def _perfbench_spans():
+    """perfbench's `spans` module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("spans", REPO / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+class TestTracedNames:
+    """perfbench times the program through the functions named in
+    `spans.TARGETS`: a name that is gone, or a `predict` route that goes
+    around one, reads as 0 ms in the benchmark while every output holds."""
+
+    def test_every_target_resolves(self):
+        for module, path, span in _perfbench_spans().TARGETS:
+            obj = importlib.import_module(module)
+            for part in path.split("."):
+                assert hasattr(obj, part), f"{module}.{path} ({span})"
+                obj = getattr(obj, part)
+            assert callable(obj), f"{module}.{path} ({span})"
+
+    @pytest.mark.parametrize("kind", ["dense", "baseline"])
+    def test_predict_fires_the_backbone_neck_and_head_spans(self, kind):
+        cfg = parse_config(REPO / "configs" / "desk_overfit.cfg")
+        pipeline = DetectionPipeline(cfg.grid_spec(), backbone=kind, seed=cfg["run.seed"])
+        pipeline.set_mode("eval")
+        cloud = make_training_scenes(cfg)[0].cloud
+        tracer = _perfbench_spans().Tracer()
+        tracer.install()
+        try:
+            pipeline.predict(cloud)
+        finally:
+            tracer.uninstall()
+        fired = {tracer.names[i] for i in tracer.arrays()["name"]}
+        assert {"model.predict", "backbones.forward", "detector.neck", "detector.head",
+                "tensor.conv2d"} <= fired
+
+
 class TestPredict:
     """`predict` runs the network under `no_grad` and handles empty frames."""
 
@@ -1013,16 +1039,15 @@ class TestPredict:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_streamed_predict_matches_oracle(self, monkeypatch, kind, dtype):
         """`predict` scores each 4-row tile as the head writes it; its
-        detections equal the whole-map oracle's over `forward_encoded`'s
-        stacked map in boxes, scores, labels and order, and so do
+        detections equal the whole-map oracle's over those tiles stacked
+        (`predict_head_maps`) in boxes, scores, labels and order, and so do
         `postprocess`'s. At the median best score as the threshold, every
         tile has candidates on its first and last rows."""
         monkeypatch.setattr(T, "_TILE_BYTES", 1)
         scene = synth_scene(seed=4, n_boxes=2, x_range=TALL.x_range, y_range=TALL.y_range,
                             n_ground=300)
         pipeline = self._eval_pipeline(kind, grid=TALL, dtype=dtype)
-        with T.no_grad():
-            maps = pipeline.forward_encoded(pipeline.encode(scene.cloud, cap=False))
+        maps = predict_head_maps(pipeline, pipeline.encode(scene.cloud, cap=False))
         score_thr = float(np.median(dense_candidates(*maps, CFG, 0.0)[2]))
         args = (pipeline.anchors, pipeline.anchor_cls, CFG)
         want = detection_rows(dense_postprocess(*maps, *args, score_thr=score_thr))
@@ -1047,8 +1072,7 @@ class TestPredict:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = detection_rows(pipeline.predict(scene.cloud, score_thr=score_thr))
-        with T.no_grad():
-            maps = pipeline.forward_encoded(pipeline.encode(scene.cloud, cap=False))
+        maps = predict_head_maps(pipeline, pipeline.encode(scene.cloud, cap=False))
         assert got and got == detection_rows(dense_postprocess(
             *maps, pipeline.anchors, pipeline.anchor_cls, CFG, score_thr=score_thr))
 
@@ -1056,9 +1080,10 @@ class TestPredict:
     def test_predict_never_holds_the_stacked_head_map(self, kind):
         """On a 320 x 320 grid the stacked head map [1, 72, 160, 160]
         (7.0 MB) is large next to one tile of it. `predict`'s traced peak
-        is below that of `forward_encoded` and the oracle `postprocess` by
-        most of the map's bytes. Measured (tracemalloc, numpy 2.4): 23.5
-        against 29.3 MB on either backbone."""
+        is below that of the same tiles written into whole maps
+        (`predict_head_maps`) and the oracle `postprocess` by most of the
+        map's bytes. Measured (tracemalloc, numpy 2.4): 23.5 against
+        30.6 MB on either backbone."""
         grid = GridSpec(x_range=(0.0, 51.2), y_range=(-25.6, 25.6), pillar_size=(0.16, 0.16))
         scene = synth_scene(seed=3000, n_boxes=8, x_range=grid.x_range, y_range=grid.y_range,
                             n_ground=4000)
@@ -1066,8 +1091,7 @@ class TestPredict:
         pipeline.set_mode("eval")
 
         def whole_map():
-            with T.no_grad():
-                maps = pipeline.forward_encoded(pipeline.encode(scene.cloud, cap=False))
+            maps = predict_head_maps(pipeline, pipeline.encode(scene.cloud, cap=False))
             return maps, dense_postprocess(*maps, pipeline.anchors, pipeline.anchor_cls, CFG)
 
         (maps, want), whole = traced_peak(whole_map)
