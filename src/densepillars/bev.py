@@ -1,13 +1,15 @@
 """Rotated-box geometry, greedy NMS, and average precision at 40 recall points.
 
-Every overlap (target assignment, NMS, AP matching and recall) goes through
-one batched kernel, `_intersection_area`, on box rows
+Every overlap (target assignment, NMS, AP matching and recall) is scored
+by one batched kernel, `_intersection_area`, on box rows
 `[cx, cy, cz, w, l, h, yaw]`. Callers first find the pairs that can
 overlap with `pairs_in_reach`, then make one call on those pairs. It keeps a
 pair when the two boxes' axis-aligned BEV bounding boxes meet and no edge
 direction of either box separates them, exact tests: a pair it drops has
 intersection area 0. With a key per box (the class), it keeps only pairs of
-equal key.
+equal key. Where only a comparison with a threshold matters (target
+assignment, NMS), `iou_bounds` decides a pair first, and the kernel scores
+only the pairs its bounds leave open.
 """
 
 from __future__ import annotations
@@ -20,11 +22,21 @@ import numpy as np
 from .pointcloud import CLASSES, Box3D
 
 _AREA_EPS = 1e-9
-# Pairs per chunk in the overlap kernel and in the exact tests of
-# `pairs_in_reach`, which bounds their temporaries: about 1 KB and 330 B
-# per pair under tracemalloc. A KITTI frame's assignment scores about
-# 7,000 pairs, one kernel chunk.
+# Pairs per chunk in the overlap kernel, in `iou_bounds` and in the exact
+# tests of `pairs_in_reach`, which bounds their temporaries: about 1 KB
+# and 330 B per pair in the kernel and the tests under tracemalloc. A
+# KITTI frame's assignment finds about 6,900 pairs in reach, one chunk,
+# and the kernel scores about a sixth of them.
 _CHUNK_PAIRS = 1 << 14
+# `iou_bounds` widens its areas by _ROUND_AREA times the square of a
+# pair's largest corner coordinate, which covers the kernel's rounding
+# (measured: 1.1 ulp of that square up to 80 m) thousands of times over,
+# and with it the rounding of an IoU's division; and the disk lens by
+# _LENS_ATOL times the squared sum of the radii, which covers the
+# arccos's square-root sensitivity next to tangency (about 1.5e-8, the
+# square root of an ulp).
+_ROUND_AREA = 1e-12
+_LENS_ATOL = 1e-6
 
 
 @dataclass
@@ -144,6 +156,65 @@ def pair_iou(a, b, mode: str = "BEV") -> np.ndarray:
     return np.clip(iou, 0.0, 1.0)
 
 
+def iou_bounds(a, b) -> np.ndarray:
+    """[2, P] lower and upper bounds on `pair_iou(a, b)` (BEV) of the box
+    pairs (a[p], b[p]), from cheap tests in chunks of `_CHUNK_PAIRS` pairs.
+
+    The bounds enclose the kernel's own value, rounding included, so a
+    caller can settle a pair against a threshold without clipping it.
+    """
+    out = np.empty((2, a.shape[0]))
+    for s in range(0, a.shape[0], _CHUNK_PAIRS):
+        out[:, s : s + _CHUNK_PAIRS] = _bounds(a[s : s + _CHUNK_PAIRS], b[s : s + _CHUNK_PAIRS])
+    return out
+
+
+def _bounds(a, b):
+    """`iou_bounds` of one chunk. The intersection lies within each box cut
+    to the other's projections on that box's axes, so it is at most the
+    product of the two overlap lengths, and it holds the lens of the two
+    inscribed disks. The areas widen by the kernel's rounding and the lens
+    formula's."""
+    area_a = a[:, 3] * a[:, 4]
+    area_b = b[:, 3] * b[:, 4]
+    small = np.minimum(area_a, area_b)
+    scale = np.maximum(np.abs(a[:, :2]).max(axis=1), np.abs(b[:, :2]).max(axis=1))
+    scale += np.maximum(a[:, 3:5].max(axis=1), b[:, 3:5].max(axis=1))
+    slack = _ROUND_AREA * scale * scale
+
+    span = [np.maximum(np.minimum(np.minimum(2.0 * own, 2.0 * (reach - own)), reach - dist), 0.0)
+            for dist, own, reach in _own_axis_projections(a, b)]
+    upper = np.minimum(np.minimum(span[0] * span[1], span[2] * span[3]), small) + slack
+    union = area_a + area_b - upper
+    hi = np.minimum(np.divide(upper, union, out=np.ones_like(union), where=union > 0.0), 1.0)
+
+    r_a = np.minimum(a[:, 3], a[:, 4]) / 2.0
+    r_b = np.minimum(b[:, 3], b[:, 4]) / 2.0
+    lens = _lens_area(r_a, r_b, np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]))
+    lower = lens - _LENS_ATOL * (r_a + r_b) ** 2 - slack
+    # large enough that the kernel neither zeroes it nor finds the union
+    # below `_AREA_EPS`
+    settled = lower >= 2.0 * _AREA_EPS * np.maximum(small, 1.0)
+    union = area_a + area_b - lower
+    lo = np.divide(lower, union, out=np.zeros_like(union), where=settled)
+    return lo, hi
+
+
+def _lens_area(r_a, r_b, d):
+    """Area shared by the disks of radii r_a and r_b whose centres are d
+    apart."""
+    inside = d <= np.abs(r_a - r_b)
+    part = ~inside & (d < r_a + r_b)
+    q = (r_a - r_b) * (r_a + r_b)
+    cos_a = np.divide(d * d + q, 2.0 * d * r_a, out=np.ones_like(d), where=part)
+    cos_b = np.divide(d * d - q, 2.0 * d * r_b, out=np.ones_like(d), where=part)
+    kite = (r_a + r_b - d) * (d + r_a - r_b) * (d - r_a + r_b) * (d + r_a + r_b)
+    lens = (r_a * r_a * np.arccos(np.clip(cos_a, -1.0, 1.0))
+            + r_b * r_b * np.arccos(np.clip(cos_b, -1.0, 1.0))
+            - 0.5 * np.sqrt(np.maximum(kite, 0.0)))
+    return np.where(inside, np.pi * np.minimum(r_a, r_b) ** 2, np.where(part, lens, 0.0))
+
+
 def _aabb_half_extents(rows):
     """Half widths along x and y of the axis-aligned boxes around the BEV
     footprints of rows [N, 7], widened by `_AREA_EPS` so that rounding never
@@ -155,24 +226,35 @@ def _aabb_half_extents(rows):
     return c * half_l + s * half_w + _AREA_EPS, s * half_l + c * half_w + _AREA_EPS
 
 
-def _apart_along_own_axes(a, b):
-    """Whether an edge direction of a or of b separates the BEV footprints
-    of the row pairs (a[p], b[p]), each half extent widened by `_AREA_EPS`
-    as in `_aabb_half_extents`: such a pair has intersection area 0."""
+def _own_axis_projections(a, b):
+    """Per edge direction of the row pairs (a[p], b[p]), a's length and
+    width axes and then b's: the distance between the two centres along it,
+    the half extent of the box it belongs to, and the reach, that half
+    extent plus the half extent of the other box's projection on it. The
+    footprints can meet only where no distance exceeds its reach."""
     ca, sa = np.cos(a[:, 6]), np.sin(a[:, 6])
     cb, sb = np.cos(b[:, 6]), np.sin(b[:, 6])
     # |cos| and |sin| of the angle between the two boxes' length axes
     cd = np.abs(ca * cb + sa * sb)
     sd = np.abs(sa * cb - ca * sb)
     dx, dy = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
-    apart = np.zeros(a.shape[0], dtype=bool)
+    out = []
     for c, s, own, other in ((ca, sa, a, b), (cb, sb, b, a)):
         half_l, half_w = other[:, 4] / 2.0, other[:, 3] / 2.0
-        reach_l = own[:, 4] / 2.0 + cd * half_l + sd * half_w + 2 * _AREA_EPS
-        reach_w = own[:, 3] / 2.0 + sd * half_l + cd * half_w + 2 * _AREA_EPS
+        own_l, own_w = own[:, 4] / 2.0, own[:, 3] / 2.0
         # along own's length axis (c, s), then its width axis (-s, c)
-        apart |= np.abs(dx * c + dy * s) > reach_l
-        apart |= np.abs(dy * c - dx * s) > reach_w
+        out.append((np.abs(dx * c + dy * s), own_l, own_l + cd * half_l + sd * half_w))
+        out.append((np.abs(dy * c - dx * s), own_w, own_w + sd * half_l + cd * half_w))
+    return out
+
+
+def _apart_along_own_axes(a, b):
+    """Whether an edge direction of a or of b separates the BEV footprints
+    of the row pairs (a[p], b[p]), each half extent widened by `_AREA_EPS`
+    as in `_aabb_half_extents`: such a pair has intersection area 0."""
+    apart = np.zeros(a.shape[0], dtype=bool)
+    for dist, _, reach in _own_axis_projections(a, b):
+        apart |= dist > reach + 2 * _AREA_EPS
     return apart
 
 
@@ -253,7 +335,12 @@ def nms_bev(dets, iou_thr: float):
     l, e = pairs_in_reach(rows, rows, labels, labels)
     later = e < l
     l, e = l[later], e[later]
-    hit = pair_iou(rows[l], rows[e]) > iou_thr
+    a, b = rows[l], rows[e]
+    lo, hi = iou_bounds(a, b)
+    # the bounds settle most pairs; the kernel scores the rest
+    hit = lo > iou_thr
+    open_ = ~hit & (hi > iou_thr)
+    hit[open_] = pair_iou(a[open_], b[open_]) > iou_thr
     l, e = l[hit], e[hit]
     start = np.searchsorted(e, np.arange(len(ranked) + 1))
     removed = np.zeros(len(ranked), dtype=bool)

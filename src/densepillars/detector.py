@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .bev import box_rows, nms_bev, pair_iou, pairs_in_reach
+from .bev import box_rows, iou_bounds, nms_bev, pair_iou, pairs_in_reach
 # not called here: re-exported because perfbench/spans.py wraps
 # detector.rotated_iou_bev by name, and tracing fails without the attribute
 from .bev import rotated_iou_bev  # noqa: F401
@@ -304,24 +304,39 @@ def assign_targets(anchors, anchor_cls, gts, cfg: AnchorConfig) -> TargetAssignm
     """BEV-IoU threshold matching with per-ground-truth force matching.
 
     Only anchor-ground-truth pairs of one class whose footprints can meet
-    are scored; every other pair has IoU 0, which leaves an anchor negative
-    (`AnchorConfig` keeps both thresholds above 0). The positives are
-    collected from the pair list, so the labels are the one table over all
-    anchors it builds.
+    are considered; every other pair has IoU 0, which leaves an anchor
+    negative (`AnchorConfig` keeps both thresholds above 0). Of those, the
+    kernel scores only the pairs whose `iou_bounds` upper bound can change
+    a label or a force match. The positives are collected from the pair
+    list, so the labels are the one table over all anchors it builds.
     """
     labels = np.zeros(anchors.shape[0], dtype=np.int8)
     rows = box_rows([b for b, _ in gts])
     gt_cls = np.array([CLASSES.index(c) for _, c in gts], dtype=np.int64)
     i, j = pairs_in_reach(anchors, rows, anchor_cls, gt_cls)
-    iou = pair_iou(anchors[i], rows[j])
+    a, b = anchors[i], rows[j]
+    hi = iou_bounds(a, b)[1]
+    unmatch = np.array([cfg.unmatch_thresholds[c] for c in CLASSES])
+    # a pair below its class's unmatch threshold labels no anchor: the
+    # kernel scores only pairs whose bound reaches it, then those a ground
+    # truth's force match can still come from, whose bound reaches the best
+    # IoU scored for that ground truth (ties go to the lowest anchor)
+    scored = hi >= unmatch[gt_cls[j]]
+    iou = np.zeros(i.size)
+    iou[scored] = pair_iou(a[scored], b[scored])
+    best_of_gt = np.zeros(rows.shape[0])
+    np.maximum.at(best_of_gt, j[scored], iou[scored])
+    late = ~scored & (hi >= best_of_gt[j])
+    iou[late] = pair_iou(a[late], b[late])
+    scored |= late
+    i, j, iou = i[scored], j[scored], iou[scored]
 
     # each anchor's best ground truth: highest IoU, ties to the lowest index
     best = _first_of_runs(i, np.lexsort((j, -iou, i)))
     ai, best_iou = i[best], iou[best]
     match = np.array([cfg.match_thresholds[c] for c in CLASSES])[anchor_cls[ai]]
-    unmatch = np.array([cfg.unmatch_thresholds[c] for c in CLASSES])[anchor_cls[ai]]
     pos = best_iou >= match
-    labels[ai[(best_iou >= unmatch) & ~pos]] = -1
+    labels[ai[(best_iou >= unmatch[anchor_cls[ai]]) & ~pos]] = -1
 
     # every ground truth claims its best-overlapping anchor (ties to the
     # lowest anchor index); where two claim one anchor, the later one holds it

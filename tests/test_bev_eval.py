@@ -16,6 +16,7 @@ from densepillars.bev import (
     box_rows,
     evaluate_set,
     iou_3d,
+    iou_bounds,
     iou_matrix,
     nms_bev,
     pair_iou,
@@ -352,6 +353,108 @@ class TestPairFinder:
         assert (np.diff(got_j) >= 0).all()
 
 
+@st.composite
+def _nested(draw):
+    """A box, or a footprint below `_AREA_EPS`, and one inside it: the
+    same yaw, each extent a fraction from 1e-6 to 1 of the outer one (1 on
+    both: identical boxes), the centre moved along the outer box's axes by
+    at most the room left."""
+    p = draw(st.one_of(_boxes, _specks))
+    fw, fl = draw(st.floats(1e-6, 1.0)), draw(st.floats(1e-6, 1.0))
+    tw, tl = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    du, dv = tl * (1.0 - fl) * p.l / 2.0, tw * (1.0 - fw) * p.w / 2.0
+    c, s = math.cos(p.yaw), math.sin(p.yaw)
+    q = dataclasses.replace(p, cx=p.cx + du * c - dv * s, cy=p.cy + du * s + dv * c,
+                            w=p.w * fw, l=p.l * fl)
+    return (p, q) if draw(st.booleans()) else (q, p)
+
+
+_specks = st.builds(  # footprints from 1e-14 to 1.6e-9, around `_AREA_EPS`
+    Box3D, _coord, _coord, st.floats(-1.0, 1.0), st.floats(1e-7, 4e-5), st.floats(1e-7, 4e-5),
+    _size, _yaw
+)
+_bound_pairs = st.one_of(
+    st.tuples(_boxes, _boxes),
+    st.tuples(st.one_of(_boxes, _specks), _specks),
+    _nested(),
+    _touching_pairs(),
+    _apart_along_an_edge(),
+    st.sampled_from([TestBatchedKernel.CASES[c][:2] for c in TestBatchedKernel.TOUCHING]),
+)
+
+
+class TestIoUBounds:
+    """`iou_bounds` encloses the kernel's own BEV IoU, rounding included,
+    so that a pair it settles against a threshold is settled as the kernel
+    would settle it. Tier-1 turns a RuntimeWarning from the bounds'
+    arithmetic into an error."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_bound_pairs, st.one_of(st.just(0.0), st.floats(-80.0, 80.0)),
+                              st.one_of(st.just(0.0), st.floats(-80.0, 80.0))),
+                    min_size=1, max_size=30))
+    def test_bounds_enclose_the_kernel(self, drawn):
+        """Any boxes, identical and nested ones, footprints below
+        `_AREA_EPS`, touching pairs and pairs apart by 1e-15 to 1e-6, each
+        pair moved by up to 80 m (the KITTI range's coordinates)."""
+        moved = [tuple(dataclasses.replace(box, cx=box.cx + x, cy=box.cy + y) for box in pair)
+                 for pair, x, y in drawn]
+        a, b = box_rows([p for p, _ in moved]), box_rows([q for _, q in moved])
+        lo, hi = iou_bounds(a, b)
+        iou = pair_iou(a, b)
+        assert (lo >= 0.0).all() and (hi <= 1.0).all()
+        assert (lo <= iou).all(), np.flatnonzero(lo > iou)
+        assert (iou <= hi).all(), np.flatnonzero(iou > hi)
+
+    def test_bounds_enclose_the_kernel_on_near_tangent_and_nested_boxes(self):
+        """Seeded pairs where the margins matter, up to 80 m out: boxes of
+        one yaw side by side along their width axes, overlapping by 1e-16
+        to 1e-5 m, so that their inscribed disks are next to tangent and
+        the lens formula loses half its digits; and boxes inside boxes, of
+        sizes down to footprints below `_AREA_EPS`. Without either margin
+        of `iou_bounds`, hundreds of these pairs fall outside."""
+        rng = np.random.default_rng(0)
+        n = 20_000
+        a, b = np.zeros((2, 2 * n, 7))
+        a[:, :2] = rng.uniform(-80.0, 80.0, (2 * n, 2))
+        a[:, 3] = rng.uniform(0.3, 3.0, 2 * n) * np.repeat([1.0, 3e-5], n)
+        a[:, 4] = a[:, 3] * rng.uniform(1.0, 3.0, 2 * n)
+        a[:, 6] = rng.uniform(-math.pi, math.pi, 2 * n)
+        b[:] = a
+        c, s = np.cos(a[:, 6]), np.sin(a[:, 6])
+        side, inner = slice(0, n), slice(n, 2 * n)
+        b[side, 3] = rng.uniform(0.3, 3.0, n)
+        b[side, 4] = b[side, 3] * rng.uniform(1.0, 3.0, n)
+        d = (a[side, 3] + b[side, 3]) / 2.0 - 10.0 ** rng.uniform(-16.0, -5.0, n)
+        b[side, 0] -= d * s[side]
+        b[side, 1] += d * c[side]
+        frac = np.where(rng.uniform(size=(n, 1)) < 0.3, 1.0, rng.uniform(0.0, 1.0, (n, 2)))
+        b[inner, 3:5] = a[inner, 3:5] * frac
+        du, dv = (rng.uniform(-1.0, 1.0, (2, n)) * (1.0 - frac.T) * a[inner, 4:2:-1].T / 2.0)
+        b[inner, 0] += du * c[inner] - dv * s[inner]
+        b[inner, 1] += du * s[inner] + dv * c[inner]
+        lo, hi = iou_bounds(a, b)
+        iou = pair_iou(a, b)
+        assert (lo <= iou).all(), np.flatnonzero(lo > iou)
+        assert (iou <= hi).all(), np.flatnonzero(iou > hi)
+
+    def test_bounds_are_tight_on_identical_nested_and_touching_boxes(self):
+        """Not vacuous: identical boxes reach 1, a box in one four times its
+        area reaches the area ratio (from above) and holds the lens of the
+        inscribed disks, and boxes that only touch or lie apart get an upper
+        bound of rounding dust."""
+        a = box_rows([bev_box(20.0, -7.0, 1.6, 3.9, 0.7), bev_box(0, 0, 2, 2),
+                      bev_box(0, 0, 1, 1), bev_box(0, 0, 1, 1)])
+        b = box_rows([bev_box(20.0, -7.0, 1.6, 3.9, 0.7), bev_box(0.3, -0.2, 1, 1),
+                      bev_box(1, 0, 1, 1), bev_box(0, 1.5, 1, 1)])
+        lo, hi = iou_bounds(a, b)
+        disk = math.pi * 0.8**2
+        assert hi[0] == 1.0 and lo[0] == pytest.approx(disk / (2 * 1.6 * 3.9 - disk), rel=1e-5)
+        assert 0.25 <= hi[1] <= 0.25 + 1e-8
+        assert lo[1] == pytest.approx((math.pi / 4) / (5 - math.pi / 4), rel=1e-5)
+        assert (hi[2:] < 1e-8).all() and (lo[2:] == 0.0).all()
+
+
 def _crowd(n, seed):
     """n Car detections of random sizes, yaws and distinct scores, centred
     within 0.5 m of one point: every pair overlaps."""
@@ -364,9 +467,9 @@ def _crowd(n, seed):
 
 
 class TestChunkedOverlap:
-    """`pairs_in_reach` runs its exact tests, and the overlap kernel its
-    clipping, per chunk of `_CHUNK_PAIRS` pairs; a row's result never
-    depends on the chunk it falls in."""
+    """`pairs_in_reach` runs its exact tests, the overlap kernel its
+    clipping and `iou_bounds` its bounds per chunk of `_CHUNK_PAIRS` pairs;
+    a row's result never depends on the chunk it falls in."""
 
     def test_one_pair_chunks_equal_one_whole_chunk(self, monkeypatch):
         rng = np.random.default_rng(0)
@@ -390,7 +493,8 @@ class TestChunkedOverlap:
                 i, j = pairs_in_reach(a, b)
                 kept = {id(d) for d in nms_bev(dets, 0.01)}
                 out = (i, j, *pairs_in_reach(a, b, key_a, key_b), pair_iou(a[i], b[j]),
-                       pair_iou(a[i], b[j], "3D"), np.array([id(d) in kept for d in dets]))
+                       pair_iou(a[i], b[j], "3D"), *iou_bounds(a[i], b[j]),
+                       np.array([id(d) in kept for d in dets]))
             runs.append((out, calls))
         (whole, whole_calls), (split, split_calls) = runs
         assert whole[0].size > 200 and 1 < whole[-1].sum() < len(dets)
@@ -406,8 +510,9 @@ class TestChunkedOverlap:
         """500 mutually overlapping detections put 250,000 pairs in reach;
         the time stays quadratic in them, and their memory is a few arrays
         of the pairs' indices and rows. Measured peak (tracemalloc, numpy
-        2.4, six seeds): 34.9-36.0 MB; 142.9-143.9 MB when the kernel and
-        the exact tests ran on all pairs at once."""
+        2.4, six seeds): 21.0-22.0 MB; 34.9-36.0 MB when the kernel scored
+        every pair, and 142.9-143.9 MB when the kernel and the exact tests
+        ran on all pairs at once."""
         dets = _crowd(500, 0)
         rows = box_rows([d.box for d in dets])
         assert pairs_in_reach(rows, rows)[0].size == 500 * 500
@@ -484,6 +589,28 @@ class TestNMS:
         got = nms_bev(dets, thr)
         want = [dets[i] for i in brute_nms(dets, thr)]
         assert [(d.score, d.label) for d in got] == [(d.score, d.label) for d in want]
+
+    @pytest.mark.parametrize("thr", [0.0, 0.01, 0.5, 1.0])
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_crowds_match_brute_force_at_the_ends_of_the_threshold_range(self, thr, seed):
+        """Up to 30 boxes of two classes within 1.5 m, some exact copies:
+        most pairs overlap, so the bounds settle most of them at each end
+        of the range `config` allows."""
+        rng = np.random.default_rng(seed)
+        dets = []
+        for _ in range(int(rng.integers(2, 31))):
+            if dets and rng.uniform() < 0.2:
+                box, label = dets[int(rng.integers(len(dets)))][:2]
+            else:
+                label = ["Car", "Pedestrian"][int(rng.integers(0, 2))]
+                w, l = rng.uniform([0.5, 0.6], [2.0, 4.5])
+                box = Box3D(*rng.uniform(-1.5, 1.5, 2), -1.0, w, l, 1.5,
+                            float(rng.uniform(-math.pi, math.pi)))
+            dets.append((box, label, float(rng.uniform())))
+        dets = [Detection(box, score, label) for box, label, score in dets]
+        got = nms_bev(dets, thr)
+        assert [id(d) for d in got] == [id(dets[i]) for i in brute_nms(dets, thr)]
 
 
 class TestAPR40:
