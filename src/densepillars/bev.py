@@ -7,9 +7,13 @@ overlap with `pairs_in_reach`, then make one call on those pairs. It keeps a
 pair when the two boxes' axis-aligned BEV bounding boxes meet and no edge
 direction of either box separates them, exact tests: a pair it drops has
 intersection area 0. With a key per box (the class), it keeps only pairs of
-equal key. Where only a comparison with a threshold matters (target
-assignment, NMS), `iou_bounds` decides a pair first, and the kernel scores
-only the pairs its bounds leave open.
+equal key; given one table, each pair of distinct rows once (i > j), as
+NMS needs. Row tables may be row- or column-major: the anchors come
+column-major (`detector.generate_anchors`) and are read in place. Where
+only a comparison with a threshold matters (target assignment, NMS),
+`iou_bounds` decides a pair first, and the kernel scores only the pairs
+its bounds leave open. `nms_bev` works on arrays of rows, scores and
+labels and returns the indices it keeps.
 """
 
 from __future__ import annotations
@@ -258,34 +262,42 @@ def _apart_along_own_axes(a, b):
     return apart
 
 
-def pairs_in_reach(a, b, key_a=None, key_b=None):
+def pairs_in_reach(a, b=None, key_a=None, key_b=None):
     """Index pairs (i, j) of rows a [N, 7] and b [M, 7] whose BEV
     footprints overlap or touch: every pair that can share area. Their
     axis-aligned bounding boxes must meet, and then their projections on
     each box's own edge directions (`_apart_along_own_axes`, which drops
     14% of the pairs the first test passes on a KITTI frame). With keys
-    ([N] and [M] arrays), only pairs of equal key. The pairs come ordered
-    by j."""
+    ([N] and [M] arrays), only pairs of equal key. Without b, the pairs
+    i > j of a with itself, keyed by key_a: each pair of distinct rows
+    once, the other half dropped before the exact tests. The pairs come
+    ordered by j.
+
+    Column-major rows (`detector.generate_anchors`) are read in place:
+    the binary search runs on a's y column as a view."""
+    within = b is None
+    if within:
+        b, key_b = a, key_a
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros(0, np.int64), np.zeros(0, np.int64)
     # binary search over the rows of a sorted by y for the rows within reach
     # of each row of b along y, then along x, then the exact tests on those
-    ys = np.ascontiguousarray(a[:, 1])
+    ys = a[:, 1]
     by_y = None
     if not (ys[1:] >= ys[:-1]).all():  # anchors come sorted
         by_y = np.argsort(ys, kind="stable")
         ys = ys[by_y]
         key_a = None if key_a is None else key_a[by_y]
-    if key_a is None:
-        groups = [(np.arange(a.shape[0]), np.arange(b.shape[0]))]
-    else:
-        groups = [(np.flatnonzero(key_a == k), np.flatnonzero(key_b == k))
-                  for k in np.unique(key_b)]
     # no footprint in a reaches farther than `far` from its centre
     far = np.hypot(a[:, 3].max(), a[:, 4].max()) / 2.0 + _AREA_EPS
     half_xb, half_yb = _aabb_half_extents(b)
     found_i, found_j = [], []
-    for pos, jb in groups:  # pos: positions in y order
+    for key in [None] if key_a is None else np.unique(key_b):
+        # pos: the positions in y order of the rows of a with this key
+        if key is None:
+            pos, jb = np.arange(a.shape[0]), np.arange(b.shape[0])
+        else:
+            pos, jb = np.flatnonzero(key_a == key), np.flatnonzero(key_b == key)
         reach = far + half_yb[jb]
         lo = np.searchsorted(pos, np.searchsorted(ys, b[jb, 1] - reach, side="left"))
         count = np.searchsorted(pos, np.searchsorted(ys, b[jb, 1] + reach, side="right")) - lo
@@ -296,6 +308,9 @@ def pairs_in_reach(a, b, key_a=None, key_b=None):
             j = np.repeat(jb[k], count[k])
             i = pos[np.arange(j.size) + np.repeat(lo[k] - (start[k] - start[k[0]]), count[k])]
             i = i if by_y is None else by_y[i]
+            if within:
+                later = i > j
+                i, j = i[later], j[later]
             near = np.abs(a[i, 0] - b[j, 0]) <= far + half_xb[j]
             i, j = i[near], j[near]
             half_xa, half_ya = _aabb_half_extents(a[i])
@@ -326,15 +341,15 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     return float(iou_matrix(box_rows([a]), box_rows([b]), "3D")[0, 0])
 
 
-def nms_bev(dets, iou_thr: float):
-    """Greedy by descending score (ties by original index); class-wise suppression."""
-    ranked = sorted(dets, key=lambda d: -d.score)
-    rows = box_rows([d.box for d in ranked])
-    labels = np.array([d.label for d in ranked])
-    # pairs (l, e), ordered by e: box e may suppress the later box l of its class
-    l, e = pairs_in_reach(rows, rows, labels, labels)
-    later = e < l
-    l, e = l[later], e[later]
+def nms_bev(rows, scores, labels, iou_thr: float) -> np.ndarray:
+    """Greedy class-wise NMS over boxes rows [N, 7] with scores [N] and
+    class labels [N]: the indices of the kept rows, by descending score
+    (ties by index). In that order a box is kept unless a kept box of its
+    label overlaps it with BEV IoU above `iou_thr`."""
+    order = np.argsort(-np.asarray(scores), kind="stable")
+    rows, labels = rows[order], np.asarray(labels)[order]
+    # pairs (l, e), l > e, ordered by e: box e may suppress the later box l
+    l, e = pairs_in_reach(rows, key_a=labels)
     a, b = rows[l], rows[e]
     lo, hi = iou_bounds(a, b)
     # the bounds settle most pairs; the kernel scores the rest
@@ -342,14 +357,14 @@ def nms_bev(dets, iou_thr: float):
     open_ = ~hit & (hi > iou_thr)
     hit[open_] = pair_iou(a[open_], b[open_]) > iou_thr
     l, e = l[hit], e[hit]
-    start = np.searchsorted(e, np.arange(len(ranked) + 1))
-    removed = np.zeros(len(ranked), dtype=bool)
-    kept = []
-    for i, d in enumerate(ranked):
+    start = np.searchsorted(e, np.arange(order.size + 1))
+    removed = np.zeros(order.size, dtype=bool)
+    # a box is removed only by an earlier kept one, so only the boxes that
+    # suppress some other box need a turn, in rank order
+    for i in np.flatnonzero(np.diff(start)):
         if not removed[i]:
-            kept.append(d)
             removed[l[start[i]:start[i + 1]]] = True
-    return kept
+    return order[~removed]
 
 
 def _match_frame(dets, gts, cls, iou_thr, mode):

@@ -194,7 +194,10 @@ def generate_anchors(grid: GridSpec, cfg: AnchorConfig):
     """All anchors on the stride-2 feature grid.
 
     Ordering is row-major over cells, class-major, rotation-minor. Returns
-    (boxes [A, 7] float64, class index [A]).
+    (boxes [A, 7] float64, class index [A]). The boxes are column-major:
+    each field is written whole into a [7, fh, fw, A_cell] buffer, and the
+    table is that buffer's transpose, so a column such as the centres' y
+    that `pairs_in_reach` searches is a contiguous view.
     """
     fh = grid.height // cfg.feature_stride
     fw = grid.width // cfg.feature_stride
@@ -203,23 +206,16 @@ def generate_anchors(grid: GridSpec, cfg: AnchorConfig):
     xs = grid.x_range[0] + (np.arange(fw) + 0.5) * cell_x
     ys = grid.y_range[0] + (np.arange(fh) + 0.5) * cell_y
 
-    n_rot = len(cfg.rotations)
     a_cell = cfg.anchors_per_cell
-    boxes = np.zeros((fh, fw, a_cell, 7), dtype=np.float64)
-    cls_idx = np.zeros((fh, fw, a_cell), dtype=np.int64)
-    boxes[:, :, :, 0] = xs[None, :, None]
-    boxes[:, :, :, 1] = ys[:, None, None]
-    for ci, cls in enumerate(CLASSES):
-        w, l, h = cfg.sizes[cls]
-        for ri, rot in enumerate(cfg.rotations):
-            a = ci * n_rot + ri
-            boxes[:, :, a, 2] = cfg.z_centers[cls]
-            boxes[:, :, a, 3] = w
-            boxes[:, :, a, 4] = l
-            boxes[:, :, a, 5] = h
-            boxes[:, :, a, 6] = rot
-            cls_idx[:, :, a] = ci
-    return boxes.reshape(-1, 7), cls_idx.reshape(-1)
+    # (z, w, l, h, yaw) of each anchor in a cell, and its class
+    per_cell = np.array([(cfg.z_centers[cls], *cfg.sizes[cls], rot)
+                         for cls in CLASSES for rot in cfg.rotations], dtype=np.float64)
+    cell_cls = np.repeat(np.arange(len(CLASSES), dtype=np.int64), len(cfg.rotations))
+    columns = np.empty((7, fh, fw, a_cell), dtype=np.float64)
+    columns[0] = xs[None, :, None]
+    columns[1] = ys[:, None, None]
+    columns[2:] = per_cell.T[:, None, None, :]
+    return columns.reshape(7, -1).T, np.tile(cell_cls, fh * fw)
 
 
 def encode_boxes(gt: np.ndarray, anchors: np.ndarray) -> np.ndarray:
@@ -526,22 +522,20 @@ def head_candidates(cls_map, box_map, dir_map, row0, anchors_per_cell, score_thr
 
 def decode_detections(candidates, anchors, nms_thr: float = 0.01):
     """Detections from `head_candidates`' output: decoded boxes with
-    direction-corrected yaw, after class-wise rotated NMS."""
+    direction-corrected yaw, after class-wise rotated NMS. Decoding and
+    NMS run on arrays; only the kept rows become `Detection`s."""
     index, best_cls, best_score, box, dir_bin = candidates
     if index.size == 0:
         return []
-    decoded = decode_boxes(box, anchors[index])
-
-    dets = []
-    for row, d, ci, sc in zip(decoded, dir_bin, best_cls, best_score):
-        yaw = wrap_angle(row[6])
-        if d == 1 and yaw < 0:
-            yaw = wrap_angle(yaw + math.pi)
-        elif d == 0 and yaw >= 0:
-            yaw = wrap_angle(yaw - math.pi)
-        box = Box3D(*(float(v) for v in row[:6]), float(yaw))
-        dets.append(Detection(box, float(sc), CLASSES[ci]))
-    return nms_bev(dets, nms_thr)
+    rows = decode_boxes(box, anchors[index])
+    # wrap, then turn by pi each yaw whose sign its direction bin rejects
+    yaw = wrap_angle(rows[:, 6])
+    flip = np.where(dir_bin == 1, yaw < 0, yaw >= 0)
+    yaw[flip] = wrap_angle(yaw[flip] + np.where(dir_bin[flip] == 1, math.pi, -math.pi))
+    rows[:, 6] = wrap_angle(yaw)  # the yaw a `Box3D` holds: it wraps once more
+    return [Detection(Box3D(*rows[k, :6].tolist(), float(yaw[k])), float(best_score[k]),
+                      CLASSES[best_cls[k]])
+            for k in nms_bev(rows, best_score, best_cls, nms_thr)]
 
 
 def postprocess(cls_map, box_map, dir_map, anchors, anchor_cls, cfg: AnchorConfig,

@@ -36,8 +36,9 @@ class FormatError(ValueError):
     """A file does not conform to its declared format."""
 
 
-def wrap_angle(a: float) -> float:
-    """Wrap to (-pi, pi]."""
+def wrap_angle(a):
+    """Wrap to (-pi, pi]: a float, or an array elementwise with the same
+    float64 values, since `np.remainder` rounds and signs as float `%`."""
     return math.pi - (math.pi - a) % (2.0 * math.pi)
 
 

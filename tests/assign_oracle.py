@@ -14,6 +14,10 @@ rows in today's `TargetAssignment`.
 `centre_pairs` is the prefilter of that time, independent of the AABB
 pair finder the product uses: a pair is kept when the BEV centres are no
 farther apart than the two half diagonals.
+
+`row_major_anchors` is `detector.generate_anchors` as it was before it
+wrote the table column by column: one C-ordered `[fh, fw, A_cell, 7]`
+buffer filled anchor slot by anchor slot.
 """
 
 import numpy as np
@@ -21,6 +25,36 @@ import numpy as np
 from densepillars.bev import box_rows, pair_iou
 from densepillars.detector import TargetAssignment, encode_boxes
 from densepillars.pointcloud import CLASSES
+
+
+def row_major_anchors(grid, cfg):
+    """(boxes [A, 7] float64, C-ordered; class index [A]) of every anchor
+    on the stride-2 feature grid: row-major over cells, class-major,
+    rotation-minor."""
+    fh = grid.height // cfg.feature_stride
+    fw = grid.width // cfg.feature_stride
+    cell_x = grid.pillar_size[0] * cfg.feature_stride
+    cell_y = grid.pillar_size[1] * cfg.feature_stride
+    xs = grid.x_range[0] + (np.arange(fw) + 0.5) * cell_x
+    ys = grid.y_range[0] + (np.arange(fh) + 0.5) * cell_y
+
+    n_rot = len(cfg.rotations)
+    a_cell = cfg.anchors_per_cell
+    boxes = np.zeros((fh, fw, a_cell, 7), dtype=np.float64)
+    cls_idx = np.zeros((fh, fw, a_cell), dtype=np.int64)
+    boxes[:, :, :, 0] = xs[None, :, None]
+    boxes[:, :, :, 1] = ys[:, None, None]
+    for ci, cls in enumerate(CLASSES):
+        w, l, h = cfg.sizes[cls]
+        for ri, rot in enumerate(cfg.rotations):
+            a = ci * n_rot + ri
+            boxes[:, :, a, 2] = cfg.z_centers[cls]
+            boxes[:, :, a, 3] = w
+            boxes[:, :, a, 4] = l
+            boxes[:, :, a, 5] = h
+            boxes[:, :, a, 6] = rot
+            cls_idx[:, :, a] = ci
+    return boxes.reshape(-1, 7), cls_idx.reshape(-1)
 
 
 def centre_pairs(a, b):

@@ -4,16 +4,28 @@
 only the anchors whose best class logit nears the threshold: it flattens
 all three head maps, takes the sigmoid of every class logit
 (`dense_candidates`), and decodes the anchors whose best score clears the
-threshold.
+threshold. `loop_decode` is `detector.decode_detections` as it was before
+it decoded on arrays: one `Detection` per candidate, its yaw wrapped and
+flipped by `pointcloud.wrap_angle`, then NMS over the detections.
+
+`nms_detections` runs `bev.nms_bev`, which works on arrays, over a list
+of `Detection`s, for the tests that compare it with a replay on them.
 """
 
 import math
 
 import numpy as np
 
-from densepillars.bev import nms_bev
+from densepillars.bev import box_rows, nms_bev
 from densepillars.detector import _sigmoid, decode_boxes, flatten_head_map
 from densepillars.pointcloud import CLASSES, Box3D, Detection, wrap_angle
+
+
+def nms_detections(dets, thr):
+    """The `Detection`s `nms_bev` keeps, by descending score."""
+    kept = nms_bev(box_rows([d.box for d in dets]), np.array([d.score for d in dets]),
+                   np.array([d.label for d in dets]), thr)
+    return [dets[k] for k in kept]
 
 
 def dense_candidates(cls_map, box_map, dir_map, cfg, score_thr):
@@ -32,10 +44,9 @@ def dense_candidates(cls_map, box_map, dir_map, cfg, score_thr):
     return keep, best_cls[keep], best_score[keep], box_flat[keep], dir_flat[keep].argmax(axis=1)
 
 
-def dense_postprocess(cls_map, box_map, dir_map, anchors, anchor_cls, cfg,
-                      score_thr=0.1, nms_thr=0.01):
-    keep, best_cls, best_score, box, dir_bin = dense_candidates(
-        cls_map, box_map, dir_map, cfg, score_thr)
+def loop_decode(candidates, anchors, nms_thr=0.01):
+    """Detections from `head_candidates`' output, one candidate at a time."""
+    keep, best_cls, best_score, box, dir_bin = candidates
     if keep.size == 0:
         return []
     decoded = decode_boxes(box, anchors[keep])
@@ -49,4 +60,10 @@ def dense_postprocess(cls_map, box_map, dir_map, anchors, anchor_cls, cfg,
             yaw = wrap_angle(yaw - math.pi)
         box = Box3D(*(float(v) for v in row[:6]), float(yaw))
         dets.append(Detection(box, float(sc), CLASSES[ci]))
-    return nms_bev(dets, nms_thr)
+    return nms_detections(dets, nms_thr)
+
+
+def dense_postprocess(cls_map, box_map, dir_map, anchors, anchor_cls, cfg,
+                      score_thr=0.1, nms_thr=0.01):
+    return loop_decode(dense_candidates(cls_map, box_map, dir_map, cfg, score_thr), anchors,
+                       nms_thr)

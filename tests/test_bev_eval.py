@@ -27,6 +27,7 @@ from densepillars.bev import (
 )
 from densepillars.pointcloud import Box3D, Detection
 from iou_oracle import bev_corners, brute_nms, monte_carlo_iou, oracle_iou_3d, oracle_iou_bev
+from postprocess_oracle import nms_detections
 
 
 def bev_box(cx, cy, w, l, yaw=0.0, cz=0.0, h=1.0):
@@ -352,6 +353,20 @@ class TestPairFinder:
         np.testing.assert_array_equal(got_j, j[same])
         assert (np.diff(got_j) >= 0).all()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_boxes, st.integers(0, 2)), max_size=16), st.booleans())
+    def test_pairs_within_one_table_are_the_later_half(self, left, keyed):
+        """Without b, the pairs (i, j) of a with itself with i > j, in the
+        order of the pairs of a against a copy of itself."""
+        a = box_rows([p for p, _ in left])
+        key = np.array([k for _, k in left], dtype=np.int64) if keyed else None
+        i, j = pairs_in_reach(a, a.copy(), key, key)
+        later = i > j
+        got_i, got_j = pairs_in_reach(a, key_a=key)
+        assert got_i.dtype == got_j.dtype == np.int64
+        np.testing.assert_array_equal(got_i, i[later])
+        np.testing.assert_array_equal(got_j, j[later])
+
 
 @st.composite
 def _nested(draw):
@@ -491,7 +506,7 @@ class TestChunkedOverlap:
                         return fn(*args)
                     m.setattr(bev, name, spy)
                 i, j = pairs_in_reach(a, b)
-                kept = {id(d) for d in nms_bev(dets, 0.01)}
+                kept = {id(d) for d in nms_detections(dets, 0.01)}
                 out = (i, j, *pairs_in_reach(a, b, key_a, key_b), pair_iou(a[i], b[j]),
                        pair_iou(a[i], b[j], "3D"), *iou_bounds(a[i], b[j]),
                        np.array([id(d) in kept for d in dets]))
@@ -507,18 +522,24 @@ class TestChunkedOverlap:
         assert split_calls["_apart_along_own_axes"] > len(b)
 
     def test_nms_memory_on_crowded_detections(self):
-        """500 mutually overlapping detections put 250,000 pairs in reach;
-        the time stays quadratic in them, and their memory is a few arrays
-        of the pairs' indices and rows. Measured peak (tracemalloc, numpy
-        2.4, six seeds): 21.0-22.0 MB; 34.9-36.0 MB when the kernel scored
-        every pair, and 142.9-143.9 MB when the kernel and the exact tests
-        ran on all pairs at once."""
+        """500 mutually overlapping detections put 250,000 pairs in reach,
+        of which NMS asks for the 124,750 where the later box may be
+        suppressed; the time stays quadratic in them, and their memory is a
+        few arrays of the pairs' indices and rows. Measured peak
+        (tracemalloc, numpy 2.4, six seeds): 20.8 MB, most of it the pairs'
+        two gathered [P, 7] row tables; 21.0-22.0 MB when NMS took both
+        orders of each pair, 34.9-36.0 MB when the kernel scored every
+        pair, and 142.9-143.9 MB when the kernel and the exact tests ran on
+        all pairs at once."""
         dets = _crowd(500, 0)
         rows = box_rows([d.box for d in dets])
+        scores = np.array([d.score for d in dets])
+        labels = np.array([d.label for d in dets])
         assert pairs_in_reach(rows, rows)[0].size == 500 * 500
+        assert pairs_in_reach(rows, key_a=labels)[0].size == 500 * 499 // 2
         tracemalloc.start()
         try:
-            kept = nms_bev(dets, 0.01)
+            kept = nms_bev(rows, scores, labels, 0.01)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -553,22 +574,42 @@ def det(cx, cy, score, label="Car", w=1.6, l=3.9, yaw=0.0):
 
 
 class TestNMS:
+    """`nms_bev` on arrays, and through `nms_detections` on `Detection`s
+    against the greedy replay `brute_nms`."""
+
     def test_keeps_highest_score(self):
         dets = [det(0, 0, 0.4), det(0.1, 0, 0.9)]
-        kept = nms_bev(dets, 0.01)
+        kept = nms_detections(dets, 0.01)
         assert len(kept) == 1
         assert kept[0].score == 0.9
 
     def test_different_classes_never_suppress(self):
         dets = [det(0, 0, 0.9, "Car"), det(0, 0, 0.8, "Pedestrian", w=1.6, l=3.9)]
-        assert len(nms_bev(dets, 0.01)) == 2
+        assert len(nms_detections(dets, 0.01)) == 2
 
     def test_distant_boxes_all_kept(self):
         dets = [det(0, 0, 0.9), det(20, 0, 0.8), det(40, 0, 0.7)]
-        assert len(nms_bev(dets, 0.01)) == 3
+        assert len(nms_detections(dets, 0.01)) == 3
 
     def test_empty(self):
-        assert nms_bev([], 0.5) == []
+        assert nms_detections([], 0.5) == []
+        kept = nms_bev(np.zeros((0, 7)), np.zeros(0, np.float32), np.zeros(0, np.int64), 0.5)
+        assert kept.dtype == np.int64 and kept.shape == (0,)
+
+    def test_returns_the_kept_indices_by_descending_score_ties_by_index(self):
+        """Rows 1 and 3 tie on the top score and lie apart; row 0 overlaps
+        row 3, row 2 overlaps row 1 but has another label, row 4 overlaps
+        nothing."""
+        rows = box_rows([bev_box(0, 0, 2, 4), bev_box(10, 0, 2, 4), bev_box(10, 0.5, 2, 4),
+                         bev_box(0, 0.5, 2, 4), bev_box(30, 0, 2, 4)])
+        scores = np.array([0.5, 0.9, 0.7, 0.9, 0.1], dtype=np.float32)
+        labels = np.array([0, 0, 1, 0, 0])
+        np.testing.assert_array_equal(nms_bev(rows, scores, labels, 0.01), [1, 3, 2, 4])
+        # 64 boxes 10 m apart on three score levels: all kept, ties in index order
+        rows = box_rows([bev_box(10.0 * k, 0, 2, 4) for k in range(64)])
+        scores = np.random.default_rng(0).choice([0.1, 0.2, 0.3], 64).astype(np.float32)
+        want = [k for level in (0.3, 0.2, 0.1) for k in range(64) if scores[k] == np.float32(level)]
+        np.testing.assert_array_equal(nms_bev(rows, scores, np.zeros(64), 0.01), want)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
@@ -586,7 +627,7 @@ class TestNMS:
             for _ in range(n)
         ]
         thr = float(rng.uniform(0.0, 0.5))
-        got = nms_bev(dets, thr)
+        got = nms_detections(dets, thr)
         want = [dets[i] for i in brute_nms(dets, thr)]
         assert [(d.score, d.label) for d in got] == [(d.score, d.label) for d in want]
 
@@ -609,7 +650,7 @@ class TestNMS:
                             float(rng.uniform(-math.pi, math.pi)))
             dets.append((box, label, float(rng.uniform())))
         dets = [Detection(box, score, label) for box, label, score in dets]
-        got = nms_bev(dets, thr)
+        got = nms_detections(dets, thr)
         assert [id(d) for d in got] == [id(dets[i]) for i in brute_nms(dets, thr)]
 
 

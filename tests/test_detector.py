@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assign_oracle import dense_assign_targets
+from assign_oracle import dense_assign_targets, row_major_anchors
 from backbone_oracle import predict_head_maps, three_conv_head_forward
 from loss_oracle import dense_detection_loss
-from postprocess_oracle import dense_candidates, dense_postprocess
+from postprocess_oracle import dense_candidates, dense_postprocess, loop_decode
 from densepillars import bev, model
 from densepillars import tensor as T
 from densepillars.backbones import GrowthSchedule
@@ -31,6 +31,7 @@ from densepillars.detector import (
     anchor_rows,
     assign_targets,
     decode_boxes,
+    decode_detections,
     detection_loss,
     encode_boxes,
     flatten_head_map,
@@ -203,6 +204,29 @@ class TestAnchors:
         # anchor 16*6 starts the second row
         assert boxes[16 * 6, 0] == pytest.approx(boxes[0, 0])
         assert boxes[16 * 6, 1] == pytest.approx(boxes[0, 1] + 0.8)
+
+    @pytest.mark.parametrize("grid", [GRID, GridSpec()], ids=["desk", "kitti"])
+    def test_column_major_table_equals_the_row_major_one(self, grid):
+        """The table written column by column holds the row-major oracle's
+        values in its order, each column contiguous."""
+        boxes, cls_idx = generate_anchors(grid, CFG)
+        want_boxes, want_cls = row_major_anchors(grid, CFG)
+        assert boxes.dtype == np.float64 and cls_idx.dtype == np.int64
+        np.testing.assert_array_equal(boxes, want_boxes)
+        np.testing.assert_array_equal(cls_idx, want_cls)
+        assert boxes.flags.f_contiguous and boxes[:, 1].flags.c_contiguous
+
+    def test_pairs_in_reach_equal_for_a_row_major_copy(self, kitti_anchors):
+        anchors, anchor_cls = kitti_anchors
+        copy = np.ascontiguousarray(anchors)
+        gts = kitti_frame(1)
+        rows = box_rows([b for b, _ in gts])
+        gt_cls = np.array([CLASSES.index(c) for _, c in gts])
+        for keys in ((), (anchor_cls, gt_cls)):
+            got, want = pairs_in_reach(anchors, rows, *keys), pairs_in_reach(copy, rows, *keys)
+            assert got[0].size > 1000
+            for g, w in zip(got, want, strict=True):
+                np.testing.assert_array_equal(g, w)
 
 
 class TestAnchorConfig:
@@ -455,10 +479,12 @@ class TestSparseAssignment:
 
     def test_peak_memory_on_the_kitti_grid(self, kitti_anchors):
         """One assignment over the 321,408 KITTI anchors keeps its positive
-        rows, not per-anchor tables. Measured peak (tracemalloc, numpy
-        2.4.6) on this frame: 7.05 MB, inside `pairs_in_reach`; with the
-        [A, 7] float64 residuals and the [A] int64 ground-truth and
-        direction tables it was 29.7 MB."""
+        rows, not per-anchor tables, and reads the column-major anchor table
+        in place. Measured peak (tracemalloc, numpy 2.4.6) on this frame:
+        2.35 MB, inside `pairs_in_reach`; 7.05 MB when it copied the
+        anchors' y column and held one index array per class at once, and
+        29.7 MB with the [A, 7] float64 residuals and the [A] int64
+        ground-truth and direction tables."""
         gts = kitti_frame(0)
         tracemalloc.start()
         try:
@@ -466,7 +492,7 @@ class TestSparseAssignment:
             peak = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-        assert peak <= 7.5, f"assign_targets peaked at {peak:.2f} MB"
+        assert peak <= 2.6, f"assign_targets peaked at {peak:.2f} MB"
 
     def test_desk_training_scenes(self):
         cfg = parse_config(REPO / "configs" / "desk_overfit.cfg")
@@ -789,6 +815,42 @@ def detection_rows(dets):
     return [(d.label, d.score, d.box.as_array().tolist()) for d in dets]
 
 
+def exact_rows(dets):
+    """Each detection's label and the bits of its score and box, in order
+    (so that -0.0 and 0.0 differ)."""
+    return [(d.label, d.score.hex(), [v.hex() for v in d.box.as_array().tolist()])
+            for d in dets]
+
+
+class TestDecodeDetections:
+    """`decode_detections` wraps and flips yaws on arrays as the
+    per-candidate loop (`postprocess_oracle.loop_decode`) does with
+    `pointcloud.wrap_angle`, bit for bit."""
+
+    def test_yaws_at_the_wrap_points(self, tmp_path):
+        """Decoded yaws at exactly -pi, 0 and pi and one ulp either side,
+        and a few turns away, each with both direction bins, on yaw-0
+        anchors 10 m apart that NMS all keeps."""
+        marks = [-math.pi, 0.0, math.pi]
+        yaws = [float(np.nextafter(m, d)) for m in marks for d in (-np.inf, np.inf)]
+        yaws += marks + [-0.0, math.pi / 2, -math.pi / 2, 2 * math.pi, -3 * math.pi, 7.0]
+        n = 2 * len(yaws)
+        anchors = np.zeros((n, 7))
+        anchors[:, 0] = 10.0 * np.arange(n)
+        anchors[:, 3:6] = CLASS_SIZES["Car"]
+        box = np.zeros((n, 7))
+        box[:, 6] = np.repeat(yaws, 2)
+        dir_bin = np.tile([0, 1], len(yaws))
+        scores = np.linspace(0.9, 0.2, n).astype(np.float32)
+        candidates = (np.arange(n), np.arange(n) % 3, scores, box, dir_bin)
+        got = decode_detections(candidates, anchors)
+        assert len(got) == n
+        assert exact_rows(got) == exact_rows(loop_decode(candidates, anchors))
+        path = tmp_path / "frame.pred.csv"
+        write_predictions(path, got)
+        assert exact_rows(read_predictions(path)) == exact_rows(got)
+
+
 def assert_candidates_equal(got, want):
     for g, e in zip(got, want, strict=True):
         assert g.dtype == e.dtype and g.shape == e.shape
@@ -931,6 +993,36 @@ class TestTracedNames:
         fired = {tracer.names[i] for i in tracer.arrays()["name"]}
         assert {"model.predict", "backbones.forward", "detector.neck", "detector.head",
                 "tensor.conv2d"} <= fired
+
+    def test_nms_counters_see_the_candidates_and_the_kept_boxes(self, kitti_anchors,
+                                                               monkeypatch):
+        """`spans`' NMS hook counts `len(args[0])` as candidates and
+        `len(out)` as kept boxes: a `postprocess` over a KITTI frame's
+        planted detections, with the ignored anchors as duplicates, records
+        one `bev.nms` call with both counts."""
+        anchors, anchor_cls = kitti_anchors
+        asn = assign_targets(anchors, anchor_cls, kitti_frame(0), CFG)
+        a_cell = CFG.anchors_per_cell
+        cls = np.full((anchors.shape[0], len(CLASSES)), -8.0)
+        cls[asn.pos_anchor, anchor_cls[asn.pos_anchor]] = 3.0
+        ignored = np.flatnonzero(asn.labels == -1)
+        cls[ignored, anchor_cls[ignored]] = 0.0
+        box = asn.reg_targets
+        direction = np.zeros((anchors.shape[0], 2))
+        direction[asn.pos_anchor, asn.pos_dir] = 1.0
+        h, w = KITTI.height // CFG.feature_stride, KITTI.width // CFG.feature_stride
+        maps = [Tensor(m.reshape(h, w, a_cell, -1).transpose(2, 3, 0, 1).reshape(1, -1, h, w))
+                for m in (cls, box, direction)]
+        candidates = head_candidates(*(m.data for m in maps), 0, a_cell, 0.1)[0].size
+        tracer = _perfbench("spans", monkeypatch).Tracer()
+        tracer.install()
+        try:
+            dets = postprocess(*maps, anchors, anchor_cls, CFG, score_thr=0.1, nms_thr=0.01)
+        finally:
+            tracer.uninstall()
+        assert 0 < len(dets) < candidates
+        assert tracer.counts[("bev.nms", "setup")] == {
+            "calls": 1, "candidates": candidates, "kept": len(dets)}
 
 
 class _Untimed:
