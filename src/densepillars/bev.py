@@ -13,13 +13,17 @@ column-major (`detector.generate_anchors`) and are read in place. Where
 only a comparison with a threshold matters (target assignment, NMS),
 `iou_bounds` decides a pair first, and the kernel scores only the pairs
 its bounds leave open. `nms_bev` works on arrays of rows, scores and
-labels and returns the indices it keeps.
+labels and returns the indices it keeps. `match_frames`, the one
+detection-to-ground-truth matching behind `evaluate_set`, `ap_r40` and
+`recall_at_iou`, pairs the boxes of every frame at once under a
+(frame, class) key.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +63,8 @@ class EvalResult:
 
 def box_rows(boxes) -> np.ndarray:
     """[N, 7] float64 rows (cx, cy, cz, w, l, h, yaw) of a list of Box3D."""
-    return np.array([b.as_array() for b in boxes], dtype=np.float64).reshape(-1, 7)
+    return np.array([(b.cx, b.cy, b.cz, b.w, b.l, b.h, b.yaw) for b in boxes],
+                    dtype=np.float64).reshape(-1, 7)
 
 
 def _corners(rows):
@@ -350,12 +355,16 @@ def nms_bev(rows, scores, labels, iou_thr: float) -> np.ndarray:
     rows, labels = rows[order], np.asarray(labels)[order]
     # pairs (l, e), l > e, ordered by e: box e may suppress the later box l
     l, e = pairs_in_reach(rows, key_a=labels)
-    a, b = rows[l], rows[e]
-    lo, hi = iou_bounds(a, b)
-    # the bounds settle most pairs; the kernel scores the rest
-    hit = lo > iou_thr
-    open_ = ~hit & (hi > iou_thr)
-    hit[open_] = pair_iou(a[open_], b[open_]) > iou_thr
+    hit = np.empty(l.size, dtype=bool)
+    # the bounds settle most pairs; the kernel scores the rest. The pairs'
+    # rows are gathered one chunk at a time.
+    for s in range(0, l.size, _CHUNK_PAIRS):
+        a, b = rows[l[s : s + _CHUNK_PAIRS]], rows[e[s : s + _CHUNK_PAIRS]]
+        lo, hi = iou_bounds(a, b)
+        sure = lo > iou_thr
+        open_ = ~sure & (hi > iou_thr)
+        sure[open_] = pair_iou(a[open_], b[open_]) > iou_thr
+        hit[s : s + _CHUNK_PAIRS] = sure
     l, e = l[hit], e[hit]
     start = np.searchsorted(e, np.arange(order.size + 1))
     removed = np.zeros(order.size, dtype=bool)
@@ -365,27 +374,6 @@ def nms_bev(rows, scores, labels, iou_thr: float) -> np.ndarray:
         if not removed[i]:
             removed[l[start[i]:start[i + 1]]] = True
     return order[~removed]
-
-
-def _match_frame(dets, gts, cls, iou_thr, mode):
-    """Greedy per-frame matching; returns (score, is_tp) pairs for this class.
-
-    In descending score order each detection takes the first untaken ground
-    truth of highest IoU, if that IoU reaches `iou_thr`.
-    """
-    cls_dets = sorted((d for d in dets if d.label == cls), key=lambda d: -d.score)
-    cls_gts = [b for b, c in gts if c == cls]
-    iou = iou_matrix(box_rows([d.box for d in cls_dets]), box_rows(cls_gts), mode)
-    taken = np.zeros(len(cls_gts), dtype=bool)
-    results = []
-    for d, row in zip(cls_dets, iou):
-        row = np.where(taken, -1.0, row)
-        j = int(row.argmax()) if row.size else -1
-        hit = bool(j >= 0 and row[j] >= iou_thr)
-        if hit:
-            taken[j] = True
-        results.append((d.score, hit))
-    return results, len(cls_gts)
 
 
 def r40_from_scored(scores, is_tp, n_gt: int) -> float:
@@ -403,20 +391,85 @@ def r40_from_scored(scores, is_tp, n_gt: int) -> float:
     return sum(envelope[at].tolist()) / 40.0
 
 
+class ClassMatches(NamedTuple):
+    """One class's matching over a set of frames: the detections' scores
+    and hits, frames in order and each frame's detections by descending
+    score (ties in input order); the ground truths, and those that some
+    detection overlaps with IoU at or above the threshold."""
+
+    scores: np.ndarray
+    hits: np.ndarray
+    n_gt: int
+    found: int
+
+
+def match_frames(frames, iou_thresholds: dict, mode: str = "BEV") -> dict:
+    """Greedy detection-to-ground-truth matching over frames of (detections,
+    labeled boxes), per class of `iou_thresholds` (thresholds in [0, 1]):
+    a `ClassMatches` per class.
+
+    Every frame's rows are stacked under a (frame, class) key, so one keyed
+    `pairs_in_reach` call and one `pair_iou` call (detections against
+    ground truths) score all frames. Within a key, in descending score
+    order with ties in input order, each detection takes the untaken
+    ground truth of highest IoU, ties to the lowest index; it is a hit if
+    that IoU reaches the class's threshold. Only the pairs at or above the
+    threshold can decide that, so the greedy pass walks those alone. At a
+    threshold of 0 every untaken ground truth qualifies, overlapping or
+    not: the first n_gt detections of a key each take one. Detections and
+    ground truths of other classes are left out.
+    """
+    classes = list(iou_thresholds)
+    n_cls = len(classes) or 1
+    index = {c: k for k, c in enumerate(classes)}
+    dets = [(f * n_cls + index[d.label], d) for f, (ds, _) in enumerate(frames)
+            for d in ds if d.label in index]
+    gts = [(f * n_cls + index[c], b) for f, (_, gs) in enumerate(frames)
+           for b, c in gs if c in index]
+    scores = np.array([d.score for _, d in dets], dtype=np.float64)
+    det_keys = np.array([k for k, _ in dets], dtype=np.int64)
+    order = np.lexsort((-scores, det_keys))
+    scores, det_keys = scores[order], det_keys[order]
+    det_rows = box_rows([d.box for _, d in dets])[order]
+    gt_keys = np.array([k for k, _ in gts], dtype=np.int64)
+    gt_rows = box_rows([b for _, b in gts])
+
+    thr = np.array([float(iou_thresholds[c]) for c in classes])
+    det_cls, gt_cls = det_keys % n_cls, gt_keys % n_cls
+    n_gt = np.bincount(gt_keys, minlength=len(frames) * n_cls)
+    n_det = np.bincount(det_keys, minlength=len(frames) * n_cls)
+    i, j = pairs_in_reach(det_rows, gt_rows, det_keys, gt_keys)
+    iou = pair_iou(det_rows[i], gt_rows[j], mode)
+    pair_thr = thr[det_cls[i]]
+    keep = (pair_thr > 0.0) & (iou >= pair_thr)
+    i, j, iou = i[keep], j[keep], iou[keep]
+
+    # at a threshold of 0 the first n_gt detections of a key hit, and each
+    # ground truth of a key with a detection is found
+    rank = np.arange(det_keys.size) - np.searchsorted(det_keys, det_keys)
+    hits = (thr[det_cls] <= 0.0) & (rank < n_gt[det_keys])
+    found = (thr[gt_cls] <= 0.0) & (n_det[gt_keys] > 0)
+    found[j] = True
+    taken = set()
+    # each detection's pairs by descending IoU, ties to the lowest index
+    by = np.lexsort((j, -iou, i))
+    for d, g in zip(i[by].tolist(), j[by].tolist()):
+        if not hits[d] and g not in taken:
+            hits[d] = True
+            taken.add(g)
+    return {c: ClassMatches(scores[det_cls == k], hits[det_cls == k],
+                            int(np.count_nonzero(gt_cls == k)),
+                            int(np.count_nonzero(found[gt_cls == k])))
+            for c, k in index.items()}
+
+
 def ap_r40(frames, cls: str, iou_thr: float, mode: str = "BEV") -> float | None:
     """AP over 40 recall positions; frames are (detections, labeled boxes) pairs.
 
     Returns None when the class has no ground truth.
     """
-    scored = []
-    n_gt = 0
-    for dets, gts in frames:
-        res, n = _match_frame(dets, gts, cls, iou_thr, mode)
-        scored.extend(res)
-        n_gt += n
-    if n_gt == 0:
-        return None
-    return r40_from_scored([s for s, _ in scored], [t for _, t in scored], n_gt)
+    m = match_frames(frames, {cls: iou_thr}, mode)[cls]
+    return None if m.n_gt == 0 else r40_from_scored(m.scores, m.hits, m.n_gt)
 
 
 def recall_at_iou(frames, iou_thr: float) -> dict:
@@ -427,27 +480,16 @@ def recall_at_iou(frames, iou_thr: float) -> dict:
     Frames are (detections, labeled boxes) pairs; classes without ground
     truth are left out.
     """
-    found = dict.fromkeys(CLASSES, 0)
-    total = dict.fromkeys(CLASSES, 0)
-    for dets, gts in frames:
-        for cls in CLASSES:
-            cls_gts = [b for b, c in gts if c == cls]
-            if not cls_gts:
-                continue
-            rows = box_rows([d.box for d in dets if d.label == cls])
-            iou = iou_matrix(rows, box_rows(cls_gts))
-            found[cls] += int((iou >= iou_thr).any(axis=0).sum())
-            total[cls] += len(cls_gts)
-    return {c: (found[c], total[c]) for c in CLASSES if total[c]}
+    matches = match_frames(frames, dict.fromkeys(CLASSES, iou_thr))
+    return {c: (m.found, m.n_gt) for c, m in matches.items() if m.n_gt}
 
 
 def evaluate_set(frames, cfg: EvalConfig) -> EvalResult:
     per_class = {}
-    for cls, thr in cfg.iou_thresholds.items():
-        ap = ap_r40(frames, cls, thr, mode=cfg.mode)
-        if ap is None:
+    for cls, m in match_frames(frames, cfg.iou_thresholds, cfg.mode).items():
+        if m.n_gt == 0:
             warnings.warn(f"class {cls} has no ground truth; excluded from mAP")
         else:
-            per_class[cls] = ap
+            per_class[cls] = r40_from_scored(m.scores, m.hits, m.n_gt)
     mean_ap = sum(per_class.values()) / len(per_class) if per_class else 0.0
     return EvalResult(per_class, mean_ap)

@@ -95,3 +95,20 @@ def transposed_pfn_forward(batch: PillarBatch, weights) -> Tensor:
     mask = np.arange(s)[None, :] < batch.counts[:, None]
     h = max_over_axis(h, axis=3, mask=mask[None, None, :, :])
     return T.transpose(T.reshape(h, (cf, p)), (1, 0))
+
+
+def padded_train_stats(x, count, at):
+    """`tensor._train_stats(x, count, (count, at))` as it was before it
+    summed by tiles: the squared deviations go into a whole [count, C]
+    scratch table, mean² in the zero rows, summed by one `np.add.reduce`."""
+    div = np.intp(count)
+    rows = x.reshape(x.shape[:2])
+    mean = np.add.reduce(rows, axis=0)
+    np.true_divide(mean, div, out=mean, casting="unsafe")
+    sq = np.empty((count, rows.shape[1]), dtype=x.dtype)
+    sq[:] = np.square(mean)
+    dev = np.subtract(rows, mean)
+    sq[at] = np.square(dev, out=dev)
+    var = np.add.reduce(sq, axis=0)
+    np.true_divide(var, div, out=var, casting="unsafe")
+    return mean, var

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from densepillars.bev import (
     recall_at_iou,
     rotated_iou_bev,
 )
-from densepillars.pointcloud import Box3D, Detection
+from densepillars.pointcloud import CLASSES, Box3D, Detection
+import eval_oracle
 from iou_oracle import bev_corners, brute_nms, monte_carlo_iou, oracle_iou_3d, oracle_iou_bev
 from postprocess_oracle import nms_detections
 
@@ -525,12 +527,12 @@ class TestChunkedOverlap:
         """500 mutually overlapping detections put 250,000 pairs in reach,
         of which NMS asks for the 124,750 where the later box may be
         suppressed; the time stays quadratic in them, and their memory is a
-        few arrays of the pairs' indices and rows. Measured peak
-        (tracemalloc, numpy 2.4, six seeds): 20.8 MB, most of it the pairs'
-        two gathered [P, 7] row tables; 21.0-22.0 MB when NMS took both
-        orders of each pair, 34.9-36.0 MB when the kernel scored every
-        pair, and 142.9-143.9 MB when the kernel and the exact tests ran on
-        all pairs at once."""
+        few arrays of the pairs' indices, their rows gathered one chunk at
+        a time. Measured peak (tracemalloc, numpy 2.4, six seeds):
+        7.7-8.7 MB; 20.8 MB when NMS gathered the rows of all pairs at once,
+        21.0-22.0 MB when it took both orders of each pair, 34.9-36.0 MB
+        when the kernel scored every pair, and 142.9-143.9 MB when the
+        kernel and the exact tests ran on all pairs at once."""
         dets = _crowd(500, 0)
         rows = box_rows([d.box for d in dets])
         scores = np.array([d.score for d in dets])
@@ -544,7 +546,7 @@ class TestChunkedOverlap:
         finally:
             tracemalloc.stop()
         assert len(kept) == 1
-        assert peak <= 40 * 2**20, f"{peak / 2**20:.1f} MB"
+        assert peak <= 12 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 class TestIoU3D:
@@ -779,3 +781,122 @@ class TestEvaluateSet:
         three_d = ap_r40(frames, "Car", 0.7, mode="3D")
         assert bev == pytest.approx(1.0)
         assert three_d == 0.0
+
+
+_near = st.floats(0.0, 4.0, allow_nan=False)
+_eval_boxes = st.builds(Box3D, _near, _near, st.floats(-0.5, 0.5), st.floats(0.5, 3.0),
+                        st.floats(0.5, 3.0), st.floats(0.5, 2.0), _yaw)
+
+
+@st.composite
+def _eval_frame(draw):
+    """Ground truths within a few metres, an exact copy among them at times
+    (equal IoUs, ties to the lowest index), and detections of tied scores
+    that copy a ground truth (IoU 1) or lie anywhere, of any class."""
+    gts = draw(st.lists(st.tuples(_eval_boxes, st.sampled_from(CLASSES)), max_size=5))
+    if gts and draw(st.booleans()):
+        gts.append(gts[0])
+    dets = []
+    for _ in range(draw(st.integers(0, 7))):
+        if gts and draw(st.booleans()):
+            box, label = draw(st.sampled_from(gts))
+        else:
+            box, label = draw(_eval_boxes), draw(st.sampled_from(CLASSES))
+        dets.append(Detection(box, draw(st.sampled_from([0.2, 0.5, 0.5, 0.9])), label))
+    return dets, gts
+
+
+def _evaluated(fn, *args):
+    """fn(*args) and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught]
+
+
+class TestMatchFrames:
+    """`evaluate_set`, `ap_r40` and `recall_at_iou` match every frame in one
+    keyed search; they equal the per-frame oracle (`eval_oracle`) exactly."""
+
+    @staticmethod
+    def _assert_matches_oracle(frames, thresholds):
+        for mode in ("BEV", "3D"):
+            cfg = EvalConfig(iou_thresholds=thresholds, mode=mode)
+            assert _evaluated(evaluate_set, frames, cfg) == _evaluated(
+                eval_oracle.evaluate_set, frames, cfg)
+            for cls, thr in thresholds.items():
+                assert ap_r40(frames, cls, thr, mode) == eval_oracle.ap_r40(frames, cls, thr, mode)
+        for thr in set(thresholds.values()):
+            assert recall_at_iou(frames, thr) == eval_oracle.recall_at_iou(frames, thr)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_eval_frame(), max_size=4),
+           st.dictionaries(st.sampled_from(CLASSES),
+                           st.sampled_from([0.0, 0.1, 0.5, 0.7, 1.0]), min_size=1))
+    def test_matches_the_per_frame_oracle(self, frames, thresholds):
+        self._assert_matches_oracle(frames, thresholds)
+
+    def test_empty_frames_and_frames_without_detections(self):
+        gt = (bev_box(0, 0, 1.6, 3.9), "Car")
+        for frames in ([], [([], [])], [([], [gt])], [([], [gt]), ([det(0, 0, 0.9)], [])]):
+            self._assert_matches_oracle(frames, {"Car": 0.7, "Pedestrian": 0.5})
+        with pytest.warns(UserWarning, match="Pedestrian"):
+            result = evaluate_set([([], [gt])], EvalConfig({"Car": 0.7, "Pedestrian": 0.5}))
+        assert result.per_class_ap == {"Car": 0.0}
+
+    def test_threshold_0_takes_the_first_untaken_ground_truth(self):
+        """At 0, a detection that overlaps no untaken ground truth still
+        takes one while any is left: the first two of three detections by
+        score hit, the one overlapping the taken box and the far one alike."""
+        gts = [(bev_box(0, 0, 1.6, 3.9), "Car"), (bev_box(30, 0, 1.6, 3.9), "Car")]
+        frames = [([det(0, 0, 0.9), det(0.1, 0, 0.8), det(100, 0, 0.7)], gts)]
+        m = bev.match_frames(frames, {"Car": 0.0})["Car"]
+        assert m.hits.tolist() == [True, True, False] and (m.n_gt, m.found) == (2, 2)
+        assert ap_r40(frames, "Car", 0.0) == 1.0
+        assert recall_at_iou(frames, 0.0) == {"Car": (2, 2)}
+        self._assert_matches_oracle(frames, {"Car": 0.0})
+
+    def test_threshold_1_needs_an_exact_copy(self):
+        gt = bev_box(1, 2, 1.6, 3.9, yaw=0.3)
+        frames = [([Detection(gt, 0.5, "Car"), det(1.01, 2, 0.9, yaw=0.3)], [(gt, "Car")])]
+        m = bev.match_frames(frames, {"Car": 1.0})["Car"]
+        assert m.hits.tolist() == [False, True] and m.scores.tolist() == [0.9, 0.5]
+        self._assert_matches_oracle(frames, {"Car": 1.0})
+
+    def test_a_detection_takes_its_best_ground_truth_ties_to_the_lowest_index(self):
+        """The first detection reaches both ground truths: it takes the one
+        of higher IoU, so the second, which reaches only that one, misses.
+        With the two at equal IoU it takes the first listed: the second
+        detection, which reaches only the left one, misses unless the right
+        one is listed first."""
+        a, b = bev_box(0, 0, 2, 4), bev_box(0.5, 0, 2, 4)
+        frames = [([Detection(bev_box(0, 0, 2, 4), 0.9, "Car"),
+                    Detection(bev_box(-0.3, 0, 2, 4), 0.8, "Car")], [(b, "Car"), (a, "Car")])]
+        assert bev.match_frames(frames, {"Car": 0.7})["Car"].hits.tolist() == [True, False]
+        self._assert_matches_oracle(frames, {"Car": 0.7})
+        left, right = bev_box(-0.5, 0, 2, 4), bev_box(0.5, 0, 2, 4)
+        first = bev_box(0, 0, 2, 4)
+        iou = iou_matrix(box_rows([first]), box_rows([left, right]))
+        assert iou[0, 0] == iou[0, 1] >= 0.7
+        for gts, hits in (([left, right], [True, False]), ([right, left], [True, True])):
+            frames = [([Detection(first, 0.9, "Car"), Detection(bev_box(-1, 0, 2, 4), 0.8, "Car")],
+                       [(g, "Car") for g in gts])]
+            assert bev.match_frames(frames, {"Car": 0.7})["Car"].hits.tolist() == hits
+            self._assert_matches_oracle(frames, {"Car": 0.7})
+
+    def test_equal_scores_within_and_across_frames(self):
+        """Tied scores keep the input order within a frame and the frame
+        order across frames, both in the greedy pass and in the ranking."""
+        gt = (bev_box(0, 0, 1.6, 3.9), "Car")
+        frame = ([det(30, 0, 0.5), det(0, 0, 0.5), det(0.05, 0, 0.5)], [gt, gt])
+        frames = [frame, ([det(0, 0, 0.5)], []), frame]
+        m = bev.match_frames(frames, {"Car": 0.7})["Car"]
+        assert m.hits.tolist() == [False, True, True, False, False, True, True]
+        self._assert_matches_oracle(frames, {"Car": 0.7})
+
+    def test_classes_missing_from_the_thresholds_are_left_out(self):
+        gts = [(bev_box(0, 0, 1.6, 3.9), "Car"), (bev_box(0, 0, 1.6, 1.8), "Cyclist")]
+        frames = [([det(0, 0, 0.9, "Cyclist", l=1.8), det(0, 0, 0.8)], gts)]
+        matches = bev.match_frames(frames, {"Car": 0.7})
+        assert list(matches) == ["Car"] and matches["Car"].scores.tolist() == [0.8]
+        self._assert_matches_oracle(frames, {"Car": 0.7})

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eval_oracle
 from assign_oracle import dense_assign_targets, row_major_anchors
 from backbone_oracle import predict_head_maps, three_conv_head_forward
 from loss_oracle import dense_detection_loss
@@ -20,7 +21,7 @@ from postprocess_oracle import dense_candidates, dense_postprocess, loop_decode
 from densepillars import bev, model
 from densepillars import tensor as T
 from densepillars.backbones import GrowthSchedule
-from densepillars.bev import box_rows, iou_bounds, pairs_in_reach, rotated_iou_bev
+from densepillars.bev import EvalConfig, box_rows, iou_bounds, pairs_in_reach, rotated_iou_bev
 from densepillars.config import parse_config
 from densepillars.detector import (
     FPN,
@@ -1036,21 +1037,53 @@ class _Untimed:
         return fn()
 
 
-def test_kitti_eval_matches_its_recorded_reference(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def kitti_eval_passes(tmp_path_factory):
+    """One kitti-eval pass per benchmark variant at full size: per variant,
+    the problems its check finds against `perfbench/reference.json` and the
+    frames (detections, labels) that its pass handed to `evaluate_set`."""
+    passes = {}
+    with pytest.MonkeyPatch.context() as mp:
+        workloads = _perfbench("workloads", mp)
+        with open(REPO / "perfbench" / "reference.json", encoding="utf-8") as f:
+            refs = json.load(f)["full"]["kitti-eval"]
+        evaluated = []
+        evaluate_set = bev.evaluate_set
+        mp.setattr(bev, "evaluate_set",
+                   lambda frames, cfg: evaluated.append(frames) or evaluate_set(frames, cfg))
+        for variant in range(workloads.VARIANTS):
+            wl = workloads.KittiEval(str(REPO), variant, workloads.FULL,
+                                     str(tmp_path_factory.mktemp(f"kitti-eval-{variant}")))
+            wl.setup()
+            wl.run_pass(_Untimed())
+            passes[variant] = (wl.check(refs[str(variant)]), evaluated[-1])
+    return passes
+
+
+def test_kitti_eval_matches_its_recorded_reference(kitti_eval_passes):
     """One kitti-eval pass per benchmark variant at full size gives the
     positives per frame, the detections NMS keeps and the AP recorded in
     `perfbench/reference.json`, which the benchmark checks every run
     against: a geometry change that moves them fails here first."""
-    workloads = _perfbench("workloads", monkeypatch)
-    with open(REPO / "perfbench" / "reference.json", encoding="utf-8") as f:
-        refs = json.load(f)["full"]["kitti-eval"]
-    problems = {}
-    for variant in range(workloads.VARIANTS):
-        wl = workloads.KittiEval(str(REPO), variant, workloads.FULL, str(tmp_path / str(variant)))
-        wl.setup()
-        wl.run_pass(_Untimed())
-        problems[variant] = wl.check(refs[str(variant)])
+    problems = {v: p for v, (p, _) in kitti_eval_passes.items()}
     assert not any(problems.values()), {v: p for v, p in problems.items() if p}
+
+
+def test_kitti_eval_matching_equals_the_per_frame_oracle(kitti_eval_passes):
+    """On the 4 frames of each kitti-eval variant, `evaluate_set` (BEV and
+    3D, at the default thresholds), `ap_r40` at thresholds 0 and 1 and
+    `recall_at_iou` equal the per-frame oracle exactly."""
+    for variant, (_, frames) in kitti_eval_passes.items():
+        assert len(frames) == 4
+        for mode in ("BEV", "3D"):
+            cfg = EvalConfig(mode=mode)
+            assert bev.evaluate_set(frames, cfg) == eval_oracle.evaluate_set(frames, cfg), variant
+        for thr in (0.0, 0.5, 1.0):
+            assert bev.recall_at_iou(frames, thr) == eval_oracle.recall_at_iou(frames, thr)
+        for thr in (0.0, 1.0):
+            for cls in CLASSES:
+                assert (bev.ap_r40(frames, cls, thr, "3D")
+                        == eval_oracle.ap_r40(frames, cls, thr, "3D")), (variant, cls, thr)
 
 
 class TestPredict:

@@ -1,8 +1,10 @@
 import math
 
 import numpy as np
+import optim_oracle
 import pytest
 
+from densepillars import optim
 from densepillars.optim import OptimizerState, adamw_step, cosine_lr
 from densepillars.tensor import Tensor
 
@@ -74,3 +76,47 @@ class TestCosineLr:
     def test_monotone_decreasing(self):
         vals = [cosine_lr(t, 50, 0.001) for t in range(51)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+class TestSlicedStep:
+    """`adamw_step` updates each parameter a slice at a time; params, m and
+    v equal those of the whole-array step (`optim_oracle`) bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_whole_array_step(self, dtype):
+        rng = np.random.default_rng(7)
+        shapes = {"scalar": (), "bias": (5,), "weight": (4, 3, 3, 3),
+                  "long": (2 * optim._SLICE + 7,), "wide": (3, optim._SLICE // 2 + 1)}
+
+        def params():
+            r = np.random.default_rng(0)
+            out = {k: Tensor(r.normal(size=s).astype(dtype), requires_grad=True)
+                   for k, s in shapes.items()}
+            # a transposed view: not C-contiguous
+            out["strided"] = Tensor(r.normal(size=(6, 9)).astype(dtype).T, requires_grad=True)
+            return out
+
+        got, want = params(), params()
+        s_got = OptimizerState(lr=0.01, weight_decay=0.05)
+        s_want = OptimizerState(lr=0.01, weight_decay=0.05)
+        for step in range(6):
+            for k in got:
+                g = (rng.normal(size=got[k].shape) * 10.0 ** rng.integers(-4, 2)).astype(dtype)
+                got[k].grad, want[k].grad = g.copy(), g.copy()
+            got["bias"].grad = want["bias"].grad = None  # no gradient: pure decay
+            s_got.lr = s_want.lr = cosine_lr(step, 6, 0.01)
+            adamw_step(got, s_got)
+            optim_oracle.adamw_step(want, s_want)
+            for k in got:
+                assert got[k].data.dtype == dtype
+                np.testing.assert_array_equal(got[k].data, want[k].data, err_msg=k)
+                np.testing.assert_array_equal(s_got.m[k], s_want.m[k], err_msg=k)
+                np.testing.assert_array_equal(s_got.v[k], s_want.v[k], err_msg=k)
+
+    def test_updates_the_parameter_arrays_in_place(self):
+        p = make_param(np.arange(2 * optim._SLICE + 3, dtype=np.float64))
+        data = p.data
+        p.grad = np.ones_like(data)
+        adamw_step({"p": p}, OptimizerState(lr=0.1))
+        assert p.data is data
+        assert (data < np.arange(data.size)).all()

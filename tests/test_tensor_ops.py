@@ -12,7 +12,7 @@ from densepillars import tensor as T
 from densepillars.encoder import scatter_to_pseudo_image
 from densepillars.optim import OptimizerState, adamw_step
 from densepillars.tensor import ConfigurationError, Tensor, grad_check
-from pfn_oracle import max_over_axis, relu
+from pfn_oracle import max_over_axis, padded_train_stats, relu
 
 rng = np.random.default_rng(12345)
 
@@ -118,6 +118,18 @@ class TestConvTranspose2d:
             [rand_t(1, 2, 4, 4), rand_t(2, 3, 2, 2)],
         )
         assert err <= 1e-5
+
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_backward_matches_the_contraction(self, stride):
+        """dx and dW against the einsum contractions of the strided blocks."""
+        x, w = rand_t(2, 3, 5, 4), rand_t(3, 6, stride, stride)
+        g = rng.normal(size=(2, 6, 5 * stride, 4 * stride))
+        T.conv_transpose2d(x, w, stride).backward(g)
+        gr = g.reshape(2, 6, 5, stride, 4, stride)
+        np.testing.assert_allclose(x.grad, np.einsum("nohiwj,coij->nchw", gr, w.data),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(w.grad, np.einsum("nohiwj,nchw->coij", gr, x.data),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_adjoint_of_strided_conv(self):
         # <conv(x), y> == <x, conv_transpose(y)> for kernel == stride
@@ -1038,6 +1050,29 @@ class TestBatchNormOracle:
         for name, got, want in zip(("dx", "dgamma", "dbeta"), rows[2], (full[2][0][at], *full[2][1:])):
             err = np.max(np.abs(got - want)) / np.max(np.abs(want))
             assert err <= rtol, f"{name}: relative error {err:.2e} > {rtol:.0e}"
+
+    @pytest.mark.parametrize("c", [1, 3, 64])
+    @pytest.mark.parametrize("extra", [-1, 0, 5])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_padded_stats_by_tiles_equal_the_whole_table(self, shuffled, extra, c):
+        """The padded train statistics sum the [total, C] table a tile of
+        rows at a time; mean and variance equal those of the whole table
+        (`pfn_oracle.padded_train_stats`) bit for bit, for totals around two
+        tiles, with rows on the tiles' edges and `at` in any order."""
+        step = T.row_tiles(T._TILE_BYTES, c * 4)[0][1]  # rows per tile
+        total = 2 * step + extra
+        r = np.random.default_rng([c, extra + 1, shuffled])
+        edges = [e for e in (0, step - 1, step, step + 1, 2 * step - 1, 2 * step, total - 1)
+                 if e < total]
+        at = np.union1d(r.choice(total, size=total // 5, replace=False), edges)
+        if shuffled:
+            at = r.permutation(at)
+        x = r.normal(0.4, 1.3, size=(at.size, c, 1, 1)).astype(np.float32)
+        got = T._train_stats(x, total, (total, at))
+        want = padded_train_stats(x, total, at)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == np.float32
+            np.testing.assert_array_equal(g, w)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mode", ["train", "eval"])
