@@ -7,13 +7,13 @@ neck, or head. The layers that read the pillars (the dense block-1 first
 conv and the pillar channels of its transition, the baseline's first entry
 conv) run as `tensor.sparse_conv2d` over one `tensor.PillarPlan` per
 frame, which equals the conv of the scattered pseudo-image without
-building it. With a graph, a dense block's stages write into one shared
-buffer that is their concatenation. Only inference differs: in eval mode
-with no graph recorded, each conv + batch norm + relu runs as one conv,
-and each dense block streams by bands of rows (`_stream_block`): its
-layers, its transition and the 2x2 pool run per band into the tap's rows,
-over a window that keeps one halo row per 3x3 layer, so no full-height
-stage buffer or transition output is built.
+building it. A dense block with its transition and pool is one call of one
+of two functions. `_whole_block` runs on whole maps, with a graph where one
+is recorded; its stages write into one shared buffer, their concatenation.
+`_stream_block` runs in eval mode with no graph: each conv + batch norm +
+relu runs as one conv, and the layers, the transition and the 2x2 pool run
+per band of rows into the tap's rows, over a window that keeps one halo row
+per 3x3 layer, so no full-height stage buffer or transition output is built.
 """
 
 from __future__ import annotations
@@ -60,8 +60,11 @@ class DenseBackboneSpec:
     def __post_init__(self):
         if len(self.layers_per_block) != len(self.transition_out_channels):
             raise ConfigurationError("layers_per_block / transition channels mismatch")
-        for b in range(1, self.n_blocks + 1):
-            self.growth.rate(b)  # an unknown mode or a block past the table raises here
+        for b, n in enumerate(self.layers_per_block, start=1):
+            k = self.growth.rate(b)  # an unknown mode or a block past the table raises here
+            if n < 1 or k < 1:
+                raise ConfigurationError(f"dense block {b} has {n} layers of growth rate {k}; "
+                                         "it needs at least one layer and a rate of at least 1")
 
     @property
     def n_blocks(self):
@@ -128,24 +131,50 @@ class ConvBNRelu:
         return [self.bn]
 
 
-def _width(layers):
-    return sum(layer.conv.weight.shape[0] for layer in layers)
-
-
-def _chain(h, layers, buf, lo):
-    """[h, h1, h2, ...]: the layers run as a chain from h, each writing its
-    output into buf's next channels from `lo` on."""
-    feats = [h]
+def _chain(h, layers, buf):
+    """The concat [h, h1, h2, ...] into buf, which h heads: the layers run
+    as a chain from h, each writing its output into buf's next channels."""
+    feats, lo = [h], h.shape[1]
     for layer in layers:
         feats.append(layer.forward(feats[-1], out=buf[:, lo : lo + layer.conv.weight.shape[0]]))
         lo += feats[-1].shape[1]
-    return feats
+    return T.channel_concat(feats, out=buf)
 
 
-def _folds(layers, trans, x):
+def _folds(layers, trans, x=None, pillars=None):
     """Whether every batch norm of a dense block and its transition folds
-    for the block input x (eval mode, no graph)."""
+    for the block input (eval mode, no graph)."""
+    x = x if pillars is None else pillars[0]
     return all(m.bn.folds(x, m.conv.weight) for m in (*layers, trans))
+
+
+def _split(p, c_in):
+    """A block-1 transition conv `p` as its part over the c_in pillar
+    channels, which keeps the bias, and its part over the stages."""
+    w = p.weight
+    return (T.Conv2dParams(T.channel_slice(w, 0, c_in), p.bias),
+            T.Conv2dParams(T.channel_slice(w, c_in, w.shape[1])))
+
+
+def _whole_block(layers, trans, x=None, pillars=None):
+    """The tap of a dense block, its 1x1 transition and the 2x2 pool, on
+    whole maps (with the graph, where one is recorded), from its input x
+    [N, C, H, W] or, for block 1, from `pillars` = (features, plan). The
+    stages write into one buffer as wide as the transition's input, which
+    their concat returns uncopied. From x it starts with a copy of x; from
+    the pillars the first layer is sparse, the buffer holds only the stages
+    and the transition adds the sparse 1x1 product of its pillar channels."""
+    c_cat = trans.conv.weight.shape[1]
+    if pillars is None:
+        buf = np.empty((x.shape[0], c_cat, *x.shape[2:]), dtype=x.dtype)
+        return T.avg_pool2x2(trans.forward(_chain(x, layers, buf)))
+    features, plan = pillars
+    buf = np.empty((1, c_cat - features.shape[1], *plan.size), dtype=features.dtype)
+    h = layers[0].forward_sparse(features, plan, out=buf[:, : layers[0].conv.weight.shape[0]])
+    cat = _chain(h, layers[1:], buf)
+    pillar_conv, stage_conv = _split(trans.conv, features.shape[1])
+    mixed = T.sparse_conv2d(features, plan, pillar_conv, onto=T.conv2d(cat, stage_conv))
+    return T.avg_pool2x2(T.batch_norm(mixed, trans.bn, relu=True))
 
 
 def _stream_block(layers, trans, x=None, pillars=None):
@@ -173,9 +202,7 @@ def _stream_block(layers, trans, x=None, pillars=None):
     else:
         features, plan = pillars
         (n, c0), (h, w), dtype = (1, 0), plan.size, features.dtype
-        c_in = features.shape[1]
-        pillar_conv = T.Conv2dParams(T.channel_slice(t.weight, 0, c_in), t.bias)
-        t = T.Conv2dParams(T.channel_slice(t.weight, c_in, t.weight.shape[1]))
+        pillar_conv, t = _split(t, features.shape[1])
     depth = len(convs)
     edges = np.cumsum([0, c0] + [c.weight.shape[0] for c in convs])  # x, h1, ..., hL
     bands = T.row_tiles(h, n * edges[-1] * w * np.dtype(dtype).itemsize, 2)
@@ -212,14 +239,6 @@ def _stream_block(layers, trans, x=None, pillars=None):
     return Tensor(tap)
 
 
-def dense_block_forward(x, layers):
-    """Feed-forward conv chain; input and every stage output concatenated
-    once. Each stage writes its channel slice of one buffer that the concat
-    returns, so only x is copied."""
-    buf = np.empty((x.shape[0], x.shape[1] + _width(layers), *x.shape[2:]), dtype=x.dtype)
-    return T.channel_concat(_chain(x, layers, buf, x.shape[1]), out=buf)
-
-
 class DenseBackbone:
     """Dense blocks + transition layers producing strides 2/4/8 taps. Each
     transition is DenseNet's: a 1x1 conv, then 2x2 average pooling."""
@@ -242,35 +261,15 @@ class DenseBackbone:
     def forward(self, features, coords, size):
         """Taps from the pillar features [P, C] at grid cells `coords` of a
         grid of `size` = (H, W). A block whose every batch norm folds
-        streams by bands of rows (`_stream_block`)."""
-        plan = T.PillarPlan(coords, size)
-        layers, trans = self.blocks[0], self.transitions[0]
-        if _folds(layers, trans, features):
-            taps = [_stream_block(layers, trans, pillars=(features, plan))]
-        else:
-            taps = [self._first_block(features, plan)]
-        for layers, trans in zip(self.blocks[1:], self.transitions[1:]):
-            if _folds(layers, trans, taps[-1]):
-                taps.append(_stream_block(layers, trans, x=taps[-1]))
-            else:
-                taps.append(T.avg_pool2x2(trans.forward(dense_block_forward(taps[-1], layers))))
+        streams by bands of rows (`_stream_block`); any other block runs on
+        whole maps (`_whole_block`)."""
+        src = {"pillars": (features, T.PillarPlan(coords, size))}
+        taps = []
+        for layers, trans in zip(self.blocks, self.transitions):
+            block = _stream_block if _folds(layers, trans, **src) else _whole_block
+            taps.append(block(layers, trans, **src))
+            src = {"x": taps[-1]}
         return taps
-
-    def _first_block(self, features, plan):
-        """Block 1 and its transition, read from the pillars, with whole
-        maps. The 1x1 transition over [x; h1; ...] is a GEMM over the stage
-        outputs plus the sparse 1x1 product of the pillar channels of its
-        weight, so the concat holds the stage outputs only."""
-        layers, trans = self.blocks[0], self.transitions[0]
-        c_in, k = features.shape[1], layers[0].conv.weight.shape[0]
-        buf = np.empty((1, _width(layers), *plan.size), dtype=features.dtype)
-        h = layers[0].forward_sparse(features, plan, out=buf[:, :k])
-        cat = T.channel_concat(_chain(h, layers[1:], buf, k), out=buf)
-        w = trans.conv.weight
-        mixed = T.sparse_conv2d(features, plan, T.Conv2dParams(T.channel_slice(w, 0, c_in)),
-                                onto=T.conv2d(cat, T.Conv2dParams(
-                                    T.channel_slice(w, c_in, w.shape[1]))))
-        return T.avg_pool2x2(T.batch_norm(mixed, trans.bn, relu=True))
 
     def named_params(self, prefix="backbone"):
         out = {}

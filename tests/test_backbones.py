@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from densepillars import encoder
+from densepillars import backbones, encoder
 from densepillars import tensor as T
 from densepillars.backbones import (
     BaselineBackbone,
@@ -14,7 +14,6 @@ from densepillars.backbones import (
     DenseBackboneSpec,
     GrowthSchedule,
     build_backbone,
-    dense_block_forward,
 )
 from densepillars.config import parse_config
 from densepillars.detector import detection_loss
@@ -64,51 +63,99 @@ class TestGrowthSchedule:
             GrowthSchedule("cubic").rate(1)
 
 
+def _captured_concats(monkeypatch):
+    """The outputs of every `T.channel_concat` call from here on."""
+    cats, concat = [], T.channel_concat
+    monkeypatch.setattr(T, "channel_concat",
+                        lambda parts, out=None: cats.append(concat(parts, out=out)) or cats[-1])
+    return cats
+
+
+def _dense_block(rng, c_in, k, n, c_out=6):
+    layers = [ConvBNRelu(rng, c_in if i == 0 else k, k, 3, padding=1) for i in range(n)]
+    return layers, ConvBNRelu(rng, c_in + n * k, c_out, 1)
+
+
 class TestDenseBlock:
-    def test_concat_width(self):
-        """Output channels = input + n_layers * growth, concatenated once."""
+    """`backbones._whole_block`, the dense block with whole maps: its stages
+    and (but for block 1) its input are concatenated once, into one buffer."""
+
+    def test_concat_width(self, monkeypatch):
+        """The concat is input + n_layers * growth wide from x, and only the
+        stages from the pillars; the tap is the transition's, pooled."""
         rng = np.random.default_rng(0)
         c_in, k, n = 8, 4, 3
-        layers = [ConvBNRelu(rng, c_in if i == 0 else k, k, 3, padding=1) for i in range(n)]
+        layers, trans = _dense_block(rng, c_in, k, n)
         x = Tensor(rng.normal(size=(1, c_in, 6, 6)).astype(np.float32))
-        out = dense_block_forward(x, layers)
-        assert out.shape == (1, c_in + n * k, 6, 6)
+        features, coords, size = pillar_image(x)
+        cats = _captured_concats(monkeypatch)
+        taps = [backbones._whole_block(layers, trans, x=x),
+                backbones._whole_block(layers, trans, pillars=(features, T.PillarPlan(coords, size)))]
+        assert [c.shape for c in cats] == [(1, c_in + n * k, 6, 6), (1, n * k, 6, 6)]
+        assert [t.shape for t in taps] == [(1, 6, 3, 3)] * 2
+        np.testing.assert_allclose(taps[1].data, taps[0].data, rtol=1e-5, atol=1e-6)
 
-    def test_input_passes_through_unchanged(self):
+    def test_input_passes_through_unchanged(self, monkeypatch):
         rng = np.random.default_rng(1)
-        layers = [ConvBNRelu(rng, 8, 4, 3, padding=1)]
+        layers, trans = _dense_block(rng, 8, 4, 1)
         x = Tensor(rng.normal(size=(1, 8, 6, 6)).astype(np.float32))
-        out = dense_block_forward(x, layers)
-        np.testing.assert_array_equal(out.data[:, :8], x.data)
+        cats = _captured_concats(monkeypatch)
+        backbones._whole_block(layers, trans, x=x)
+        np.testing.assert_array_equal(cats[0].data[:, :8], x.data)
 
     @pytest.mark.parametrize("mode", ["eval", "train"])
     def test_feed_forward_chain(self, monkeypatch, mode):
         """Each stage sees only the previous stage's output, not the concat,
-        and writes it into its slice of the block output, which is not
-        copied again."""
+        and writes it into its slice of the concat, which is not copied
+        again."""
         rng = np.random.default_rng(2)
-        layers = [
-            ConvBNRelu(rng, 8, 4, 3, padding=1),
-            ConvBNRelu(rng, 4, 4, 3, padding=1),
-        ]
+        layers, trans = _dense_block(rng, 8, 4, 2)
         stages = []
-        for layer in layers:
+        for layer in (*layers, trans):
             layer.bn.mode = mode
-
+        for layer in layers:
             def spy(h, out=None, forward=layer.forward):
                 stages.append(forward(h, out=out))
                 return stages[-1]
 
             monkeypatch.setattr(layer, "forward", spy)
         x = Tensor(rng.normal(size=(1, 8, 6, 6)).astype(np.float32))
-        out = dense_block_forward(x, layers)
-        assert len(stages) == 2
+        cats = _captured_concats(monkeypatch)
+        backbones._whole_block(layers, trans, x=x)
+        assert len(stages) == 2 and len(cats) == 1
         for stage in stages:
-            assert np.shares_memory(stage.data, out.data)
+            assert np.shares_memory(stage.data, cats[0].data)
         h1 = layers[0].forward(x)
         h2 = layers[1].forward(h1)
-        np.testing.assert_array_equal(out.data[:, 8:12], h1.data)
-        np.testing.assert_array_equal(out.data[:, 12:16], h2.data)
+        np.testing.assert_array_equal(cats[0].data[:, 8:12], h1.data)
+        np.testing.assert_array_equal(cats[0].data[:, 12:16], h2.data)
+
+
+class TestBlockRoutes:
+    """Each dense block runs through `_stream_block` or `_whole_block`, one
+    call per block: streamed only in eval mode with no graph."""
+
+    @pytest.mark.parametrize("mode,graph,route", [
+        ("eval", False, "_stream_block"),
+        ("train", False, "_whole_block"),
+        ("train", True, "_whole_block"),
+        ("eval", True, "_whole_block")])
+    def test_one_route_per_block(self, monkeypatch, mode, graph, route):
+        calls = {"_stream_block": 0, "_whole_block": 0}
+        for name in calls:
+            def count(*args, name=name, block=getattr(backbones, name), **kwargs):
+                calls[name] += 1
+                return block(*args, **kwargs)
+
+            monkeypatch.setattr(backbones, name, count)
+        bb = build_backbone("dense", seed=0)
+        for bn in bb.bn_list():
+            bn.mode = mode
+        x = Tensor(np.random.default_rng(0).normal(size=(1, 64, 16, 16)).astype(np.float32))
+        with contextlib.nullcontext() if graph else T.no_grad():
+            taps = bb.forward(*pillar_image(x))
+        assert len(taps) == 3
+        assert calls == {**{name: 0 for name in calls}, route: 3}
 
 
 class TestDenseBackbone:
@@ -144,6 +191,12 @@ class TestDenseBackbone:
             DenseBackboneSpec(layers_per_block=(1, 1, 1, 1), transition_out_channels=(8,) * 4)
         with pytest.raises(ConfigurationError, match="unknown growth mode"):
             DenseBackboneSpec(growth=GrowthSchedule("bogus"))
+        for layers, growth, block in (((0, 5, 5), GrowthSchedule(), 1),
+                                      ((3, 5, -1), GrowthSchedule(), 3),
+                                      ((3, 5, 5), GrowthSchedule("fixed", 0), 1),
+                                      ((3, 5, 5), GrowthSchedule("doubling", -4), 1)):
+            with pytest.raises(ConfigurationError, match=f"dense block {block} "):
+                DenseBackboneSpec(layers_per_block=layers, growth=growth)
 
     def test_gradients_reach_first_layer(self):
         bb = DenseBackbone(DenseBackboneSpec(), seed=0)
@@ -315,6 +368,36 @@ class TestSharedBufferOracle:
         for a, b in zip(product.bn_list(), oracle.bn_list(), strict=True):
             np.testing.assert_array_equal(a.running_mean, b.running_mean)
             np.testing.assert_array_equal(a.running_var, b.running_var)
+
+
+class TestTrainModeWithoutGraph:
+    """In train mode, a forward under `no_grad` computes the recorded
+    forward's taps and updates every batch norm's running statistics once,
+    as the recorded forward does."""
+
+    @pytest.mark.parametrize("kind", ["dense", "baseline"])
+    def test_taps_and_statistics_equal_the_recorded_forward(self, kind):
+        cfg = parse_config(REPO / "configs" / "desk_overfit.cfg",
+                           {"architecture.backbone": kind})
+        scene = make_training_scenes(cfg)[0]
+        fresh, recorded, bare = build_pipeline(cfg), build_pipeline(cfg), build_pipeline(cfg)
+        batch = recorded.encode(scene.cloud)
+        size = (recorded.grid.height, recorded.grid.width)
+        taps = []
+        for p, graph in ((recorded, True), (bare, False)):
+            p.set_mode("train")
+            features = pfn_forward(batch, p.pfn)
+            with contextlib.nullcontext() if graph else T.no_grad():
+                taps.append(p.backbone.forward(features, batch.coords, size))
+        assert taps[0][0].requires_grad and not taps[1][0].requires_grad
+        for i, (a, b) in enumerate(zip(*taps, strict=True)):
+            np.testing.assert_array_equal(a.data, b.data, err_msg=f"tap {i}")
+        for a, b in zip(recorded.bn_list(), bare.bn_list(), strict=True):
+            np.testing.assert_array_equal(a.running_mean, b.running_mean)
+            np.testing.assert_array_equal(a.running_var, b.running_var)
+        for a, c in zip(recorded.backbone.bn_list(), fresh.backbone.bn_list(), strict=True):
+            assert not np.array_equal(a.running_mean, c.running_mean)
+            assert not np.array_equal(a.running_var, c.running_var)
 
 
 class TestNoPseudoImage:
