@@ -23,7 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .encoder import PFN_CHANNELS
 from .tensor import ConfigurationError, Tensor
+
+# Widths of the three taps (strides 2, 4 and 8) that both backbones emit by
+# default and the neck reads.
+TAP_CHANNELS = (64, 128, 256)
 
 
 @dataclass
@@ -54,8 +59,7 @@ class GrowthSchedule:
 class DenseBackboneSpec:
     layers_per_block: tuple = (3, 5, 5)
     growth: GrowthSchedule = field(default_factory=GrowthSchedule)
-    transition_out_channels: tuple = (64, 128, 256)
-    input_channels: int = 64
+    transition_out_channels: tuple = TAP_CHANNELS
 
     def __post_init__(self):
         if len(self.layers_per_block) != len(self.transition_out_channels):
@@ -74,8 +78,7 @@ class DenseBackboneSpec:
 @dataclass
 class BaselineBackboneSpec:
     layers_per_block: tuple = (3, 5, 5)  # convs after each stride-2 entry conv
-    channels: tuple = (64, 128, 256)
-    input_channels: int = 64
+    channels: tuple = TAP_CHANNELS
 
     @property
     def n_blocks(self):
@@ -247,7 +250,7 @@ class DenseBackbone:
         rng = np.random.default_rng(seed)
         self.blocks = []
         self.transitions = []
-        c_in = spec.input_channels
+        c_in = PFN_CHANNELS
         for b in range(1, spec.n_blocks + 1):
             k = spec.growth.rate(b)
             n = spec.layers_per_block[b - 1]
@@ -294,7 +297,7 @@ class BaselineBackbone:
     def __init__(self, spec: BaselineBackboneSpec, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.blocks = []
-        c_in = spec.input_channels
+        c_in = PFN_CHANNELS
         for b in range(spec.n_blocks):
             c = spec.channels[b]
             layers = [ConvBNRelu(rng, c_in, c, 3, stride=2, padding=1)]

@@ -24,7 +24,7 @@ from .detector import (
     smooth_l1_sine_loss,
     softmax_cross_entropy,
 )
-from .encoder import GridSpec
+from .encoder import PFN_CHANNELS, GridSpec
 from .pointcloud import (
     Box3D,
     FormatError,
@@ -85,7 +85,7 @@ def cmd_analyze(args) -> int:
     dense, base, ratios = comparison_report(
         grid, DenseBackboneSpec(growth=cfg.growth_schedule()), BaselineBackboneSpec()
     )
-    print(f"input pseudo-image: {grid.feature_channels}x{grid.height}x{grid.width}\n")
+    print(f"input pseudo-image: {PFN_CHANNELS}x{grid.height}x{grid.width}\n")
     print("baseline backbone pipeline")
     print(base.render_table())
     print("\ndense backbone pipeline "

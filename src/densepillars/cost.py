@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .backbones import BaselineBackboneSpec, DenseBackboneSpec
-from .detector import AnchorConfig, NeckSpec
-from .encoder import GridSpec
+from .detector import NECK_IN_CHANNELS, NECK_OUT_CHANNELS, NECK_STRIDES, AnchorConfig
+from .encoder import PFN_CHANNELS, GridSpec
 from .pointcloud import CLASSES
 from .tensor import ConfigurationError
 
@@ -66,7 +66,7 @@ class CostReport:
 
 
 def encoder_cost(grid: GridSpec) -> ComponentCost:
-    c = grid.feature_channels
+    c = PFN_CHANNELS
     lin = 9 * c
     bn_p = 2 * c
     slots = grid.max_pillars * grid.max_points_per_pillar
@@ -77,7 +77,7 @@ def dense_backbone_cost(spec: DenseBackboneSpec, h: int, w: int) -> ComponentCos
     params = 0
     macs = 0
     elem = 0
-    c_in = spec.input_channels
+    c_in = PFN_CHANNELS
     for b in range(1, spec.n_blocks + 1):
         if h % 2 or w % 2:
             raise ConfigurationError("resolution not divisible by 2 at every block")
@@ -106,7 +106,7 @@ def baseline_backbone_cost(spec: BaselineBackboneSpec, h: int, w: int) -> Compon
     params = 0
     macs = 0
     elem = 0
-    c_in = spec.input_channels
+    c_in = PFN_CHANNELS
     for b in range(spec.n_blocks):
         if h % 2 or w % 2:
             raise ConfigurationError("resolution not divisible by 2 at every block")
@@ -122,12 +122,12 @@ def baseline_backbone_cost(spec: BaselineBackboneSpec, h: int, w: int) -> Compon
     return ComponentCost("backbone", params, macs, elem)
 
 
-def neck_cost(spec: NeckSpec, tap_sizes) -> ComponentCost:
+def neck_cost(tap_sizes) -> ComponentCost:
     params = 0
     macs = 0
     elem = 0
-    for (c_in, stride, c_out), (th, tw) in zip(
-        zip(spec.in_channels, spec.upsample_strides, spec.out_channels), tap_sizes
+    for c_in, stride, c_out, (th, tw) in zip(
+        NECK_IN_CHANNELS, NECK_STRIDES, NECK_OUT_CHANNELS, tap_sizes
     ):
         w_count = c_in * c_out * stride * stride
         params += w_count + 2 * c_out
@@ -151,7 +151,6 @@ def backbone_tap_sizes(h: int, w: int):
 
 def pipeline_report(grid: GridSpec, backbone_spec) -> CostReport:
     """Four-row report for one backbone choice at the grid's input shape."""
-    neck = NeckSpec()
     h, w = grid.height, grid.width
     if isinstance(backbone_spec, DenseBackboneSpec):
         backbone = dense_backbone_cost(backbone_spec, h, w)
@@ -163,8 +162,8 @@ def pipeline_report(grid: GridSpec, backbone_spec) -> CostReport:
     rows = [
         encoder_cost(grid),
         backbone,
-        neck_cost(neck, taps),
-        head_cost(sum(neck.out_channels), AnchorConfig().anchors_per_cell, h // 2, w // 2),
+        neck_cost(taps),
+        head_cost(sum(NECK_OUT_CHANNELS), AnchorConfig.anchors_per_cell, h // 2, w // 2),
     ]
     return CostReport(rows)
 

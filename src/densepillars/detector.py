@@ -8,17 +8,23 @@ with the neck's batch norm folded once per frame by `FPN.folded`) and
 scores each tile as the head writes it, so neither the fused map nor the
 stacked head map is built whole; `postprocess` scores whole maps.
 `decode_detections` decodes the candidates and runs NMS.
+
+The neck's widths and strides, the anchors (`AnchorConfig`) and the loss
+weights are PointPillars' fixed KITTI settings (Lang et al., arXiv
+1812.05784), declared once here as constants.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from . import tensor as T
+from .backbones import TAP_CHANNELS
 from .bev import box_rows, iou_bounds, nms_bev, pair_iou, pairs_in_reach
 # not called here: re-exported because perfbench/spans.py wraps
 # detector.rotated_iou_bev by name, and tracing fails without the attribute
@@ -28,55 +34,35 @@ from .pointcloud import CLASSES, CLASS_SIZES, Box3D, Detection, wrap_angle
 from .tensor import ConfigurationError, Tensor
 
 
-@dataclass
-class NeckSpec:
-    in_channels: tuple = (64, 128, 256)
-    upsample_strides: tuple = (1, 2, 4)
-    out_channels: tuple = (128, 128, 128)
+# The neck's three branches, one per backbone tap (strides 2, 4 and 8):
+# each upsamples its tap to the stride-2 grid with a transposed conv.
+NECK_IN_CHANNELS = TAP_CHANNELS
+NECK_STRIDES = (1, 2, 4)
+NECK_OUT_CHANNELS = (128, 128, 128)
 
 
-@dataclass
 class AnchorConfig:
-    sizes: dict = field(default_factory=lambda: dict(CLASS_SIZES))
-    z_centers: dict = field(
-        default_factory=lambda: {"Car": -1.78, "Pedestrian": -0.6, "Cyclist": -0.6}
-    )
-    rotations: tuple = (0.0, math.pi / 2)
-    match_thresholds: dict = field(
-        default_factory=lambda: {"Car": 0.6, "Pedestrian": 0.5, "Cyclist": 0.5}
-    )
-    unmatch_thresholds: dict = field(
-        default_factory=lambda: {"Car": 0.45, "Pedestrian": 0.35, "Cyclist": 0.35}
-    )
-    feature_stride: int = 2
+    """PointPillars' KITTI anchors and matching thresholds (Lang et al.,
+    arXiv 1812.05784), as read-only class attributes. Every class has an
+    entry in each table, and 0 < unmatch <= match <= 1: an unscored pair
+    has IoU 0, so an anchor of no pair must be negative."""
 
-    def __post_init__(self):
-        for name in ("sizes", "z_centers", "match_thresholds", "unmatch_thresholds"):
-            missing = [c for c in CLASSES if c not in getattr(self, name)]
-            if missing:
-                raise ConfigurationError(f"AnchorConfig.{name} has no entry for {missing}")
-        for cls in CLASSES:
-            # an unscored pair has IoU 0, so an anchor of no pair must be negative
-            match, unmatch = self.match_thresholds[cls], self.unmatch_thresholds[cls]
-            if not 0.0 < unmatch <= match <= 1.0:
-                raise ConfigurationError(
-                    f"AnchorConfig thresholds for {cls} must satisfy "
-                    f"0 < unmatch <= match <= 1, got unmatch {unmatch}, match {match}"
-                )
-
-    @property
-    def anchors_per_cell(self):
-        return len(CLASSES) * len(self.rotations)
+    sizes = MappingProxyType(dict(CLASS_SIZES))
+    z_centers = MappingProxyType({"Car": -1.78, "Pedestrian": -0.6, "Cyclist": -0.6})
+    rotations = (0.0, math.pi / 2)
+    match_thresholds = MappingProxyType({"Car": 0.6, "Pedestrian": 0.5, "Cyclist": 0.5})
+    unmatch_thresholds = MappingProxyType({"Car": 0.45, "Pedestrian": 0.35, "Cyclist": 0.35})
+    feature_stride = 2
+    anchors_per_cell = len(CLASSES) * len(rotations)
 
 
 class FPN:
     """Upsample each backbone tap to the stride-2 grid and concatenate."""
 
-    def __init__(self, spec: NeckSpec, seed: int = 0):
-        self.spec = spec
+    def __init__(self, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.branches = []
-        for c_in, stride, c_out in zip(spec.in_channels, spec.upsample_strides, spec.out_channels):
+        for c_in, stride, c_out in zip(NECK_IN_CHANNELS, NECK_STRIDES, NECK_OUT_CHANNELS):
             std = np.sqrt(2.0 / (c_out * stride * stride))
             w = rng.normal(0.0, std, size=(c_in, c_out, stride, stride)).astype(np.float32)
             self.branches.append(
@@ -89,14 +75,14 @@ class FPN:
         hold about a GEMM tile (`T.row_tiles`) together."""
         row_bytes = sum(tap.data[:, :, 0].nbytes // stride
                         for tap, (_, _, stride) in zip(taps, self.branches))
-        return T.row_tiles(self.fused_shape(taps)[2], row_bytes, max(self.spec.upsample_strides))
+        return T.row_tiles(self.fused_shape(taps)[2], row_bytes, max(NECK_STRIDES))
 
     def fused_shape(self, taps):
         """[N, C, H, W] of the fused map: the taps upsampled to the grid of
         the first."""
         n, _, rows, cols = taps[0].shape
         s0 = self.branches[0][2]
-        return n, sum(self.spec.out_channels), rows * s0, cols * s0
+        return n, sum(NECK_OUT_CHANNELS), rows * s0, cols * s0
 
     def folded(self, taps):
         """Each branch's transposed-conv weight with its batch norm folded
@@ -127,9 +113,9 @@ class FPN:
         if rows is not None:
             r0, r1 = rows
             folded = folded or self.folded(taps)
-            if any(r % s for r in rows for s in self.spec.upsample_strides):
+            if any(r % s for r in rows for s in NECK_STRIDES):
                 raise ConfigurationError(f"FPN: rows {rows} not on every upsample stride")
-        bounds = np.cumsum([0, *self.spec.out_channels])
+        bounds = np.cumsum([0, *NECK_OUT_CHANNELS])
         fused = np.empty((n, c, r1 - r0, cols), dtype=taps[0].dtype)
         outs = []
         for i, (tap, (w, bn, stride)) in enumerate(zip(taps, self.branches)):
@@ -160,12 +146,13 @@ class AnchorHead:
     parallel 1x1 convs over the fused map, as one 1x1 conv with bias whose
     output channels stack the three maps."""
 
-    def __init__(self, in_channels: int = 384, cfg: AnchorConfig | None = None, seed: int = 0):
-        a = (cfg or AnchorConfig()).anchors_per_cell
+    def __init__(self, seed: int = 0):
+        a = AnchorConfig.anchors_per_cell
         self.widths = (a * len(CLASSES), a * 7, a * 2)
         rng = np.random.default_rng(seed)
         # one draw equals drawing the class, box and direction rows in turn
-        w = rng.normal(0.0, 0.01, size=(sum(self.widths), in_channels, 1, 1)).astype(np.float32)
+        shape = (sum(self.widths), sum(NECK_OUT_CHANNELS), 1, 1)  # over the neck's fused map
+        w = rng.normal(0.0, 0.01, size=shape).astype(np.float32)
         b = np.zeros(sum(self.widths), dtype=np.float32)
         # class logits start near a low foreground prior to keep focal loss stable
         prior = 0.01
@@ -356,6 +343,12 @@ def assign_targets(anchors, anchor_cls, gts, cfg: AnchorConfig) -> TargetAssignm
 # ---------------------------------------------------------------------------
 # fused loss ops (manual backward, validated by finite differences)
 
+LOC_WEIGHT = 2.0
+DIR_WEIGHT = 0.2
+FOCAL_ALPHA = 0.25
+FOCAL_GAMMA = 2.0
+SMOOTH_L1_BETA = 1.0 / 9.0
+
 
 def _softplus(z):
     return np.logaddexp(0.0, z)
@@ -365,9 +358,10 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def sigmoid_focal_loss(logits: Tensor, target, weight, alpha=0.25, gamma=2.0,
-                       normalizer=1.0) -> Tensor:
-    """Focal BCE summed over entries, scaled by per-row weight / normalizer."""
+def sigmoid_focal_loss(logits: Tensor, target, weight, normalizer=1.0) -> Tensor:
+    """Focal BCE (α = FOCAL_ALPHA, γ = FOCAL_GAMMA) summed over entries,
+    scaled by per-row weight / normalizer."""
+    alpha, gamma = FOCAL_ALPHA, FOCAL_GAMMA
     y = np.asarray(target, dtype=logits.dtype)
     w = (np.asarray(weight, dtype=logits.dtype) / normalizer)[:, None]
     z = logits.data
@@ -386,9 +380,10 @@ def sigmoid_focal_loss(logits: Tensor, target, weight, alpha=0.25, gamma=2.0,
     return T.make(np.asarray(total, dtype=logits.dtype), (logits,), backward)
 
 
-def smooth_l1_sine_loss(pred: Tensor, target, weight, beta=1.0 / 9.0,
-                        normalizer=1.0, angle_channel=6) -> Tensor:
-    """Smooth L1 over box residuals; the angle channel compares via sine."""
+def smooth_l1_sine_loss(pred: Tensor, target, weight, normalizer=1.0) -> Tensor:
+    """Smooth L1 (β = SMOOTH_L1_BETA) over box residuals; the angle
+    channel, the last of the 7, compares via sine."""
+    beta, angle_channel = SMOOTH_L1_BETA, 6
     t = np.asarray(target, dtype=pred.dtype)
     w = (np.asarray(weight, dtype=pred.dtype) / normalizer)[:, None]
     r = pred.data - t
@@ -449,13 +444,6 @@ def anchor_rows(m: Tensor, per_anchor: int, anchors_per_cell: int, index) -> Ten
     return T.gather(m, (0, channels, r[:, None], c[:, None]))
 
 
-LOC_WEIGHT = 2.0
-DIR_WEIGHT = 0.2
-FOCAL_ALPHA = 0.25
-FOCAL_GAMMA = 2.0
-SMOOTH_L1_BETA = 1.0 / 9.0
-
-
 def detection_loss(cls_map, box_map, dir_map, assignment: TargetAssignment,
                    anchor_cls, cfg: AnchorConfig):
     """Focal + smooth-L1 (sine-angled) + direction CE. Returns Tensor dict.
@@ -476,12 +464,8 @@ def detection_loss(cls_map, box_map, dir_map, assignment: TargetAssignment,
     cls_weight = (labels != -1).astype(np.float64)
     pos_weight = np.ones(pos.shape[0])
 
-    cls_loss = sigmoid_focal_loss(
-        cls_flat, onehot, cls_weight, FOCAL_ALPHA, FOCAL_GAMMA, normalizer=n_pos
-    )
-    loc_loss = smooth_l1_sine_loss(
-        box_pos, assignment.pos_reg, pos_weight, SMOOTH_L1_BETA, normalizer=n_pos
-    )
+    cls_loss = sigmoid_focal_loss(cls_flat, onehot, cls_weight, normalizer=n_pos)
+    loc_loss = smooth_l1_sine_loss(box_pos, assignment.pos_reg, pos_weight, normalizer=n_pos)
     dir_loss = softmax_cross_entropy(dir_pos, assignment.pos_dir, pos_weight, normalizer=n_pos)
     total = T.add(cls_loss, T.add(T.scale(loc_loss, LOC_WEIGHT), T.scale(dir_loss, DIR_WEIGHT)))
     return {"total": total, "cls": cls_loss, "loc": loc_loss, "dir": dir_loss}
@@ -520,7 +504,7 @@ def head_candidates(cls_map, box_map, dir_map, row0, anchors_per_cell, score_thr
             box_v[a, :, r, c], dir_v[a, :, r, c].argmax(axis=1))
 
 
-def decode_detections(candidates, anchors, nms_thr: float = 0.01):
+def decode_detections(candidates, anchors, nms_thr: float):
     """Detections from `head_candidates`' output: decoded boxes with
     direction-corrected yaw, after class-wise rotated NMS. Decoding and
     NMS run on arrays; only the kept rows become `Detection`s."""

@@ -12,6 +12,7 @@ those rows; only its train-mode batch norm still counts the P·S slots."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ import numpy as np
 from . import tensor as T
 from .pointcloud import PointCloud
 from .tensor import ConfigurationError, InvariantViolation, Tensor
+
+PFN_CHANNELS = 64  # the PFN's output width, the backbones' input width
 
 
 @dataclass
@@ -29,7 +32,6 @@ class GridSpec:
     pillar_size: tuple = (0.16, 0.16)
     max_points_per_pillar: int = 32
     max_pillars: int = 12000
-    feature_channels: int = 64
 
     def __post_init__(self):
         for axis, (lo, hi) in zip("xyz", (self.x_range, self.y_range, self.z_range)):
@@ -38,12 +40,12 @@ class GridSpec:
         px, py = self.pillar_size
         for lo, hi, p in ((*self.x_range, px), (*self.y_range, py)):
             n = (hi - lo) / p
-            if abs(n - round(n)) > 1e-6:
+            if not math.isfinite(n) or abs(n - round(n)) > 1e-6:
                 raise ConfigurationError("range extent must be a multiple of pillar size")
-        if self.width % 8 or self.height % 8:
-            raise ConfigurationError(
-                f"grid {self.height}x{self.width} must be divisible by 8 for the backbone"
-            )
+        # a pillar larger than the range passes the check above with 0 cells
+        if min(self.width, self.height) < 8 or self.width % 8 or self.height % 8:
+            raise ConfigurationError(f"grid {self.height}x{self.width} must be a positive "
+                                     "multiple of 8 cells on each axis for the backbone")
 
     @property
     def width(self) -> int:  # cells along x
@@ -159,12 +161,12 @@ def decorate(batch: PillarBatch, g: GridSpec) -> PillarRows:
 
 @dataclass
 class PFNWeights:
-    weight: Tensor  # [9, feature_channels]
+    weight: Tensor  # [9, PFN_CHANNELS]
     bn: T.BatchNormParams
 
     @staticmethod
-    def create(g: GridSpec, rng: np.random.Generator):
-        c = g.feature_channels
+    def create(rng: np.random.Generator):
+        c = PFN_CHANNELS
         std = np.sqrt(2.0 / c)
         w = rng.normal(0.0, std, size=(9, c)).astype(np.float32)
         return PFNWeights(Tensor(w, requires_grad=True), T.BatchNormParams.create(c))

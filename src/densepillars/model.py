@@ -11,7 +11,6 @@ from .detector import (
     AnchorConfig,
     AnchorHead,
     FPN,
-    NeckSpec,
     assign_targets,
     decode_detections,
     detection_loss,
@@ -31,12 +30,11 @@ class DetectionPipeline:
                  growth: GrowthSchedule | None = None, seed: int = 0):
         self.grid = grid or GridSpec()
         rng = np.random.default_rng(seed)
-        self.pfn = PFNWeights.create(self.grid, rng)
+        self.pfn = PFNWeights.create(rng)
         self.backbone = build_backbone(backbone, seed=seed + 1, growth=growth)
-        self.neck = FPN(NeckSpec(), seed=seed + 2)
+        self.neck = FPN(seed=seed + 2)
         self.anchor_cfg = AnchorConfig()
-        self.head = AnchorHead(sum(self.neck.spec.out_channels), self.anchor_cfg,
-                               seed=seed + 3)
+        self.head = AnchorHead(seed=seed + 3)
         self.anchors, self.anchor_cls = generate_anchors(self.grid, self.anchor_cfg)
 
     # -- parameter plumbing -------------------------------------------------

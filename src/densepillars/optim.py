@@ -9,13 +9,16 @@ import numpy as np
 
 from .tensor import Tensor
 
+# AdamW's moment decay rates and the term that keeps its step finite
+# (Loshchilov & Hutter, arXiv 1711.05101)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class OptimizerState:
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
     t: int = 0
     m: dict = field(default_factory=dict)
@@ -42,8 +45,8 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
     dtype, as `Tensor.backward` leaves them."""
     state.t += 1
     t = state.t
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     decay = state.lr * state.weight_decay
     scratch = {}
     for name, p in params.items():
@@ -59,16 +62,16 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
         for lo in range(0, p.data.size, _SLICE):
             w, gs, m, v = (x[lo : lo + _SLICE] for x in flat)
             a, b = scratch[p.data.dtype][:, : w.size]
-            m *= state.beta1
-            m += np.multiply(gs, 1.0 - state.beta1, out=a)
-            v *= state.beta2
-            np.multiply(gs, 1.0 - state.beta2, out=a)
+            m *= BETA1
+            m += np.multiply(gs, 1.0 - BETA1, out=a)
+            v *= BETA2
+            np.multiply(gs, 1.0 - BETA2, out=a)
             v += np.multiply(a, gs, out=a)
             np.divide(m, bc1, out=a)  # m_hat
             a *= state.lr
             np.divide(v, bc2, out=b)  # v_hat
             np.sqrt(b, out=b)
-            b += state.eps
+            b += EPS
             w -= np.divide(a, b, out=a)
             w -= np.multiply(w, decay, out=a)
 

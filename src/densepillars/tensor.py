@@ -173,25 +173,25 @@ class Conv2dParams:
             raise ConfigurationError("padding must be non-negative")
 
 
+BN_EPS = 1e-5  # added to the variance before its square root
+BN_MOMENTUM = 0.1  # weight of a train-mode batch's statistics in the running ones
+
+
 @dataclass
 class BatchNormParams:
     gamma: Tensor
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = 1e-5
-    momentum: float = 0.1
     mode: str = "train"
 
     @staticmethod
-    def create(channels, dtype=np.float32, eps=1e-5, momentum=0.1):
+    def create(channels, dtype=np.float32):
         return BatchNormParams(
             gamma=Tensor(np.ones(channels, dtype=dtype), requires_grad=True),
             beta=Tensor(np.zeros(channels, dtype=dtype), requires_grad=True),
             running_mean=np.zeros(channels, dtype=dtype),
             running_var=np.ones(channels, dtype=dtype),
-            eps=eps,
-            momentum=momentum,
         )
 
     def fold(self):
@@ -200,7 +200,7 @@ class BatchNormParams:
         followed by it equals the conv with weight·a and bias b. Both are in
         γ's dtype, whatever the statistics' (a checkpoint may hold float64
         ones), as `batch_norm` casts them to its input's."""
-        a = self.gamma.data / np.sqrt(self.running_var + self.eps)
+        a = self.gamma.data / np.sqrt(self.running_var + BN_EPS)
         b = self.beta.data - self.running_mean * a
         return a.astype(self.gamma.dtype, copy=False), b.astype(self.gamma.dtype, copy=False)
 
@@ -773,15 +773,15 @@ def batch_norm(x: Tensor, p: BatchNormParams, relu: bool = False, padded=None,
         if count < 2:
             raise ConfigurationError("batch_norm: degenerate batch in train mode")
         mean, var = _train_stats(x.data, count, padded)
-        p.running_mean += p.momentum * (mean.astype(p.running_mean.dtype) - p.running_mean)
-        p.running_var += p.momentum * (var.astype(p.running_var.dtype) - p.running_var)
+        p.running_mean += BN_MOMENTUM * (mean.astype(p.running_mean.dtype) - p.running_mean)
+        p.running_var += BN_MOMENTUM * (var.astype(p.running_var.dtype) - p.running_var)
     elif p.mode == "eval":
         mean = p.running_mean.astype(x.dtype)
         var = p.running_var.astype(x.dtype)
     else:
         raise ConfigurationError(f"batch_norm: unknown mode {p.mode!r}")
 
-    inv_std = 1.0 / np.sqrt(var + np.asarray(p.eps, dtype=x.dtype))
+    inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPS, dtype=x.dtype))
     a = p.gamma.data * inv_std
     out, _ = _out_rows(out, x.shape, np.result_type(x.data, a), "batch_norm")
     np.multiply(x.data, a[None, :, None, None], out=out)
@@ -844,8 +844,10 @@ def segment_max(x: Tensor, starts) -> Tensor:
 # ---------------------------------------------------------------------------
 # finite-difference gradient checking
 
+FD_STEP = 1e-6  # the central difference's step h in each input entry
 
-def grad_check(fn, inputs, h=1e-6):
+
+def grad_check(fn, inputs):
     """Max relative error between reverse-mode and central-difference grads
     of the sum of `fn`'s outputs.
 
@@ -868,12 +870,12 @@ def grad_check(fn, inputs, h=1e-6):
         num_flat = numeric.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + FD_STEP
             fp = float(fn(ts).data.sum())
-            flat[i] = orig - h
+            flat[i] = orig - FD_STEP
             fm = float(fn(ts).data.sum())
             flat[i] = orig
-            num_flat[i] = (fp - fm) / (2 * h)
+            num_flat[i] = (fp - fm) / (2 * FD_STEP)
         denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1.0)
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
     return worst

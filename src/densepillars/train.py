@@ -66,9 +66,9 @@ def _restore(state):
     raw = bytes(state_array(state, "meta/config"))
     try:
         cfg = RunConfig.from_json(raw.decode("utf-8"))
-    except ValueError as e:  # undecodable, not a JSON object, or a bad value
+        pipeline = build_pipeline(cfg)
+    except ValueError as e:  # undecodable, not a JSON object, a bad value or bad grid
         raise FormatError(f"checkpoint array 'meta/config' is not a valid config: {e}") from None
-    pipeline = build_pipeline(cfg)
     pipeline.load_state_arrays(state)
     unknown = sorted(set(state) - {"meta/version", "meta/config", *pipeline.state_arrays()})
     if unknown:

@@ -12,10 +12,7 @@ import numpy as np
 from densepillars import tensor as T
 from densepillars.detector import (
     DIR_WEIGHT,
-    FOCAL_ALPHA,
-    FOCAL_GAMMA,
     LOC_WEIGHT,
-    SMOOTH_L1_BETA,
     flatten_head_map,
     sigmoid_focal_loss,
     smooth_l1_sine_loss,
@@ -38,12 +35,9 @@ def dense_detection_loss(cls_map, box_map, dir_map, assignment, anchor_cls, cfg)
     cls_weight = (labels != -1).astype(np.float64)
     pos_weight = pos.astype(np.float64)
 
-    cls_loss = sigmoid_focal_loss(
-        cls_flat, onehot, cls_weight, FOCAL_ALPHA, FOCAL_GAMMA, normalizer=n_pos
-    )
-    loc_loss = smooth_l1_sine_loss(
-        box_flat, assignment.reg_targets, pos_weight, SMOOTH_L1_BETA, normalizer=n_pos
-    )
+    cls_loss = sigmoid_focal_loss(cls_flat, onehot, cls_weight, normalizer=n_pos)
+    loc_loss = smooth_l1_sine_loss(box_flat, assignment.reg_targets, pos_weight,
+                                   normalizer=n_pos)
     dir_loss = softmax_cross_entropy(
         dir_flat, assignment.dir_targets, pos_weight, normalizer=n_pos
     )

@@ -7,12 +7,14 @@ below allocates temporaries the size of the parameter.
 
 import numpy as np
 
+from densepillars.optim import BETA1, BETA2, EPS
+
 
 def adamw_step(params, state):
     state.t += 1
     t = state.t
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if name not in state.m:
@@ -20,11 +22,11 @@ def adamw_step(params, state):
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
         p.data -= state.lr * state.weight_decay * p.data

@@ -31,7 +31,6 @@ from densepillars.detector import (
     FPN,
     AnchorConfig,
     AnchorHead,
-    NeckSpec,
     assign_targets,
     generate_anchors,
 )
@@ -94,7 +93,7 @@ def test_criterion_2_backbone_ratios():
 def test_criterion_3_plug_and_play():
     """Swapping the backbone changes nothing outside the backbone itself."""
     x = Tensor(np.random.default_rng(0).normal(0, 0.1, size=(1, 64, 496, 432)).astype(np.float32))
-    neck = FPN(NeckSpec(), seed=1)
+    neck = FPN(seed=1)
     head = AnchorHead(seed=2)
     for bn in neck.bn_list():
         bn.mode = "eval"

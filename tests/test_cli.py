@@ -135,6 +135,20 @@ def test_verbs_reject_flags_they_ignore(capsys):
     assert "unrecognized arguments: --backbone baseline" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["analyze", "train"])
+@pytest.mark.parametrize("size", ["1e8", "inf"])
+def test_grid_with_no_cells_is_config_error(tmp_path, capsys, verb, size):
+    """A pillar larger than the range gives a 0 x 0 grid, which `analyze`
+    divided by and `train` could not pillarize into."""
+    p = tmp_path / "bad.cfg"
+    p.write_text(TINY_CFG.replace("pillar_size = 0.32", f"pillar_size = {size}"))
+    assert main([verb, "--config", str(p), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == ("configuration error: grid 0x0 must be a positive multiple of 8 cells "
+                   "on each axis for the backbone\n")
+    assert not (tmp_path / "out").exists()
+
+
 class TestSynth:
     def test_writes_scene_files(self, tmp_path, tiny_cfg):
         rc = main(
@@ -284,6 +298,13 @@ class TestTrainInferEvalRoundtrip:
         ("meta/config", lambda a: np.frombuffer(json.dumps(
             {**json.loads(bytes(a)), "architecture.downsample": "avg_pool"}).encode(),
             dtype=np.uint8)),
+        # valid keys that fail a cross-key check of the grid
+        ("meta/config", lambda a: np.frombuffer(json.dumps(
+            {**json.loads(bytes(a)), "grid.x_max": -5.0}).encode(), dtype=np.uint8)),
+        ("meta/config", lambda a: np.frombuffer(json.dumps(
+            {**json.loads(bytes(a)), "grid.pillar_size": 0.33}).encode(), dtype=np.uint8)),
+        ("meta/config", lambda a: np.frombuffer(json.dumps(
+            {**json.loads(bytes(a)), "grid.pillar_size": 1e8}).encode(), dtype=np.uint8)),
         ("meta/step", lambda a: np.array(3)),
         ("opt_m/head.cls.weight", lambda a: np.zeros((18, 384, 1, 1), dtype=np.float32)),
         ("param/bogus", lambda a: np.zeros(3, dtype=np.float32)),

@@ -19,7 +19,7 @@ from densepillars.cost import (
     neck_cost,
     pipeline_report,
 )
-from densepillars.detector import FPN, AnchorHead, NeckSpec
+from densepillars.detector import FPN, AnchorHead
 from densepillars.encoder import GridSpec, PFNWeights
 from densepillars.tensor import ConfigurationError
 from cost_oracle import runtime_param_count
@@ -47,7 +47,7 @@ class TestComponentCounts:
         assert c.macs == 384 * 72 * 248 * 216
 
     def test_neck_params(self):
-        c = neck_cost(NeckSpec(), backbone_tap_sizes(496, 432))
+        c = neck_cost(backbone_tap_sizes(496, 432))
         expected = (
             64 * 128 * 1 + 2 * 128
             + 128 * 128 * 4 + 2 * 128
@@ -56,7 +56,7 @@ class TestComponentCounts:
         assert c.params == expected == 598_784
 
     def test_neck_macs(self):
-        c = neck_cost(NeckSpec(), backbone_tap_sizes(496, 432))
+        c = neck_cost(backbone_tap_sizes(496, 432))
         expected = (
             64 * 128 * 1 * 248 * 216
             + 128 * 128 * 4 * 124 * 108
@@ -139,8 +139,8 @@ class TestRuntimeAgreement:
         ).params
 
     def test_neck(self):
-        neck = FPN(NeckSpec(), seed=0)
-        analytic = neck_cost(NeckSpec(), backbone_tap_sizes(496, 432))
+        neck = FPN(seed=0)
+        analytic = neck_cost(backbone_tap_sizes(496, 432))
         assert runtime_param_count(neck.named_params()) == analytic.params
 
     def test_head(self):
@@ -149,7 +149,7 @@ class TestRuntimeAgreement:
         assert runtime_param_count(head.named_params()) == analytic.params
 
     def test_encoder(self):
-        w = PFNWeights.create(KITTI, np.random.default_rng(0))
+        w = PFNWeights.create(np.random.default_rng(0))
         assert runtime_param_count(w.named_params()) == encoder_cost(KITTI).params
 
     def test_random_dense_variants(self):

@@ -26,8 +26,9 @@ class TestAdamW:
     def test_single_step_closed_form(self):
         p = make_param(1.0)
         p.grad = np.array(1.0)
-        lr, b1, b2, eps, wd = 0.001, 0.9, 0.999, 1e-8, 0.01
-        state = OptimizerState(lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
+        lr, wd = 0.001, 0.01
+        b1, b2, eps = optim.BETA1, optim.BETA2, optim.EPS
+        state = OptimizerState(lr=lr, weight_decay=wd)
         adamw_step({"p": p}, state)
         m_hat = (1 - b1) * 1.0 / (1 - b1)
         v_hat = (1 - b2) * 1.0 / (1 - b2)

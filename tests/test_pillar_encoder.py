@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from densepillars import tensor as T
 from densepillars.encoder import (
+    PFN_CHANNELS,
     GridSpec,
     PFNWeights,
     PillarBatch,
@@ -44,6 +45,20 @@ class TestGridSpec:
     def test_rejects_non_divisible_by_8(self):
         with pytest.raises(ConfigurationError):
             GridSpec(x_range=(0.0, 1.0), y_range=(0.0, 1.6), pillar_size=(0.2, 0.2))
+
+    @pytest.mark.parametrize("pillar, size", [
+        ((1e8, 1e8), "0x0"), ((float("inf"), float("inf")), "0x0"), ((1e300, 1e300), "0x0"),
+        ((1e8, 0.32), "8x0"), ((0.32, float("inf")), "0x8"),
+    ])
+    def test_rejects_a_grid_with_no_cells(self, pillar, size):
+        """A pillar larger than the range passes the extent check with 0
+        cells, and 0 is a multiple of 8."""
+        with pytest.raises(ConfigurationError, match=f"grid {size} must be a positive multiple"):
+            GridSpec(x_range=(0.0, 2.56), y_range=(-1.28, 1.28), pillar_size=pillar)
+
+    def test_rejects_an_extent_of_infinitely_many_pillars(self):
+        with pytest.raises(ConfigurationError, match="multiple of pillar size"):
+            GridSpec(pillar_size=(1e-310, 1e-310))
 
 
 class TestPillarize:
@@ -279,10 +294,10 @@ class TestDecorate:
 
 class TestPFN:
     def _eval_weights(self, g, seed=0):
-        w = PFNWeights.create(g, np.random.default_rng(seed))
+        w = PFNWeights.create(np.random.default_rng(seed))
         w.bn.mode = "eval"
-        w.bn.running_mean = np.random.default_rng(1).normal(size=g.feature_channels)
-        w.bn.running_var = np.abs(np.random.default_rng(2).normal(size=g.feature_channels)) + 0.5
+        w.bn.running_mean = np.random.default_rng(1).normal(size=PFN_CHANNELS)
+        w.bn.running_var = np.abs(np.random.default_rng(2).normal(size=PFN_CHANNELS)) + 0.5
         return w
 
     def test_output_shape(self):
@@ -290,7 +305,7 @@ class TestPFN:
         cloud = make_cloud([(0.1, 0.1), (0.5, 0.5), (1.1, -0.3)])
         batch = decorate(pillarize(cloud, g), g)
         out = pfn_forward(batch, self._eval_weights(g))
-        assert out.shape == (3, g.feature_channels)
+        assert out.shape == (3, PFN_CHANNELS)
 
     def test_permutation_invariance_bit_exact(self):
         g = SMALL
@@ -358,9 +373,9 @@ class TestPFNOracle:
 
     @staticmethod
     def _weights(mode, dtype, grid=SMALL):
-        w = PFNWeights.create(grid, np.random.default_rng(7))
+        w = PFNWeights.create(np.random.default_rng(7))
         r = np.random.default_rng(8)
-        c = grid.feature_channels
+        c = PFN_CHANNELS
         w.weight = Tensor(w.weight.data.astype(dtype), requires_grad=True)
         w.bn = T.BatchNormParams(Tensor(r.uniform(0.5, 1.5, c).astype(dtype), requires_grad=True),
                                  Tensor(r.normal(0.0, 0.3, c).astype(dtype), requires_grad=True),
@@ -461,7 +476,6 @@ class TestScatter:
             x_range=(0.0, 3.2),
             y_range=(-1.6, 1.6),
             pillar_size=(0.2, 0.2),
-            feature_channels=4,
         )
         img = scatter_to_pseudo_image(feats, coords, small)
         assert img.shape == (1, 4, 16, 16)
@@ -497,7 +511,6 @@ class TestScatter:
             x_range=(0.0, 3.2),
             y_range=(-1.6, 1.6),
             pillar_size=(0.2, 0.2),
-            feature_channels=4,
         )
         img = scatter_to_pseudo_image(feats, coords, small).data
         back = img[0][:, coords[:, 0], coords[:, 1]].T

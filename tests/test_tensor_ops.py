@@ -150,14 +150,16 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.data, 0.0, atol=1e-4)
 
     def test_train_moments(self):
-        p = T.BatchNormParams.create(2, dtype=np.float64, eps=1e-12)
+        p = T.BatchNormParams.create(2, dtype=np.float64)
         p.gamma.data = np.array([1.5, 0.5])
         p.beta.data = np.array([-1.0, 2.0])
         x = Tensor(rng.normal(3.0, 2.0, size=(4, 2, 8, 8)))
         out = T.batch_norm(x, p).data
         for c in range(2):
+            var = x.data[:, c].var()  # the output's variance is γ²·var / (var + ε)
             assert out[:, c].mean() == pytest.approx(p.beta.data[c], abs=1e-6)
-            assert out[:, c].var() == pytest.approx(p.gamma.data[c] ** 2, abs=1e-6)
+            assert out[:, c].var() == pytest.approx(p.gamma.data[c] ** 2 * var / (var + T.BN_EPS),
+                                                    abs=1e-6)
 
     def test_eval_closed_form(self):
         p = T.BatchNormParams.create(1, dtype=np.float64)
@@ -168,7 +170,7 @@ class TestBatchNorm:
         p.running_var = np.array([4.0])
         x = Tensor(np.array([3.0, -1.0]).reshape(1, 1, 1, 2))
         out = T.batch_norm(x, p).data.reshape(-1)
-        expect = 2.0 * (np.array([3.0, -1.0]) - 1.0) / np.sqrt(4.0 + p.eps) + 0.5
+        expect = 2.0 * (np.array([3.0, -1.0]) - 1.0) / np.sqrt(4.0 + T.BN_EPS) + 0.5
         np.testing.assert_allclose(out, expect, rtol=1e-12)
 
     def test_degenerate_batch_raises(self):
@@ -946,12 +948,12 @@ def reference_batch_norm(x: Tensor, p: T.BatchNormParams) -> Tensor:
     if p.mode == "train":
         mean = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        p.running_mean += p.momentum * (mean.astype(p.running_mean.dtype) - p.running_mean)
-        p.running_var += p.momentum * (var.astype(p.running_var.dtype) - p.running_var)
+        p.running_mean += T.BN_MOMENTUM * (mean.astype(p.running_mean.dtype) - p.running_mean)
+        p.running_var += T.BN_MOMENTUM * (var.astype(p.running_var.dtype) - p.running_var)
     else:
         mean = p.running_mean.astype(x.dtype)
         var = p.running_var.astype(x.dtype)
-    inv_std = 1.0 / np.sqrt(var + np.asarray(p.eps, dtype=x.dtype))
+    inv_std = 1.0 / np.sqrt(var + np.asarray(T.BN_EPS, dtype=x.dtype))
     a = p.gamma.data * inv_std
     out = x.data * a[None, :, None, None]
     out += (p.beta.data - mean * a)[None, :, None, None]
@@ -1023,7 +1025,7 @@ class TestBatchNormOracle:
         out = T.batch_norm(x, p, relu=True)
         np.testing.assert_array_equal(out.data > 0, [[[[False, False], [True, True]]]])
         out.backward(np.ones((1, 1, 2, 2)))
-        a = 1.0 / np.sqrt(1.0 + p.eps)
+        a = 1.0 / np.sqrt(1.0 + T.BN_EPS)
         np.testing.assert_array_equal(x.grad, np.array([0.0, 0.0, a, a]).reshape(1, 1, 2, 2))
         assert p.beta.grad[0] == 2.0
 
