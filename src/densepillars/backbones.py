@@ -166,18 +166,23 @@ def _whole_block(layers, trans, x=None, pillars=None):
     stages write into one buffer as wide as the transition's input, which
     their concat returns uncopied. From x it starts with a copy of x; from
     the pillars the first layer is sparse, the buffer holds only the stages
-    and the transition adds the sparse 1x1 product of its pillar channels."""
+    and the transition adds the sparse 1x1 product of its pillar channels.
+
+    The transition's batch norm, ReLU and pool run as one `T.recompute`, so
+    a graph holds the transition conv's output (which batch norm's backward
+    reads anyway) and the tap, not the full-resolution normalised map."""
     c_cat = trans.conv.weight.shape[1]
     if pillars is None:
         buf = np.empty((x.shape[0], c_cat, *x.shape[2:]), dtype=x.dtype)
-        return T.avg_pool2x2(trans.forward(_chain(x, layers, buf)))
-    features, plan = pillars
-    buf = np.empty((1, c_cat - features.shape[1], *plan.size), dtype=features.dtype)
-    h = layers[0].forward_sparse(features, plan, out=buf[:, : layers[0].conv.weight.shape[0]])
-    cat = _chain(h, layers[1:], buf)
-    pillar_conv, stage_conv = _split(trans.conv, features.shape[1])
-    mixed = T.sparse_conv2d(features, plan, pillar_conv, onto=T.conv2d(cat, stage_conv))
-    return T.avg_pool2x2(T.batch_norm(mixed, trans.bn, relu=True))
+        mixed = T.conv2d(_chain(x, layers, buf), trans.conv)
+    else:
+        features, plan = pillars
+        buf = np.empty((1, c_cat - features.shape[1], *plan.size), dtype=features.dtype)
+        h = layers[0].forward_sparse(features, plan, out=buf[:, : layers[0].conv.weight.shape[0]])
+        cat = _chain(h, layers[1:], buf)
+        pillar_conv, stage_conv = _split(trans.conv, features.shape[1])
+        mixed = T.sparse_conv2d(features, plan, pillar_conv, onto=T.conv2d(cat, stage_conv))
+    return T.recompute(lambda m: T.avg_pool2x2(T.batch_norm(m, trans.bn, relu=True)), mixed)
 
 
 def _stream_block(layers, trans, x=None, pillars=None):

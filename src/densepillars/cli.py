@@ -172,6 +172,11 @@ def gradcheck_cases(rng):
         case("batch_norm_relu_eval", 1e-5,
              lambda x, g, b, s: T.batch_norm(x, _bn(g, b, s), relu=True), bn_shapes, eval_stats),
         case("avg_pool2x2", 1e-6, T.avg_pool2x2, [(1, 2, 4, 4)]),
+        # a dense transition's tail, replayed in backward
+        case("recompute_bn_relu_pool", 1e-5,
+             lambda x, g, b: T.recompute(
+                 lambda m: T.avg_pool2x2(T.batch_norm(m, _bn(g, b), relu=True)), x),
+             bn_shapes),
         # the PFN's tail: 5 point rows of 3 pillars among 3 x 4 slots
         case("segment_max_padded_bn", 1e-5,
              lambda x, g, b: T.segment_max(

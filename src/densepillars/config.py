@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 from .backbones import GrowthSchedule
 from .bev import EvalConfig
+from .detector import NMS_IOU, SCORE_THRESHOLD
 from .encoder import GridSpec
 from .tensor import ConfigurationError
 
@@ -46,8 +47,8 @@ SCHEMA = {
     "train.batch_size": (int, 2, _positive),
     "train.num_scenes": (int, 8, _positive),
     "train.boxes_per_scene": (int, 3, _positive),
-    "eval.score_threshold": (float, 0.1, _in_unit),
-    "eval.nms_iou": (float, 0.01, _in_unit),
+    "eval.score_threshold": (float, SCORE_THRESHOLD, _in_unit),
+    "eval.nms_iou": (float, NMS_IOU, _in_unit),
     "eval.iou_car": (float, 0.7, _in_unit),
     "eval.iou_pedestrian": (float, 0.5, _in_unit),
     "eval.iou_cyclist": (float, 0.5, _in_unit),

@@ -136,11 +136,11 @@ def neck_cost(tap_sizes) -> ComponentCost:
     return ComponentCost("neck", params, macs, elem)
 
 
-def head_cost(in_channels: int, anchors_per_cell: int, h: int, w: int) -> ComponentCost:
-    """One 1x1 conv with bias whose outputs stack the class, box and
-    direction maps."""
-    c_out = anchors_per_cell * (len(CLASSES) + 7 + 2)
-    params, macs = _conv(in_channels, c_out, 1, h, w, bias=True)
+def head_cost(h: int, w: int) -> ComponentCost:
+    """One 1x1 conv with bias over the neck's output, whose outputs stack
+    the class, box and direction maps of each anchor of a cell."""
+    c_out = AnchorConfig.anchors_per_cell * (len(CLASSES) + 7 + 2)
+    params, macs = _conv(sum(NECK_OUT_CHANNELS), c_out, 1, h, w, bias=True)
     return ComponentCost("head", params, macs, 0)
 
 
@@ -163,7 +163,7 @@ def pipeline_report(grid: GridSpec, backbone_spec) -> CostReport:
         encoder_cost(grid),
         backbone,
         neck_cost(taps),
-        head_cost(sum(NECK_OUT_CHANNELS), AnchorConfig.anchors_per_cell, h // 2, w // 2),
+        head_cost(h // 2, w // 2),
     ]
     return CostReport(rows)
 

@@ -40,6 +40,13 @@ NECK_IN_CHANNELS = TAP_CHANNELS
 NECK_STRIDES = (1, 2, 4)
 NECK_OUT_CHANNELS = (128, 128, 128)
 
+# Inference: the least best-class score a detection keeps, and the BEV IoU
+# above which NMS drops the lower-scored of two detections of one class.
+# `predict`'s defaults and the config's `eval.score_threshold` and
+# `eval.nms_iou` defaults.
+SCORE_THRESHOLD = 0.1
+NMS_IOU = 0.01
+
 
 class AnchorConfig:
     """PointPillars' KITTI anchors and matching thresholds (Lang et al.,
@@ -523,7 +530,7 @@ def decode_detections(candidates, anchors, nms_thr: float):
 
 
 def postprocess(cls_map, box_map, dir_map, anchors, anchor_cls, cfg: AnchorConfig,
-                score_thr: float = 0.1, nms_thr: float = 0.01):
+                score_thr: float = SCORE_THRESHOLD, nms_thr: float = NMS_IOU):
     """Scores, decode, direction-corrected yaw, class-wise rotated NMS, over
     whole head maps."""
     candidates = head_candidates(cls_map.data, box_map.data, dir_map.data, 0,

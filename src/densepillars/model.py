@@ -11,6 +11,8 @@ from .detector import (
     AnchorConfig,
     AnchorHead,
     FPN,
+    NMS_IOU,
+    SCORE_THRESHOLD,
     assign_targets,
     decode_detections,
     detection_loss,
@@ -96,7 +98,8 @@ class DetectionPipeline:
         return detection_loss(cls_map, box_map, dir_map, assignment,
                               self.anchor_cls, self.anchor_cfg)
 
-    def predict(self, cloud: PointCloud, score_thr: float = 0.1, nms_thr: float = 0.01):
+    def predict(self, cloud: PointCloud, score_thr: float = SCORE_THRESHOLD,
+                nms_thr: float = NMS_IOU):
         """Detections for one frame; a frame with no point in range has none.
         Every batch norm must be in eval mode (`set_mode("eval")`): in train
         mode it would normalise with the frame's statistics and update the

@@ -18,6 +18,16 @@ the one place gradients are summed, and only for tensors with
 intermediate gradient lives only inside the sweep. An op's backward must
 not write into the gradient it receives, since that array may be shared.
 
+A sweep consumes its graph: as it passes an op's output it drops the
+output's parents and backward closure, so each activation and gradient is
+freed once the sweep is done with it, even while the caller holds the
+loss, and a later sweep that reaches a passed output raises
+InvariantViolation. `recompute(fn, *inputs)` records fn as one op that
+holds only its inputs and output: its forward runs fn without a graph and
+its backward reruns fn with one. In the rerun a train-mode batch norm
+normalises with the batch's statistics again but leaves its running
+statistics as the forward left them.
+
 With a graph, dense blocks and the neck write their parts into one shared
 buffer (`batch_norm(out=)`, `channel_concat(out=)`). The batch-norm fold
 and streaming are inference-only: the conv ops' bias+ReLU epilogue,
@@ -74,9 +84,15 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad=None):
-        """Reverse-mode sweep from this tensor through its graph. Gradients
-        are summed out of place in a map local to the sweep, so an array an
-        op hands to two parents (add) is never written; only leaves keep one."""
+        """Reverse-mode sweep from this tensor through its graph, which it
+        consumes. Gradients are summed out of place in a map local to the
+        sweep, so an array an op hands to two parents (add) is never
+        written; only leaves keep one. As the sweep passes an op's output,
+        it drops the output's parents and backward closure: every op that
+        reads the output has been passed already, so what only backward
+        read (activations, their gradients) is freed during the sweep, not
+        at its end, even while the caller holds the output. A later sweep
+        that reaches a passed output raises InvariantViolation."""
         if grad is None:
             if self.data.size != 1:
                 raise ConfigurationError("backward() without grad requires a scalar")
@@ -85,12 +101,16 @@ class Tensor:
 
         order = []
         _visit(self, set(), order)
-        for t in reversed(order):
+        while order:  # reverse topological order; popping lets each node go
+            t = order.pop()
             g = grads.pop(id(t), None)
+            parents, backward = t._parents, t._backward
+            if backward is not None:
+                t._parents, t._backward = (), _swept
             if g is None:
                 continue
-            if t._backward is not None:
-                for p, gp in zip(t._parents, t._backward(g), strict=True):
+            if backward is not None:
+                for p, gp in zip(parents, backward(g), strict=True):
                     if gp is not None and p.requires_grad:
                         gp = gp.astype(p.dtype, copy=False)
                         prev = grads.get(id(p))
@@ -102,6 +122,11 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
+
+
+def _swept(g):
+    """The backward of an op output that a sweep has passed."""
+    raise InvariantViolation("backward through a graph that an earlier backward consumed")
 
 
 def _visit(t, seen, order):
@@ -148,6 +173,42 @@ def make(out_data, parents, backward):
         out._parents = tuple(parents)
         out._backward = backward
     return out
+
+
+# Whether ops run inside `recompute`'s backward: batch norm then normalises
+# with the batch's statistics but leaves its running ones as they are.
+_replaying = contextvars.ContextVar("replaying", default=False)
+
+
+def recompute(fn, *inputs) -> Tensor:
+    """fn(*inputs) as one op whose output is all it holds besides its
+    inputs: the forward runs fn without a graph, so what fn makes on the
+    way is freed at once, and backward reruns fn with a graph on the
+    inputs' arrays and sweeps that graph with the output's gradient. fn
+    must compute the same output from the same inputs both times. The
+    parameters fn reads (a batch norm's γ and β) are leaves of the rerun's
+    graph, whose sweep sums their gradients. The op is recorded, as any
+    op, when an input requires grad.
+
+    A train-mode batch norm in the rerun normalises with the batch's
+    statistics again, which equal the forward's, but does not update the
+    running statistics a second time, so fn's batch norms need not be
+    named here."""
+    with no_grad():
+        out = fn(*inputs)
+
+    def backward(g):
+        leaves = [Tensor(t.data, requires_grad=t.requires_grad) for t in inputs]
+        tokens = _grad_enabled.set(True), _replaying.set(True)
+        try:
+            rerun = fn(*leaves)
+        finally:
+            _replaying.reset(tokens[1])
+            _grad_enabled.reset(tokens[0])
+        rerun.backward(g)
+        return tuple(t.grad for t in leaves)
+
+    return make(out.data, inputs, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -773,8 +834,9 @@ def batch_norm(x: Tensor, p: BatchNormParams, relu: bool = False, padded=None,
         if count < 2:
             raise ConfigurationError("batch_norm: degenerate batch in train mode")
         mean, var = _train_stats(x.data, count, padded)
-        p.running_mean += BN_MOMENTUM * (mean.astype(p.running_mean.dtype) - p.running_mean)
-        p.running_var += BN_MOMENTUM * (var.astype(p.running_var.dtype) - p.running_var)
+        if not _replaying.get():  # `recompute`'s rerun: the forward updated them
+            p.running_mean += BN_MOMENTUM * (mean.astype(p.running_mean.dtype) - p.running_mean)
+            p.running_var += BN_MOMENTUM * (var.astype(p.running_var.dtype) - p.running_var)
     elif p.mode == "eval":
         mean = p.running_mean.astype(x.dtype)
         var = p.running_var.astype(x.dtype)

@@ -134,7 +134,6 @@ def train(cfg: RunConfig, out_dir: str, scenes=None, log=print):
             losses["total"].backward(np.array(1.0 / bs, dtype=np.float32))
             for k in sums:
                 sums[k] += float(losses[k].data) / bs
-            del losses  # free this sample's graph before the next forward
         if not math.isfinite(sums["total"]):
             raise InvariantViolation(f"non-finite loss at step {step}: {sums}")
         adamw_step(params, opt)

@@ -22,6 +22,7 @@ from densepillars.model import DetectionPipeline
 from densepillars.pointcloud import PointCloud, synth_scene
 from densepillars.tensor import ConfigurationError, Tensor
 from densepillars.train import build_pipeline, make_training_scenes
+from graph_oracle import held_backward, record_whole
 from backbone_oracle import (
     backbone_forward,
     concat_backbone_forward,
@@ -368,6 +369,53 @@ class TestSharedBufferOracle:
         for a, b in zip(product.bn_list(), oracle.bn_list(), strict=True):
             np.testing.assert_array_equal(a.running_mean, b.running_mean)
             np.testing.assert_array_equal(a.running_var, b.running_var)
+
+
+class TestHeldGraphOracle:
+    """One desk-grid training step of two samples, swept by the consuming
+    `Tensor.backward` with the dense transitions replayed, against the same
+    step with the transitions recorded op by op and swept by the held-graph
+    sweep (`graph_oracle`)."""
+
+    @staticmethod
+    def _step(pipeline, samples, sweep):
+        pipeline.set_mode("train")
+        pipeline.zero_grad()
+        totals = []
+        for batch, assignment in samples:
+            losses = pipeline.loss_encoded(batch, assignment)
+            if sweep is not None:
+                sweep(losses["total"], np.array(0.5, dtype=np.float32))
+            totals.append(losses["total"].data)
+        return totals
+
+    @pytest.mark.parametrize("kind", ["dense", "baseline"])
+    def test_gradients_and_statistics_equal_the_held_graph(self, monkeypatch, kind):
+        """Every parameter gradient is bit for bit the held graph's, and
+        the running statistics after forward and backward are those after
+        the forward alone: the replay updates them no second time."""
+        cfg = parse_config(REPO / "configs" / "desk_overfit.cfg",
+                           {"architecture.backbone": kind})
+        product, held, forward_only = (build_pipeline(cfg) for _ in range(3))
+        scenes = make_training_scenes(cfg)[:2]
+        samples = [(product.encode(s.cloud, seed=i), product.targets_for(s.boxes))
+                   for i, s in enumerate(scenes)]
+        got = self._step(product, samples, lambda loss, g: loss.backward(g))
+        plain = self._step(forward_only, samples, None)
+        with monkeypatch.context() as m:
+            m.setattr(T, "recompute", record_whole)
+            want = self._step(held, samples, held_backward)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, plain)
+        want_grads = held.named_params()
+        for name, param in product.named_params().items():
+            assert param.grad is not None, name
+            np.testing.assert_array_equal(param.grad, want_grads[name].grad, err_msg=name)
+        for a, b, c in zip(product.bn_list(), held.bn_list(), forward_only.bn_list(),
+                           strict=True):
+            for stat in ("running_mean", "running_var"):
+                np.testing.assert_array_equal(getattr(a, stat), getattr(b, stat))
+                np.testing.assert_array_equal(getattr(a, stat), getattr(c, stat))
 
 
 class TestTrainModeWithoutGraph:

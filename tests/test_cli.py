@@ -106,7 +106,7 @@ class TestGradcheck:
             "linear_map", "conv2d", "conv2d_stride2", "conv2d_1x1_bias", "conv2d_1x1_slice",
             "conv2d_batch2",
             "conv_transpose2d", "batch_norm", "batch_norm_eval", "batch_norm_relu",
-            "batch_norm_relu_eval", "avg_pool2x2", "segment_max_padded_bn",
+            "batch_norm_relu_eval", "avg_pool2x2", "recompute_bn_relu_pool", "segment_max_padded_bn",
             "conv_bn_relu", "focal", "smooth_l1_sine", "softmax_ce", "detection_loss",
             "detection_loss_no_positives", "gather_anchor_rows", "sparse_conv2d", "sparse_conv2d_stride2",
         }

@@ -38,12 +38,12 @@ class TestComponentCounts:
         assert c.macs == 9 * 64 * 12000 * 32
 
     def test_head_params(self):
-        c = head_cost(384, 6, 248, 216)
+        c = head_cost(248, 216)
         # 1x1 convs with bias: 6*(3 + 7 + 2) = 72 output channels total
         assert c.params == 384 * 72 + 72 == 27_720
 
     def test_head_macs(self):
-        c = head_cost(384, 6, 248, 216)
+        c = head_cost(248, 216)
         assert c.macs == 384 * 72 * 248 * 216
 
     def test_neck_params(self):
@@ -145,7 +145,7 @@ class TestRuntimeAgreement:
 
     def test_head(self):
         head = AnchorHead(seed=0)
-        analytic = head_cost(384, 6, 248, 216)
+        analytic = head_cost(248, 216)
         assert runtime_param_count(head.named_params()) == analytic.params
 
     def test_encoder(self):

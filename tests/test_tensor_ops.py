@@ -1169,12 +1169,115 @@ class TestAccumulate:
         gc.disable()
         try:
             out.backward(np.ones((2, 3)))
-            del out
-            assert mid() is None
+            assert mid() is None  # the sweep consumed the graph; out is still held
         finally:
             gc.enable()
+        assert out._parents == ()
 
     def test_scalar_seed_broadcasts(self):
         x = rand_t(1)
         T.scale(x, 3.0).backward(np.array(0.5))
         assert x.grad.shape == (1,) and x.grad[0] == 1.5
+
+
+class TestConsumingSweep:
+    """A later sweep that reaches an op output an earlier sweep passed
+    raises instead of taking it for a leaf."""
+
+    def test_second_backward_from_a_swept_output_raises(self):
+        x = rand_t(2, 3)
+        out = T.scale(relu(x), 3.0)
+        out.backward(np.ones((2, 3)))
+        with pytest.raises(T.InvariantViolation, match="consumed"):
+            out.backward(np.ones((2, 3)))
+
+    def test_new_graph_through_a_swept_output_raises(self):
+        x = rand_t(2, 3)
+        mid = T.scale(x, 2.0)
+        T.scale(mid, 3.0).backward(np.ones((2, 3)))
+        with pytest.raises(T.InvariantViolation, match="consumed"):
+            T.scale(mid, 0.5).backward(np.ones((2, 3)))
+
+
+class TestRecompute:
+    """`recompute(fn, *inputs)` records one op that holds only its inputs
+    and output; its backward reruns fn with a graph."""
+
+    @staticmethod
+    def _bn(gamma, beta):
+        p = T.BatchNormParams.create(gamma.shape[0], dtype=np.float64)
+        p.gamma, p.beta = gamma, beta
+        return p
+
+    @staticmethod
+    def _transition(p):
+        return lambda m: T.avg_pool2x2(T.batch_norm(m, p, relu=True))
+
+    def test_gradcheck(self):
+        stats = rng.normal(size=3), rng.uniform(0.5, 2.0, 3)
+        for mode in ("train", "eval"):
+            def f(v):
+                p = self._bn(v[1], v[2])
+                if mode == "eval":
+                    p.mode = "eval"
+                    p.running_mean, p.running_var = stats
+                return T.recompute(self._transition(p), v[0])
+
+            assert grad_check(f, [rand_t(2, 3, 4, 4), rand_t(3), rand_t(3)]) <= 1e-5, mode
+
+    def test_equals_the_recorded_ops(self):
+        """Output, gradients and running statistics are bit for bit those of
+        fn's ops recorded one by one: the rerun normalises with the batch's
+        statistics but updates the running ones no second time."""
+        x0 = rng.normal(size=(2, 3, 4, 6)).astype(np.float32)
+        g = rng.normal(size=(2, 3, 2, 3)).astype(np.float32)
+        runs = []
+        for wrap in (T.recompute, lambda fn, x: fn(x)):
+            x = Tensor(x0, requires_grad=True)
+            p = T.BatchNormParams.create(3)
+            out = wrap(self._transition(p), x)
+            out.backward(g)
+            runs.append((out.data, x.grad, p.gamma.grad, p.beta.grad,
+                         p.running_mean, p.running_var))
+        for got, want in zip(*runs, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_holds_no_intermediate(self):
+        inner = []
+
+        def fn(m):
+            inner.append(T.scale(m, 2.0))
+            return T.add(inner[-1], m)
+
+        x = rand_t(2, 3)
+        out = T.recompute(fn, x)
+        assert out._parents == (x,) and inner[0]._backward is None
+        out.backward(np.ones((2, 3)))
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 3.0))
+        assert len(inner) == 2 and inner[1]._parents == ()  # the rerun's graph is swept too
+
+    def test_records_nothing_without_a_graph(self):
+        with T.no_grad():
+            assert T.recompute(relu, rand_t(2, 3))._backward is None
+        assert T.recompute(relu, Tensor(rng.normal(size=(2, 3))))._backward is None
+
+    def test_a_failed_replay_restores_recording_and_statistics(self):
+        """After a rerun that raises, ops record and batch norm updates its
+        running statistics again."""
+        p = T.BatchNormParams.create(3)
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)).astype(np.float32), requires_grad=True)
+        calls = []
+
+        def fn(m):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ConfigurationError("rerun")
+            return T.batch_norm(m, p)
+
+        out = T.recompute(fn, x)
+        with pytest.raises(ConfigurationError, match="rerun"):
+            out.backward(np.ones(out.shape, dtype=np.float32))
+        before = p.running_mean.copy()
+        T.batch_norm(x, p)
+        assert not np.array_equal(p.running_mean, before)
+        assert relu(x)._backward is not None
